@@ -23,6 +23,7 @@ from .gof import ecdf
 from .processes import (
     ClassProbabilities,
     EventTimeline,
+    _fmt,
     simulate_fpp_renewal,
     simulate_fpp_timechange,
     thin_events,
@@ -35,8 +36,6 @@ from .samplers import (
     sample_positive_stable,
 )
 from .special import FppParams
-
-_FLOAT_FMT = "%.17g"
 
 # flag name -> (dest, type); config files use the flag names as keys
 _FLAG_SPECS = {
@@ -152,7 +151,7 @@ def _write_values_csv(path: str, values: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("value\n")
         for v in values:
-            fh.write((_FLOAT_FMT % v) + "\n")
+            fh.write(_fmt(v) + "\n")
 
 
 def _read_column(path: str, column: str) -> np.ndarray:
@@ -229,7 +228,7 @@ def _cmd_auction(ns: argparse.Namespace) -> int:
     with open(path, "w") as fh:
         fh.write("time,best_ask\n")
         for t, v in zip(ask_path.jump_times, ask_path.values):
-            fh.write(f"{_FLOAT_FMT % t},{'inf' if np.isposinf(v) else _FLOAT_FMT % v}\n")
+            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
     summary = {
         "best_ask": None if np.isposinf(state.best_ask) else state.best_ask,
         "total_waiting": state.total,
@@ -333,7 +332,7 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
         with open(out_path, "w") as fh:
             fh.write("value,cum_prob\n")
             for x, p in zip(xs, ps):
-                fh.write(f"{_FLOAT_FMT % x},{_FLOAT_FMT % p}\n")
+                fh.write(f"{_fmt(x)},{_fmt(p)}\n")
         return
     if kind == "path":
         with open(input_path, newline="") as fh:
@@ -368,7 +367,7 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
         with open(out_path, "w") as fh:
             fh.write("theoretical_q,empirical_q\n")
             for a, b in zip(tq, eq):
-                fh.write(f"{_FLOAT_FMT % a},{_FLOAT_FMT % b}\n")
+                fh.write(f"{_fmt(a)},{_fmt(b)}\n")
         return
     raise ParameterError(f"unknown plot-data kind {kind!r}; expected ecdf, path, or qq")
 

@@ -24,6 +24,7 @@ from .gof import chi_square_counts, ecdf, ks_two_sample
 from .processes import (
     ClassProbabilities,
     _covering_subordinator,
+    _strictly_increasing,
     renewal_counts,
     timechange_counts,
 )
@@ -145,10 +146,26 @@ def map_replicas(fn, n: int, jobs: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # limit-law sampling
 
-def _passages(theta: float, step: float, horizon: float, rng: RngStream) -> np.ndarray:
-    """First-passage times of the level grid {0, step, 2 step, ...}, starting
-    at 0 and extended beyond the horizon."""
-    return _covering_subordinator(theta, step, horizon, rng).values
+def _two_clocks(
+    theta_a: float, theta_b: float, t: float, resolution: float, rng: RngStream
+) -> tuple[tuple[float, np.ndarray, int], tuple[float, np.ndarray, int]]:
+    """Two independent inverse clocks Y_a, Y_b (substreams 0 and 1), each
+    discretized on levels spaced resolution * t^theta, on the union of their
+    level-passage times up to t (t itself included).
+
+    For each clock returns (step, k, n): Y = step * k on the union grid, and
+    n levels on its covering grid, which extends beyond t.
+    """
+    step_a = resolution * t**theta_a
+    step_b = resolution * t**theta_b
+    la = _covering_subordinator(theta_a, step_a, t, rng.substream(0)).values
+    lb = _covering_subordinator(theta_b, step_b, t, rng.substream(1)).values
+    ev = np.union1d(la[la <= t], lb[lb <= t])
+    if ev.size == 0 or ev[-1] < t:
+        ev = np.append(ev, t)
+    ka = np.searchsorted(la, ev, side="right") - 1
+    kb = np.searchsorted(lb, ev, side="right") - 1
+    return (step_a, ka, la.size - 1), (step_b, kb, lb.size - 1)
 
 
 def _clock_difference_path(
@@ -161,22 +178,8 @@ def _clock_difference_path(
     rng: RngStream,
 ) -> np.ndarray:
     """coef_a Y_a(s) - coef_b Y_b(s) on the union of passage grids up to t."""
-    step_a = resolution * t**theta_a
-    la = _passages(theta_a, step_a, t, rng.substream(0))
-    if coef_b != 0.0:
-        step_b = resolution * t**theta_b
-        lb = _passages(theta_b, step_b, t, rng.substream(1))
-        ev = np.union1d(la[la <= t], lb[lb <= t])
-    else:
-        ev = la[la <= t]
-    if ev.size == 0 or ev[-1] < t:
-        ev = np.append(ev, t)
-    ka = np.searchsorted(la, ev, side="right") - 1
-    path = coef_a * step_a * ka
-    if coef_b != 0.0:
-        kb = np.searchsorted(lb, ev, side="right") - 1
-        path = path - coef_b * step_b * kb
-    return path
+    (step_a, ka, _), (step_b, kb, _) = _two_clocks(theta_a, theta_b, t, resolution, rng)
+    return coef_a * step_a * ka - coef_b * step_b * kb
 
 
 def _brownian_difference_path(
@@ -189,26 +192,12 @@ def _brownian_difference_path(
     rng: RngStream,
 ) -> np.ndarray:
     """sqrt(var_a) B(Y_a(s)) - sqrt(var_b) B~(Y_b(s)) on the union grid."""
-    step_a = resolution * t**theta_a
-    la = _passages(theta_a, step_a, t, rng.substream(0))
+    (step_a, ka, na), (step_b, kb, nb) = _two_clocks(theta_a, theta_b, t, resolution, rng)
     ga = rng.substream(2).generator()
-    ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), la.size - 1))])
-    if var_b != 0.0:
-        step_b = resolution * t**theta_b
-        lb = _passages(theta_b, step_b, t, rng.substream(1))
-        gb = rng.substream(3).generator()
-        bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), lb.size - 1))])
-        ev = np.union1d(la[la <= t], lb[lb <= t])
-    else:
-        ev = la[la <= t]
-    if ev.size == 0 or ev[-1] < t:
-        ev = np.append(ev, t)
-    ka = np.searchsorted(la, ev, side="right") - 1
-    path = math.sqrt(var_a) * ba[ka]
-    if var_b != 0.0:
-        kb = np.searchsorted(lb, ev, side="right") - 1
-        path = path - math.sqrt(var_b) * bb[kb]
-    return path
+    gb = rng.substream(3).generator()
+    ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), na))])
+    bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), nb))])
+    return math.sqrt(var_a) * ba[ka] - math.sqrt(var_b) * bb[kb]
 
 
 def _reflected_end(path: np.ndarray) -> float:
@@ -397,6 +386,8 @@ def _renewal_event_times(
         if total > horizon:
             break
     times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    # partial sums can collide in float64 after a long wait
+    times = _strictly_increasing(times[times <= horizon])
     return times[times <= horizon]
 
 
@@ -436,21 +427,15 @@ def _compensated_queue_end(
     the union of the two passage grids, where the path is exactly piecewise
     constant in the discretized model.
     """
-    step_a = resolution * horizon**alpha
-    step_b = resolution * horizon**beta
-    la = _passages(alpha, step_a, horizon, rng.substream(0))
-    lb = _passages(beta, step_b, horizon, rng.substream(1))
+    (step_a, ka, na), (step_b, kb, nb) = _two_clocks(alpha, beta, horizon, resolution, rng)
     ga = rng.substream(2).generator()
     gb = rng.substream(3).generator()
-    y_top_a = step_a * (la.size - 1)
-    y_top_b = step_b * (lb.size - 1)
+    y_top_a = step_a * na
+    y_top_b = step_b * nb
     arr_pos = np.sort(ga.random(ga.poisson(rate_a * y_top_a)) * y_top_a)
     dep_pos = np.sort(gb.random(gb.poisson(rate_b * y_top_b)) * y_top_b)
-    ev = np.union1d(la[la <= horizon], lb[lb <= horizon])
-    if ev.size == 0 or ev[-1] < horizon:
-        ev = np.append(ev, horizon)
-    ya = step_a * (np.searchsorted(la, ev, side="right") - 1)
-    yb = step_b * (np.searchsorted(lb, ev, side="right") - 1)
+    ya = step_a * ka
+    yb = step_b * kb
     a_counts = np.searchsorted(arr_pos, ya, side="right")
     c_counts = np.searchsorted(dep_pos, yb, side="right")
     path = (a_counts - rate_a * ya) - (c_counts - rate_b * yb)
@@ -732,7 +717,6 @@ def verify_queue_scaling(
 
     def one(r: int) -> tuple[int, int]:
         sub = rng.substream(4).substream(r)
-        q_head = _scaled_queue_end(alpha, beta, lam, mu, head, horizon, sub)[0]
         if regime == "balanced" and i >= 2:
             # same arrivals thinned one class shorter, fresh services kept
             # identical by reusing the substream layout
@@ -745,7 +729,7 @@ def verify_queue_scaling(
             q_hi = reflected_path_stats(arr_head, dep)[0]
             q_lo = reflected_path_stats(arr_prev, dep)[0]
             return q_hi, q_hi - q_lo
-        return q_head, 0
+        return _scaled_queue_end(alpha, beta, lam, mu, head, horizon, sub)[0], 0
 
     # the replica closure draws from substream(4); keep 0-3 for oracles
     pairs = map_replicas(one, replicas, jobs)
@@ -781,16 +765,11 @@ def verify_queue_scaling(
             # per-class oracle: difference of the two reflections driven by
             # one shared pair of clock paths
             def one_per_class(r: int) -> float:
-                sub = rng.substream(2).substream(r)
-                step_a = resolution * t**alpha
-                step_b = resolution * t**beta
-                la = _passages(alpha, step_a, t, sub.substream(0))
-                lb = _passages(beta, step_b, t, sub.substream(1))
-                ev = np.union1d(la[la <= t], lb[lb <= t])
-                if ev.size == 0 or ev[-1] < t:
-                    ev = np.append(ev, t)
-                ya = step_a * (np.searchsorted(la, ev, side="right") - 1)
-                yb = step_b * (np.searchsorted(lb, ev, side="right") - 1)
+                (step_a, ka, _), (step_b, kb, _) = _two_clocks(
+                    alpha, beta, t, resolution, rng.substream(2).substream(r)
+                )
+                ya = step_a * ka
+                yb = step_b * kb
                 hi = lam**alpha * head * ya - mu**beta * yb
                 lo = lam**alpha * probs.head_sum(i - 1) * ya - mu**beta * yb
                 return _reflected_end(hi) - _reflected_end(lo)

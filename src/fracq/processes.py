@@ -21,7 +21,6 @@ from .samplers import RngStream, sample_positive_stable
 from .special import FppParams, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
-_FLOAT_FMT = "%.17g"
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -32,9 +31,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _fmt(x: float) -> str:
-    if np.isposinf(x):
-        return "inf"
-    return _FLOAT_FMT % x
+    """Round-trip text of a float64; "%.17g" already spells +inf as "inf"."""
+    return "%.17g" % x
 
 
 @dataclass(frozen=True)
@@ -152,14 +150,17 @@ class ClassProbabilities:
 
 
 def _strictly_increasing(times: np.ndarray) -> np.ndarray:
-    """Resolve float-collision ties by nudging later events up one ulp,
-    preserving insertion order."""
-    out = times.copy()
-    while True:
-        bad = np.flatnonzero(np.diff(out) <= 0)
-        if bad.size == 0:
-            return out
-        out[bad + 1] = np.nextafter(out[bad], np.inf)
+    """Resolve float-collision ties by nudging later events up to one ulp
+    above their predecessor, preserving insertion order.
+
+    Times must be nonnegative: their float64 bit patterns b then order like
+    the values and one ulp up is one step up, so the nudged bit patterns
+    out[k] = max(b[k], out[k-1] + 1) are the running maximum of b[k] - k
+    plus k.
+    """
+    shift = np.arange(times.size, dtype=np.int64)
+    bits = np.ascontiguousarray(times, dtype=np.float64).view(np.int64)
+    return (np.maximum.accumulate(bits - shift) + shift).view(np.float64)
 
 
 def simulate_fpp_renewal(
@@ -192,6 +193,8 @@ def simulate_fpp_renewal(
                 f"renewal simulation exceeded {event_cap} events before reaching the horizon"
             )
     times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    # partial sums can collide in float64 after a long wait
+    times = _strictly_increasing(times[times <= horizon])
     times = times[times <= horizon]
     if times.size > event_cap:
         raise EventCapError(f"simulation produced more than {event_cap} events")

@@ -54,6 +54,12 @@ class StepFunction:
         return float(self.values[-1]) if self.values.size else float(self.initial_value)
 
 
+def _reflect(netflow: np.ndarray) -> np.ndarray:
+    """Skorokhod reflection at zero of a path started at 0:
+    netflow - min(0, running minimum of netflow)."""
+    return netflow - np.minimum(np.minimum.accumulate(netflow), 0)
+
+
 def skorokhod_reflect(f: StepFunction) -> StepFunction:
     """One-sided reflection at zero: f(t) - min(0, running minimum of f).
 
@@ -61,23 +67,16 @@ def skorokhod_reflect(f: StepFunction) -> StepFunction:
     """
     if f.initial_value != 0.0:
         raise ParameterError("reflection requires f(0) = 0")
-    if f.values.size == 0:
-        return f
-    running_min = np.minimum(np.minimum.accumulate(f.values), 0.0)
-    return StepFunction(f.jump_times, f.values - running_min, 0.0)
+    return StepFunction(f.jump_times, _reflect(f.values), 0.0)
 
 
-def _merged_netflow(
-    arrival_times: np.ndarray, departure_times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the two event streams into (times, +1/-1 signs), with arrivals
-    ordered before departures at ties."""
+def _merge_order(arrival_times: np.ndarray, departure_times: np.ndarray) -> np.ndarray:
+    """Time order of the concatenated (arrivals, departures) events, with
+    arrivals before departures at ties; indices below the arrival count are
+    arrivals."""
     times = np.concatenate([arrival_times, departure_times])
-    kinds = np.concatenate(
-        [np.zeros(arrival_times.size, dtype=np.int8), np.ones(departure_times.size, dtype=np.int8)]
-    )
-    order = np.lexsort((kinds, times))
-    return times[order], np.where(kinds[order] == 0, 1, -1).astype(np.int64)
+    is_departure = np.arange(times.size) >= arrival_times.size
+    return np.lexsort((is_departure, times))
 
 
 def reflected_path_stats(
@@ -88,14 +87,12 @@ def reflected_path_stats(
 
     An emptying is a service that takes the queue from one to zero.
     """
-    _, signs = _merged_netflow(
-        np.asarray(arrival_times, dtype=float), np.asarray(departure_times, dtype=float)
-    )
-    if signs.size == 0:
+    arrival_times = np.asarray(arrival_times, dtype=float)
+    order = _merge_order(arrival_times, np.asarray(departure_times, dtype=float))
+    if order.size == 0:
         return 0, 0, 0
-    netflow = np.cumsum(signs)
-    running_min = np.minimum(np.minimum.accumulate(netflow), 0)
-    q = netflow - running_min
+    signs = np.where(order < arrival_times.size, 1, -1)
+    q = _reflect(np.cumsum(signs))
     prev = np.concatenate([[0], q[:-1]])
     emptyings = int(np.count_nonzero((signs == -1) & (q == 0) & (prev == 1)))
     return int(q[-1]), emptyings, int(q.max(initial=0))
@@ -164,59 +161,38 @@ def simulate_multiclass_queue(
     if n_k < max(1, k_seen):
         raise ParameterError(f"n_classes={n_k} below largest arrival label {k_seen}")
 
-    times = np.concatenate([arrivals.times, departures.times])
-    kinds = np.concatenate(
-        [np.zeros(len(arrivals), dtype=np.int8), np.ones(len(departures), dtype=np.int8)]
-    )
-    labels = np.concatenate([arrivals.labels, np.zeros(len(departures), dtype=int)])
-    order = np.lexsort((kinds, times))
-    times, kinds, labels = times[order], kinds[order], labels[order]
+    order = _merge_order(arrivals.times, departures.times)
+    times = np.concatenate([arrivals.times, departures.times])[order]
+    is_arrival = order < len(arrivals)
+    labels = np.concatenate([arrivals.labels, np.zeros(len(departures), dtype=int)])[order]
 
-    n_events = times.size
-    q = np.zeros(n_k, dtype=np.int64)
-    lengths = np.zeros((n_events, n_k), dtype=np.int64)
-    event_types = np.empty(n_events, dtype="U1")
-    event_classes = np.zeros(n_events, dtype=np.int64)
-    inf_track = np.zeros(n_events, dtype=np.int64)
-    emptyings: list[float] = []
-    netflow = 0
-    running_inf = 0
-    wasted = 0
-    total = 0
-    for k in range(n_events):
-        if kinds[k] == 0:
-            c = labels[k]
-            q[c - 1] += 1
-            total += 1
-            netflow += 1
-            event_types[k] = "A"
-            event_classes[k] = c
-        else:
-            netflow -= 1
-            running_inf = min(running_inf, netflow)
-            if total > 0:
-                c = int(np.flatnonzero(q)[0]) + 1
-                q[c - 1] -= 1
-                total -= 1
-                event_types[k] = "D"
-                event_classes[k] = c
-                if total == 0:
-                    emptyings.append(times[k])
-            else:
-                wasted += 1
-                event_types[k] = "W"
-        lengths[k] = q
-        inf_track[k] = running_inf
+    # Q_1 + ... + Q_i is the reflection of the netflow of classes <= i
+    # against every service (static priority), exactly and event by event
+    services = (~is_arrival).astype(np.int64)
+    heads = np.empty((times.size, n_k), dtype=np.int64)
+    for i in range(n_k):
+        heads[:, i] = _reflect(np.cumsum((is_arrival & (labels <= i + 1)) - services))
+    prev = np.concatenate([np.zeros((1, n_k), dtype=np.int64), heads])[:-1]
+    # a service serves the lowest class whose aggregate drops; when even the
+    # total does not drop the system was empty and the service is wasted
+    drops = prev > heads
+    served = drops[:, -1]
+    event_types = np.where(is_arrival, "A", np.where(served, "D", "W"))
+    event_classes = np.where(
+        is_arrival, labels, np.where(served, drops.argmax(axis=1) + 1, 0)
+    ).astype(np.int64)
+    total = heads[:, -1]
+    netflow = np.cumsum(np.where(is_arrival, 1, -1))
     return QueueTrajectory(
         horizon=arrivals.horizon,
         n_classes=n_k,
         event_times=times,
         event_types=event_types,
         event_classes=event_classes,
-        lengths=lengths,
-        netflow_infimum=inf_track,
-        emptying_times=np.asarray(emptyings, dtype=float),
-        wasted_services=wasted,
+        lengths=np.diff(heads, axis=1, prepend=0),
+        netflow_infimum=netflow - total,
+        emptying_times=times[served & (total == 0)],
+        wasted_services=int(np.count_nonzero(~is_arrival & ~served)),
     )
 
 
@@ -331,40 +307,26 @@ def simulate_continuum_queue(
     if arrivals.horizon != departures.horizon:
         raise ParameterError("arrival and departure timelines must share one horizon")
     marks = locations.sample(rng, len(arrivals))
-    times = np.concatenate([arrivals.times, departures.times])
-    kinds = np.concatenate(
-        [np.zeros(len(arrivals), dtype=np.int8), np.ones(len(departures), dtype=np.int8)]
-    )
-    mark_idx = np.concatenate([np.arange(len(arrivals)), np.full(len(departures), -1)])
-    order = np.lexsort((kinds, times))
+    order = _merge_order(arrivals.times, departures.times)
+    path_t = np.concatenate([arrivals.times, departures.times])[order]
 
+    # every pushed location stays waiting until it is popped
     heap: list[float] = []
-    live: dict[float, int] = {}
     wasted = 0
-    path_t = np.empty(times.size, dtype=float)
-    path_v = np.empty(times.size, dtype=float)
+    path_v = np.empty(order.size, dtype=float)
     for j, idx in enumerate(order):
-        if kinds[idx] == 0:
-            x = float(marks[mark_idx[idx]])
-            heapq.heappush(heap, x)
-            live[x] = live.get(x, 0) + 1
-        else:
-            while heap and live.get(heap[0], 0) == 0:
-                heapq.heappop(heap)
-            if heap:
-                x = heapq.heappop(heap)
-                live[x] -= 1
-            else:
-                wasted += 1
-        while heap and live.get(heap[0], 0) == 0:
+        if idx < marks.size:
+            heapq.heappush(heap, float(marks[idx]))
+        elif heap:
             heapq.heappop(heap)
-        path_t[j] = times[idx]
+        else:
+            wasted += 1
         path_v[j] = heap[0] if heap else np.inf
     if path_t.size:
         last_of_time = np.flatnonzero(np.concatenate([np.diff(path_t) > 0, [True]]))
         path_t, path_v = path_t[last_of_time], path_v[last_of_time]
-    final = np.sort(np.repeat(list(live.keys()), list(live.values()))) if live else np.empty(0)
+    final = np.sort(np.asarray(heap, dtype=float))
     return (
         StepFunction(path_t, path_v, np.inf),
-        ContinuumQueueState(locations=np.asarray(final, dtype=float), wasted_services=wasted),
+        ContinuumQueueState(locations=final, wasted_services=wasted),
     )

@@ -130,6 +130,14 @@ def test_queue_subcommand(tmp_path):
     assert len(lines) > 1
 
 
+def test_queue_survives_renewal_float_collisions(tmp_path):
+    # at beta = 0.2 and this horizon two service partial sums collide in float64
+    code = run_cli("queue", "--alpha", 0.5, "--beta", 0.2, "--lambda", 1.0,
+                   "--mu", 1.0, "--p", "0.5,0.5", "--horizon", 1e6,
+                   "--seed", 11, "--out", tmp_path)
+    assert code == 0
+
+
 def test_auction_subcommand(tmp_path):
     code = run_cli("auction", "--alpha", 0.8, "--beta", 0.5, "--lambda", 2.0,
                    "--mu", 1.0, "--locations", "uniform:1,2", "--horizon", 50.0,

@@ -290,6 +290,17 @@ def test_verify_oscillation_smoke():
     assert mins[1] < mins[0] and maxs[1] > maxs[0]
 
 
+def test_verify_best_ask_survives_renewal_float_collisions():
+    # a replica of this battery point draws two renewal partial sums that
+    # collide in float64
+    rep = limitlab.verify_best_ask(
+        0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0),
+        t_values=(10.0, 1e2, 1e3, 1e4), replicas=200,
+        rng=RngStream(seed=40300), verbose=False,
+    )
+    assert len(rep.details["exceedance"]["0.1"]) == 4
+
+
 def test_verify_validation_errors():
     with pytest.raises(ParameterError):
         limitlab.verify_recurrence(

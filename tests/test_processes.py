@@ -29,7 +29,7 @@ from fracq import (
     timechange_counts,
 )
 from fracq.gof import chi_square_counts
-from fracq.processes import default_inverse_clock_step
+from fracq.processes import _strictly_increasing, default_inverse_clock_step
 
 
 # timeline container
@@ -147,6 +147,42 @@ def test_renewal_poisson_reduction():
 def test_renewal_event_cap():
     with pytest.raises(EventCapError):
         simulate_fpp_renewal(FppParams(1.0, 1000.0), 1000.0, RngStream(seed=0), event_cap=100)
+
+
+def test_renewal_float_collisions_are_nudged():
+    # at small theta a long wait can make later gaps fall below one ulp of the
+    # partial sum; at these seeds two partial sums collide in float64
+    for seed in (3, 5, 6, 12, 13, 38):
+        tl = simulate_fpp_renewal(FppParams(0.2, 1.0), 1e6, RngStream(seed=seed))
+        assert np.all(np.diff(tl.times) > 0)
+        assert tl.times[0] > 0 and tl.times[-1] <= 1e6
+
+
+def nudge_one_by_one(times):
+    """Reference tie resolution: each event at least one ulp above the last."""
+    out = times.copy()
+    for k in range(1, out.size):
+        if out[k] <= out[k - 1]:
+            out[k] = np.nextafter(out[k - 1], np.inf)
+    return out
+
+
+def test_strictly_increasing_matches_sequential_nudging():
+    g = np.random.default_rng(0)
+    levels = np.sort(g.uniform(0.5, 4.0, 12))
+    parts = [np.zeros(3), np.full(4000, np.nextafter(2.0, 0.0))]  # run crosses 2.0
+    for x in levels:
+        run = np.full(int(g.integers(1000, 6000)), x)
+        run[run.size // 2] = np.nextafter(x, np.inf) + 1e-15  # lands inside the run
+        parts.append(run)
+    parts.append(np.array([1.0, 0.5]))  # out of order: nudged above its predecessor
+    times = np.concatenate(parts)
+    before = times.copy()
+    got = _strictly_increasing(times)
+    np.testing.assert_array_equal(got.view(np.int64), nudge_one_by_one(times).view(np.int64))
+    np.testing.assert_array_equal(times, before)
+    assert np.all(np.diff(got) > 0)
+    assert _strictly_increasing(np.empty(0)).size == 0
 
 
 # subordinator grid and inversion

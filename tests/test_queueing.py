@@ -23,7 +23,7 @@ from fracq import (
     skorokhod_reflect,
     thin_events,
 )
-from fracq.queueing import reflected_path_stats
+from fracq.queueing import QueueTrajectory, reflected_path_stats
 
 
 def make_timeline(times, horizon, labels=None):
@@ -85,6 +85,77 @@ def test_reflection_properties(signs):
 # multiclass priority queue
 
 
+def event_loop_queue(arrivals, departures, n_k):
+    """Reference simulator: the priority queue run one event at a time."""
+    times = np.concatenate([arrivals.times, departures.times])
+    kinds = np.concatenate(
+        [np.zeros(len(arrivals), dtype=np.int8), np.ones(len(departures), dtype=np.int8)]
+    )
+    labels = np.concatenate([arrivals.labels, np.zeros(len(departures), dtype=int)])
+    order = np.lexsort((kinds, times))
+    times, kinds, labels = times[order], kinds[order], labels[order]
+
+    n_events = times.size
+    q = np.zeros(n_k, dtype=np.int64)
+    lengths = np.zeros((n_events, n_k), dtype=np.int64)
+    event_types = np.empty(n_events, dtype="U1")
+    event_classes = np.zeros(n_events, dtype=np.int64)
+    inf_track = np.zeros(n_events, dtype=np.int64)
+    emptyings: list[float] = []
+    netflow = 0
+    running_inf = 0
+    wasted = 0
+    total = 0
+    for k in range(n_events):
+        if kinds[k] == 0:
+            c = labels[k]
+            q[c - 1] += 1
+            total += 1
+            netflow += 1
+            event_types[k] = "A"
+            event_classes[k] = c
+        else:
+            netflow -= 1
+            running_inf = min(running_inf, netflow)
+            if total > 0:
+                c = int(np.flatnonzero(q)[0]) + 1
+                q[c - 1] -= 1
+                total -= 1
+                event_types[k] = "D"
+                event_classes[k] = c
+                if total == 0:
+                    emptyings.append(times[k])
+            else:
+                wasted += 1
+                event_types[k] = "W"
+        lengths[k] = q
+        inf_track[k] = running_inf
+    return QueueTrajectory(
+        horizon=arrivals.horizon,
+        n_classes=n_k,
+        event_times=times,
+        event_types=event_types,
+        event_classes=event_classes,
+        lengths=lengths,
+        netflow_infimum=inf_track,
+        emptying_times=np.asarray(emptyings, dtype=float),
+        wasted_services=wasted,
+    )
+
+
+def assert_same_trajectory(got, want):
+    assert got.horizon == want.horizon
+    assert got.n_classes == want.n_classes
+    assert got.wasted_services == want.wasted_services
+    for name in (
+        "event_times", "event_types", "event_classes", "lengths",
+        "netflow_infimum", "emptying_times",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def test_priority_service_order():
     arrivals = make_timeline([1.0, 2.0, 3.0], 10.0, labels=[2, 1, 2])
     departures = make_timeline([2.5, 3.5], 10.0)
@@ -141,6 +212,7 @@ def test_total_equals_reflected_netflow():
     departures = simulate_fpp_renewal(FppParams(0.8, 4.0), 40.0, rng.substream(2))
     traj = simulate_multiclass_queue(arrivals, departures)
     assert len(traj.event_times) == len(arrivals) + len(departures)
+    assert_same_trajectory(traj, event_loop_queue(arrivals, departures, 3))
 
     signs = np.where(traj.event_types == "A", 1, -1)
     netflow = StepFunction(
@@ -170,27 +242,37 @@ def test_conservation():
     assert traj.wasted_services == -int(traj.netflow_infimum[-1])
 
 
-@given(st.lists(st.sampled_from(["A1", "A2", "D"]), min_size=1, max_size=120))
-@settings(max_examples=150, deadline=None)
-def test_queue_invariants_random_scripts(script):
-    times = np.arange(1.0, len(script) + 1)
-    arr_t = times[[s != "D" for s in script]]
-    labels = [int(s[1]) for s in script if s != "D"]
-    dep_t = times[[s == "D" for s in script]]
+@given(
+    st.lists(st.sampled_from(["A1", "A2", "A3", "D", "A1+D", "A3+D"]), max_size=120),
+    st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_queue_invariants_random_scripts(script, extra_classes):
+    # one step per script entry; "Ai+D" is a class-i arrival and a service at
+    # one timestamp
+    arr_t, labels, dep_t = [], [], []
+    for step, s in enumerate(script, start=1):
+        if s[0] == "A":
+            arr_t.append(step)
+            labels.append(int(s[1]))
+        if s[-1] == "D":
+            dep_t.append(step)
     horizon = float(len(script) + 1)
-    arrivals = make_timeline(arr_t, horizon, labels=labels if labels else None)
+    arrivals = make_timeline(arr_t, horizon, labels=labels)
     departures = make_timeline(dep_t, horizon)
-    if arrivals.labels is None:
-        _, emptyings, peak = reflected_path_stats(arr_t, dep_t)
-        assert peak == 0 and emptyings == 0
-        return
-    traj = simulate_multiclass_queue(arrivals, departures, n_classes=2)
+    n_classes = max(labels, default=1) + extra_classes
+    traj = simulate_multiclass_queue(arrivals, departures, n_classes=n_classes)
+    assert_same_trajectory(traj, event_loop_queue(arrivals, departures, n_classes))
     assert np.all(traj.lengths >= 0)
     # Skorokhod identity, event by event
     signs = np.where(traj.event_types == "A", 1, -1)
     netflow = np.cumsum(signs)
     q = netflow - np.minimum(np.minimum.accumulate(netflow), 0)
     np.testing.assert_array_equal(traj.total_lengths, q)
+    final, emptyings, peak = reflected_path_stats(arrivals.times, departures.times)
+    assert final == int(traj.final_lengths().sum())
+    assert emptyings == traj.emptying_times.size
+    assert peak == int(traj.total_lengths.max(initial=0))
 
 
 def test_aggregate_lengths():
