@@ -23,13 +23,13 @@ from .errors import DomainError, ParameterError
 from .gof import chi_square_counts, ecdf, ks_two_sample
 from .processes import (
     ClassProbabilities,
-    _covering_subordinator,
-    _strictly_increasing,
+    _covering_levels,
+    _renewal_times,
     renewal_counts,
     timechange_counts,
 )
 from .queueing import LocationSampler, reflected_path_stats, simulate_continuum_queue
-from .samplers import RngStream, sample_inverse_subordinator_at, sample_mittag_leffler
+from .samplers import RngStream, sample_inverse_subordinator_at
 from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
 
 DEFAULT_P_MIN = 1e-3
@@ -154,18 +154,18 @@ def _two_clocks(
     level-passage times up to t (t itself included).
 
     For each clock returns (step, k, n): Y = step * k on the union grid, and
-    n levels on its covering grid, which extends beyond t.
+    n levels drawn for its covering grid, which extends beyond t.
     """
     step_a = resolution * t**theta_a
     step_b = resolution * t**theta_b
-    la = _covering_subordinator(theta_a, step_a, t, rng.substream(0)).values
-    lb = _covering_subordinator(theta_b, step_b, t, rng.substream(1)).values
-    ev = np.union1d(la[la <= t], lb[lb <= t])
+    la, na = _covering_levels(theta_a, step_a, t, rng.substream(0))
+    lb, nb = _covering_levels(theta_b, step_b, t, rng.substream(1))
+    ev = np.union1d(la[:-1], lb[:-1])
     if ev.size == 0 or ev[-1] < t:
         ev = np.append(ev, t)
     ka = np.searchsorted(la, ev, side="right") - 1
     kb = np.searchsorted(lb, ev, side="right") - 1
-    return (step_a, ka, la.size - 1), (step_b, kb, lb.size - 1)
+    return (step_a, ka, na), (step_b, kb, nb)
 
 
 def _clock_difference_path(
@@ -192,11 +192,12 @@ def _brownian_difference_path(
     rng: RngStream,
 ) -> np.ndarray:
     """sqrt(var_a) B(Y_a(s)) - sqrt(var_b) B~(Y_b(s)) on the union grid."""
-    (step_a, ka, na), (step_b, kb, nb) = _two_clocks(theta_a, theta_b, t, resolution, rng)
+    (step_a, ka, _), (step_b, kb, _) = _two_clocks(theta_a, theta_b, t, resolution, rng)
+    # normals up to the last level the union grid reads, Y(t)
     ga = rng.substream(2).generator()
     gb = rng.substream(3).generator()
-    ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), na))])
-    bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), nb))])
+    ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), ka[-1]))])
+    bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), kb[-1]))])
     return math.sqrt(var_a) * ba[ka] - math.sqrt(var_b) * bb[kb]
 
 
@@ -369,28 +370,6 @@ class LimitLawSampler:
 # ---------------------------------------------------------------------------
 # event-level observables
 
-def _renewal_event_times(
-    theta: float, lam: float, horizon: float, rng: RngStream
-) -> np.ndarray:
-    """Event times of one renewal-construction path on (0, horizon]."""
-    p = FppParams(theta=theta, lam=lam)
-    mean_y, var_y = inverse_subordinator_moments(theta, horizon)
-    rate = lam**theta
-    block = max(16, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
-    chunks: list[np.ndarray] = []
-    total = 0.0
-    while True:
-        part = total + np.cumsum(sample_mittag_leffler(p, rng, size=block))
-        chunks.append(part)
-        total = part[-1]
-        if total > horizon:
-            break
-    times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    # partial sums can collide in float64 after a long wait
-    times = _strictly_increasing(times[times <= horizon])
-    return times[times <= horizon]
-
-
 def _scaled_queue_end(
     alpha: float,
     beta: float,
@@ -402,11 +381,11 @@ def _scaled_queue_end(
 ) -> tuple[int, int, int]:
     """(Q_{<=i}(T), emptyings, running max) for one replica of the queue fed by
     class-(<=i) arrivals (kept with probability head_prob) and all services."""
-    arr = _renewal_event_times(alpha, lam, horizon, rng.substream(0))
+    arr = _renewal_times(FppParams(alpha, lam), horizon, rng.substream(0))
     if head_prob < 1.0:
         keep = rng.substream(1).generator().random(arr.size) < head_prob
         arr = arr[keep]
-    dep = _renewal_event_times(beta, mu, horizon, rng.substream(2))
+    dep = _renewal_times(FppParams(beta, mu), horizon, rng.substream(2))
     return reflected_path_stats(arr, dep)
 
 
@@ -432,10 +411,14 @@ def _compensated_queue_end(
     gb = rng.substream(3).generator()
     y_top_a = step_a * na
     y_top_b = step_b * nb
-    arr_pos = np.sort(ga.random(ga.poisson(rate_a * y_top_a)) * y_top_a)
-    dep_pos = np.sort(gb.random(gb.poisson(rate_b * y_top_b)) * y_top_b)
+    # the counts over all drawn levels set the law; only positions up to
+    # Y(horizon) are read
     ya = step_a * ka
     yb = step_b * kb
+    arr_pos = ga.random(ga.poisson(rate_a * y_top_a)) * y_top_a
+    dep_pos = gb.random(gb.poisson(rate_b * y_top_b)) * y_top_b
+    arr_pos = np.sort(arr_pos[arr_pos <= ya[-1]])
+    dep_pos = np.sort(dep_pos[dep_pos <= yb[-1]])
     a_counts = np.searchsorted(arr_pos, ya, side="right")
     c_counts = np.searchsorted(dep_pos, yb, side="right")
     path = (a_counts - rate_a * ya) - (c_counts - rate_b * yb)
@@ -720,12 +703,12 @@ def verify_queue_scaling(
         if regime == "balanced" and i >= 2:
             # same arrivals thinned one class shorter, fresh services kept
             # identical by reusing the substream layout
-            arr = _renewal_event_times(alpha, lam, horizon, sub.substream(0))
+            arr = _renewal_times(FppParams(alpha, lam), horizon, sub.substream(0))
             gloc = sub.substream(1).generator()
             unif = gloc.random(arr.size)
             arr_head = arr[unif < head]
             arr_prev = arr[unif < probs.head_sum(i - 1)]
-            dep = _renewal_event_times(beta, mu, horizon, sub.substream(2))
+            dep = _renewal_times(FppParams(beta, mu), horizon, sub.substream(2))
             q_hi = reflected_path_stats(arr_head, dep)[0]
             q_lo = reflected_path_stats(arr_prev, dep)[0]
             return q_hi, q_hi - q_lo
@@ -1019,11 +1002,11 @@ def verify_best_ask(
             sub = rng.substream(ti).substream(r)
             arr = EventTimeline(
                 horizon=horizon,
-                times=_renewal_event_times(alpha, lam, horizon, sub.substream(0)),
+                times=_renewal_times(FppParams(alpha, lam), horizon, sub.substream(0)),
             )
             dep = EventTimeline(
                 horizon=horizon,
-                times=_renewal_event_times(beta, mu, horizon, sub.substream(1)),
+                times=_renewal_times(FppParams(beta, mu), horizon, sub.substream(1)),
             )
             _, state = simulate_continuum_queue(arr, locations, dep, sub.substream(2))
             return state.best_ask, tuple(state.count_within(a + eps) for eps in eps_values)

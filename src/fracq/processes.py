@@ -10,29 +10,47 @@ inverse).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoverageError, EventCapError, ParameterError
-from .samplers import RngStream, sample_positive_stable
+from .samplers import RngStream, _mittag_leffler_draws, _stable_draws, sample_positive_stable
 from .special import FppParams, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
+_CSV_BLOCK = 64
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write (values, format) columns, format turning a slice of values into
+    fields that need no quoting, as csv.writer would (CRLF rows).  Rows are
+    formatted a block at a time, so memory does not grow with the file."""
+    n = len(columns[0][0])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            fields = [fmt(values[lo : lo + _CSV_BLOCK]) for values, fmt in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*fields))
 
 
 def _fmt(x: float) -> str:
     """Round-trip text of a float64; "%.17g" already spells +inf as "inf"."""
     return "%.17g" % x
+
+
+def _fmt_all(values) -> list[str]:
+    return [_fmt(x) for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _int_column(values) -> list[str]:
+    return list(map(str, np.asarray(values, dtype=int).tolist()))
+
+
+def _class_column(labels) -> list[str]:
+    """Class labels as CSV fields; class 0 (none) is an empty field."""
+    return ["" if c == "0" else c for c in _int_column(labels)]
 
 
 @dataclass(frozen=True)
@@ -69,12 +87,8 @@ class EventTimeline:
         return int(np.searchsorted(self.times, t, side="right"))
 
     def to_csv(self, path: str) -> None:
-        labels = self.labels
-        rows = (
-            (_fmt(t), "" if labels is None else int(labels[i]))
-            for i, t in enumerate(self.times)
-        )
-        _write_csv(path, ["time", "class"], rows)
+        labels = np.zeros(self.times.size) if self.labels is None else self.labels
+        _write_csv(path, ["time", "class"], [(self.times, _fmt_all), (labels, _class_column)])
 
 
 @dataclass(frozen=True)
@@ -95,8 +109,8 @@ class SubordinatorGrid:
             raise ParameterError("subordinator values must be nondecreasing")
 
     def to_csv(self, path: str) -> None:
-        rows = ((_fmt(k * self.step), _fmt(v)) for k, v in enumerate(self.values))
-        _write_csv(path, ["t", "y"], rows)
+        t = np.arange(self.values.size) * self.step
+        _write_csv(path, ["t", "y"], [(t, _fmt_all), (self.values, _fmt_all)])
 
 
 @dataclass(frozen=True)
@@ -114,8 +128,7 @@ class InverseClockGrid:
             raise ParameterError("t_grid and y_values must have equal length")
 
     def to_csv(self, path: str) -> None:
-        rows = ((_fmt(t), _fmt(y)) for t, y in zip(self.t_grid, self.y_values))
-        _write_csv(path, ["t", "y"], rows)
+        _write_csv(path, ["t", "y"], [(self.t_grid, _fmt_all), (self.y_values, _fmt_all)])
 
 
 @dataclass(frozen=True)
@@ -163,28 +176,40 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
     return (np.maximum.accumulate(bits - shift) + shift).view(np.float64)
 
 
-def simulate_fpp_renewal(
-    p: FppParams,
-    horizon: float,
-    rng: RngStream,
-    event_cap: int = DEFAULT_EVENT_CAP,
-) -> EventTimeline:
-    """Fractional Poisson events on (0, horizon] as Mittag-Leffler partial sums."""
-    if horizon <= 0:
-        raise ParameterError("horizon must be positive")
-    from .samplers import sample_mittag_leffler
+def _first_passage(variates, n: int, start: float, level: float, k0: int) -> np.ndarray:
+    """Partial sums start + cumsum(x) of the n variates x = variates(lo, hi),
+    up to the first sum above level (all n if none is).  Only a prefix of x
+    is evaluated: k0 variates, doubling until a sum passes the level.  Each
+    pass sums the whole prefix; offsetting a later chunk's cumsum would round
+    differently from the full cumsum."""
+    x = np.empty(n)
+    done, k = 0, min(max(k0, 1), n)
+    while True:
+        x[done:k] = variates(done, k)
+        done = k
+        sums = start + np.cumsum(x[:k])
+        j = int(np.searchsorted(sums, level, side="right"))
+        if j < k or k == n:
+            return sums[: j + 1]
+        k = min(2 * k, n)
 
+
+def _renewal_times(
+    p: FppParams, horizon: float, rng: RngStream, min_block: int = 16, event_cap: float = math.inf
+) -> np.ndarray:
+    """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
+    sums, drawn in blocks of at least min_block and mean + 8 sd of the count."""
     mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
     rate = p.lam**p.theta
-    block = max(64, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
+    sd = math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)
+    block = max(min_block, int(rate * mean_y + 8.0 * sd))
+    k0 = int(rate * mean_y + 2.0 * sd)
     chunks: list[np.ndarray] = []
-    total = 0.0
-    n_drawn = 0
+    total, n_drawn = 0.0, 0
     while True:
-        gaps = sample_mittag_leffler(p, rng, size=block)
-        partial = total + np.cumsum(gaps)
-        chunks.append(partial)
-        total = partial[-1]
+        gaps = _mittag_leffler_draws(p, rng, block)
+        chunks.append(_first_passage(gaps, block, total, horizon, k0))
+        total = chunks[-1][-1]
         n_drawn += block
         if total > horizon:
             break
@@ -198,7 +223,19 @@ def simulate_fpp_renewal(
     times = times[times <= horizon]
     if times.size > event_cap:
         raise EventCapError(f"simulation produced more than {event_cap} events")
-    return EventTimeline(horizon=horizon, times=times)
+    return times
+
+
+def simulate_fpp_renewal(
+    p: FppParams,
+    horizon: float,
+    rng: RngStream,
+    event_cap: int = DEFAULT_EVENT_CAP,
+) -> EventTimeline:
+    """Fractional Poisson events on (0, horizon] as Mittag-Leffler partial sums."""
+    if horizon <= 0:
+        raise ParameterError("horizon must be positive")
+    return EventTimeline(horizon=horizon, times=_renewal_times(p, horizon, rng, 64, event_cap))
 
 
 def simulate_subordinator(
@@ -238,19 +275,26 @@ def default_inverse_clock_step(theta: float, horizon: float) -> float:
     return 1e-3 * max(horizon, 1e-12) ** theta
 
 
-def _covering_subordinator(
+def _covering_levels(
     theta: float, step: float, horizon: float, rng: RngStream
-) -> SubordinatorGrid:
-    """Simulate L on the level grid, extending until L exceeds the horizon."""
+) -> tuple[np.ndarray, int]:
+    """L on the levels k step, from L(0) = 0 up to its first value above the
+    horizon, and the number of levels drawn, extending until one is above."""
     mean_y, var_y = inverse_subordinator_moments(theta, horizon)
+    if step <= 0:
+        raise ParameterError("require 0 < step <= s_max")
     s_max = max(step, 1.25 * mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step)
-    grid = simulate_subordinator(theta, step, s_max, rng)
-    values = grid.values
-    while values[-1] <= horizon:
-        m_extra = max(64, values.size // 2)
-        incs = step ** (1.0 / theta) * sample_positive_stable(theta, rng, size=m_extra)
-        values = np.concatenate([values, values[-1] + np.cumsum(incs)])
-    return SubordinatorGrid(step=step, values=values)
+    m = int(math.ceil(s_max / step - 1e-12))
+    k0 = int((mean_y + 2.0 * math.sqrt(var_y)) / step) + 1
+    scale = step ** (1.0 / theta)
+    chunks, n_levels = [np.zeros(1)], 0
+    while chunks[-1][-1] <= horizon:
+        kanter = _stable_draws(theta, rng, m)
+        incs = lambda lo, hi: scale * kanter(lo, hi)
+        chunks.append(_first_passage(incs, m, chunks[-1][-1], horizon, k0))
+        n_levels += m
+        m = max(64, (n_levels + 1) // 2)
+    return np.concatenate(chunks), n_levels
 
 
 def simulate_fpp_timechange(
@@ -273,9 +317,9 @@ def simulate_fpp_timechange(
     if step is None:
         step = default_inverse_clock_step(p.theta, horizon)
     g = rng.generator()
-    grid = _covering_subordinator(p.theta, step, horizon, rng)
+    values, n_levels = _covering_levels(p.theta, step, horizon, rng)
     # Y(horizon) in the over-approximating grid sense
-    k_top = int(np.searchsorted(grid.values, horizon, side="right"))
+    k_top = values.size - 1
     y_top = k_top * step
     n_events = int(g.poisson(p.lam**p.theta * y_top))
     if n_events > event_cap:
@@ -283,9 +327,9 @@ def simulate_fpp_timechange(
     y_pos = np.sort(g.random(n_events)) * y_top
     # event at clock position y becomes visible when Y first reaches level
     # ceil(y/step); that happens at the passage time of the previous level
-    k_ev = np.ceil(y_pos / step).astype(int)
-    k_ev = np.clip(k_ev, 1, grid.values.size - 1)
-    times = grid.values[k_ev - 1]
+    k_ev = np.clip(np.ceil(y_pos / step).astype(int), 1, n_levels)
+    # levels above k_top are passed after the horizon
+    times = values[k_ev[k_ev <= k_top] - 1]
     times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
     times = _strictly_increasing(times)
     keep = times <= horizon

@@ -10,14 +10,13 @@ current minimum (best ask).
 
 from __future__ import annotations
 
-import csv
 import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .processes import EventTimeline, _fmt
+from .processes import EventTimeline, _class_column, _fmt_all, _int_column, _write_csv
 from .samplers import RngStream
 
 
@@ -127,17 +126,15 @@ class QueueTrajectory:
             + [f"q_{i}" for i in range(1, self.n_classes + 1)]
             + ["q_total", "infimum"]
         )
-        totals = self.total_lengths
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.event_times.size):
-                cls = self.event_classes[k]
-                writer.writerow(
-                    [_fmt(self.event_times[k]), str(self.event_types[k]), "" if cls == 0 else int(cls)]
-                    + [int(v) for v in self.lengths[k]]
-                    + [int(totals[k]), int(self.netflow_infimum[k])]
-                )
+        columns = [
+            (self.event_times, _fmt_all),
+            (self.event_types, list),
+            (self.event_classes, _class_column),
+            *((q, _int_column) for q in self.lengths.T),
+            (self.total_lengths, _int_column),
+            (self.netflow_infimum, _int_column),
+        ]
+        _write_csv(path, header, columns)
 
 
 def simulate_multiclass_queue(

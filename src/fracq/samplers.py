@@ -44,6 +44,44 @@ def _check_theta(theta: float) -> None:
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
 
 
+def _stable_draws(theta: float, rng: RngStream, n: int):
+    """Draw the uniforms and exponentials behind n positive stable variates
+    and return Kanter's transform as a function of a slice: kanter(lo, hi)
+    gives variates lo..hi-1, the same numbers whatever slices are asked."""
+    g = rng.generator()
+    if theta == 1.0:
+        return lambda lo, hi: np.ones(hi - lo)
+    u = g.random(n) * np.pi
+    e = g.standard_exponential(n)
+    ratio = (1.0 - theta) / theta
+
+    def kanter(lo: int, hi: int) -> np.ndarray:
+        v = u[lo:hi]
+        return (np.sin(theta * v) / np.sin(v) ** (1.0 / theta)) * (
+            np.sin((1.0 - theta) * v) / e[lo:hi]
+        ) ** ratio
+
+    return kanter
+
+
+def _mittag_leffler_draws(p: FppParams, rng: RngStream, n: int):
+    """_stable_draws for n Mittag-Leffler variates E^(1/theta) S / lam; the
+    leading exponentials E are drawn in full first."""
+    e = rng.generator().standard_exponential(n)
+    if p.theta == 1.0:
+        return lambda lo, hi: e[lo:hi] / p.lam
+    kanter = _stable_draws(p.theta, rng, n)
+    # S first, so that E^(1/theta) is not held while the transform runs
+    return lambda lo, hi: kanter(lo, hi) * e[lo:hi] ** (1.0 / p.theta) / p.lam
+
+
+def _n_variates(size: int | None) -> int:
+    n = 1 if size is None else int(size)
+    if n < 0:
+        raise ParameterError("size must be nonnegative")
+    return n
+
+
 def sample_positive_stable(theta: float, rng: RngStream, size: int | None = None):
     """One-sided positive stable variates S with E exp(-s S) = exp(-s^theta).
 
@@ -56,19 +94,8 @@ def sample_positive_stable(theta: float, rng: RngStream, size: int | None = None
     degenerates to the point mass at 1 and exactly 1.0 is returned.
     """
     _check_theta(theta)
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise ParameterError("size must be nonnegative")
-    g = rng.generator()
-    if theta == 1.0:
-        out = np.ones(n)
-    else:
-        u = g.random(n) * np.pi
-        e = g.standard_exponential(n)
-        ratio = (1.0 - theta) / theta
-        out = (np.sin(theta * u) / np.sin(u) ** (1.0 / theta)) * (
-            np.sin((1.0 - theta) * u) / e
-        ) ** ratio
+    n = _n_variates(size)
+    out = _stable_draws(theta, rng, n)(0, n)
     return float(out[0]) if size is None else out
 
 
@@ -78,16 +105,8 @@ def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int | None = None)
     E is unit exponential and S positive stable; the Laplace transform of the
     result is 1 / (1 + (s/lam)^theta).  theta = 1 reduces to Exp(lam) exactly.
     """
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise ParameterError("size must be nonnegative")
-    g = rng.generator()
-    if p.theta == 1.0:
-        out = g.standard_exponential(n) / p.lam
-        return float(out[0]) if size is None else out
-    e = g.standard_exponential(n)
-    s = sample_positive_stable(p.theta, rng, size=n)
-    out = e ** (1.0 / p.theta) * s / p.lam
+    n = _n_variates(size)
+    out = _mittag_leffler_draws(p, rng, n)(0, n)
     return float(out[0]) if size is None else out
 
 
@@ -99,9 +118,7 @@ def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int | None = 
     U, V independent uniforms.  Independent of the product-form construction;
     the two must agree in law.  theta = 1 is special-cased to Exp(lam).
     """
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise ParameterError("size must be nonnegative")
+    n = _n_variates(size)
     g = rng.generator()
     if p.theta == 1.0:
         out = g.standard_exponential(n) / p.lam
@@ -129,9 +146,7 @@ def sample_inverse_subordinator_at(
     _check_theta(theta)
     if t < 0:
         raise ParameterError("t must be nonnegative")
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise ParameterError("size must be nonnegative")
+    n = _n_variates(size)
     if theta == 1.0:
         out = np.full(n, float(t))
         return float(out[0]) if size is None else out

@@ -327,3 +327,42 @@ def test_verify_validation_errors():
             0.5, 0.8, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0),
             t_values=(1.0, 10.0), replicas=5, rng=RngStream(seed=0), verbose=False,
         )
+
+
+# limit-law paths that draw only what the union grid reads, against the
+# versions that draw over every level of the covering grids
+
+
+TWO_CLOCK_CASES = [(0.7, 0.6, 50.0), (0.5, 0.9, 3.0), (0.8, 0.8, 200.0)]
+
+
+def test_brownian_difference_path_matches_full_draw():
+    for seed, (theta_a, theta_b, t) in enumerate(TWO_CLOCK_CASES):
+        rng = RngStream(seed=seed)
+        got = limitlab._brownian_difference_path(theta_a, 1.5, theta_b, 0.7, t, 1e-2, rng)
+        (step_a, ka, na), (step_b, kb, nb) = limitlab._two_clocks(theta_a, theta_b, t, 1e-2, rng)
+        assert ka[-1] < na and kb[-1] < nb
+        ga = rng.substream(2).generator()
+        gb = rng.substream(3).generator()
+        ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), na))])
+        bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), nb))])
+        expected = math.sqrt(1.5) * ba[ka] - math.sqrt(0.7) * bb[kb]
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_compensated_queue_end_matches_full_sort():
+    for seed, (alpha, beta, horizon) in enumerate(TWO_CLOCK_CASES):
+        rng = RngStream(seed=seed)
+        got = limitlab._compensated_queue_end(alpha, beta, 2.0, 1.5, horizon, 1e-2, rng)
+        (step_a, ka, na), (step_b, kb, nb) = limitlab._two_clocks(alpha, beta, horizon, 1e-2, rng)
+        ga = rng.substream(2).generator()
+        gb = rng.substream(3).generator()
+        y_top_a, y_top_b = step_a * na, step_b * nb
+        arr_pos = np.sort(ga.random(ga.poisson(2.0 * y_top_a)) * y_top_a)
+        dep_pos = np.sort(gb.random(gb.poisson(1.5 * y_top_b)) * y_top_b)
+        ya, yb = step_a * ka, step_b * kb
+        path = (np.searchsorted(arr_pos, ya, side="right") - 2.0 * ya) - (
+            np.searchsorted(dep_pos, yb, side="right") - 1.5 * yb
+        )
+        assert arr_pos[-1] > ya[-1] and dep_pos[-1] > yb[-1]
+        assert got == limitlab._reflected_end(path)

@@ -22,14 +22,22 @@ from fracq import (
     inverse_subordinator_moments,
     invert_subordinator,
     renewal_counts,
+    sample_mittag_leffler,
+    sample_positive_stable,
     simulate_fpp_renewal,
     simulate_fpp_timechange,
     simulate_subordinator,
     thin_events,
     timechange_counts,
 )
+from fracq import processes
 from fracq.gof import chi_square_counts
-from fracq.processes import _strictly_increasing, default_inverse_clock_step
+from fracq.processes import (
+    _covering_levels,
+    _strictly_increasing,
+    default_inverse_clock_step,
+)
+from fracq.samplers import _mittag_leffler_draws, _stable_draws
 
 
 # timeline container
@@ -88,6 +96,29 @@ def test_timeline_csv_unlabeled(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][1] == ""
+
+
+def test_timeline_and_grid_csv_match_csv_writer(tmp_path):
+    def writer_bytes(header, rows):
+        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return (tmp_path / "oracle.csv").read_bytes()
+
+    times = np.array([1e-300, 0.1, 1.0 / 3.0, 2.0, 7.5e6])
+    # more rows than one formatting block
+    long_times = np.cumsum(np.random.default_rng(0).exponential(size=10_000))
+    long_labels = np.random.default_rng(1).integers(1, 4, size=10_000)
+    for times, labels in [(times, None), (times, np.array([1, 3, 2, 2, 10])),
+                          (long_times, None), (long_times, long_labels)]:
+        EventTimeline(horizon=1e7, times=times, labels=labels).to_csv(str(tmp_path / "tl.csv"))
+        rows = [("%.17g" % t, "" if labels is None else int(labels[i])) for i, t in enumerate(times)]
+        assert (tmp_path / "tl.csv").read_bytes() == writer_bytes(["time", "class"], rows)
+    grid = simulate_subordinator(0.6, 0.1, 2.0, RngStream(seed=7))
+    grid.to_csv(str(tmp_path / "grid.csv"))
+    rows = [("%.17g" % (k * 0.1), "%.17g" % v) for k, v in enumerate(grid.values)]
+    assert (tmp_path / "grid.csv").read_bytes() == writer_bytes(["t", "y"], rows)
 
 
 # class probabilities
@@ -350,3 +381,156 @@ def test_class_count_consistency():
         assert total == tl.count_at(t)
     with pytest.raises(ParameterError):
         class_count_at(simulate_fpp_renewal(p, 1.0, RngStream(seed=23)), 1, 0.5)
+
+
+# Kanter's transform on the first-passage prefix, against the eager draws
+
+
+def assert_bitwise_equal(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def eager_stable(theta, rng, n):
+    """Kanter's formula over all n draws at once."""
+    g = rng.generator()
+    if theta == 1.0:
+        return np.ones(n)
+    u = g.random(n) * np.pi
+    e = g.standard_exponential(n)
+    ratio = (1.0 - theta) / theta
+    return (np.sin(theta * u) / np.sin(u) ** (1.0 / theta)) * (
+        np.sin((1.0 - theta) * u) / e
+    ) ** ratio
+
+
+def eager_mittag_leffler(p, rng, n):
+    e = rng.generator().standard_exponential(n)
+    if p.theta == 1.0:
+        return e / p.lam
+    return e ** (1.0 / p.theta) * eager_stable(p.theta, rng, n) / p.lam
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.9, 1.0])
+def test_kanter_prefix_matches_eager_draws(theta):
+    n = 1000
+    eager = eager_stable(theta, RngStream(seed=3), n)
+    assert_bitwise_equal(sample_positive_stable(theta, RngStream(seed=3), size=n), eager)
+    for k in (1, 13, 203, 999):
+        assert_bitwise_equal(_stable_draws(theta, RngStream(seed=3), n)(0, k), eager[:k])
+    # slices that start off any vector boundary give the same numbers
+    kanter = _stable_draws(theta, RngStream(seed=3), n)
+    cuts = (0, 13, 203, 461, 999, 1000)
+    assert_bitwise_equal(np.concatenate([kanter(a, b) for a, b in zip(cuts, cuts[1:])]), eager)
+
+    p = FppParams(theta, 2.5)
+    eager = eager_mittag_leffler(p, RngStream(seed=4), n)
+    assert_bitwise_equal(sample_mittag_leffler(p, RngStream(seed=4), size=n), eager)
+    ml = _mittag_leffler_draws(p, RngStream(seed=4), n)
+    assert_bitwise_equal(np.concatenate([ml(a, b) for a, b in zip(cuts, cuts[1:])]), eager)
+
+
+def eager_covering_grid(theta, step, horizon, rng):
+    """The covering grid built in full: a first block of mean + 8 sd levels,
+    then blocks of max(64, size // 2) until one value passes the horizon."""
+    mean_y, var_y = processes.inverse_subordinator_moments(theta, horizon)
+    s_max = max(step, 1.25 * mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step)
+    m = int(math.ceil(s_max / step - 1e-12))
+    values = np.concatenate([[0.0], np.cumsum(step ** (1.0 / theta) * eager_stable(theta, rng, m))])
+    while values[-1] <= horizon:
+        m_extra = max(64, values.size // 2)
+        incs = step ** (1.0 / theta) * eager_stable(theta, rng, m_extra)
+        values = np.concatenate([values, values[-1] + np.cumsum(incs)])
+    return values
+
+
+def eager_renewal_times(p, horizon, rng, min_block):
+    """Renewal event times from blocks of Mittag-Leffler gaps drawn in full."""
+    mean_y, var_y = processes.inverse_subordinator_moments(p.theta, horizon)
+    rate = p.lam**p.theta
+    block = max(min_block, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
+    chunks, total = [], 0.0
+    while total <= horizon:
+        chunks.append(total + np.cumsum(eager_mittag_leffler(p, rng, block)))
+        total = chunks[-1][-1]
+    times = np.concatenate(chunks)
+    times = _strictly_increasing(times[times <= horizon])
+    return times[times <= horizon]
+
+
+def eager_timechange_times(p, horizon, rng, step):
+    g = rng.generator()
+    values = eager_covering_grid(p.theta, step, horizon, rng)
+    k_top = int(np.searchsorted(values, horizon, side="right"))
+    y_top = k_top * step
+    y_pos = np.sort(g.random(int(g.poisson(p.lam**p.theta * y_top)))) * y_top
+    k_ev = np.clip(np.ceil(y_pos / step).astype(int), 1, values.size - 1)
+    times = values[k_ev - 1]
+    times = _strictly_increasing(np.where(times <= 0.0, np.nextafter(0.0, 1.0), times))
+    return times[times <= horizon]
+
+
+@pytest.fixture
+def short_blocks(monkeypatch):
+    """Size every first block as if the clock never moved, so that blocks
+    fall short of the horizon and the extension loops run."""
+    monkeypatch.setattr(processes, "inverse_subordinator_moments", lambda theta, t: (0.0, 0.0))
+
+
+def check_covering_levels(theta, step, horizon, seed):
+    values, n_levels = _covering_levels(theta, step, horizon, RngStream(seed=seed))
+    eager = eager_covering_grid(theta, step, horizon, RngStream(seed=seed))
+    top = int(np.searchsorted(eager, horizon, side="right"))
+    assert_bitwise_equal(values, eager[: top + 1])
+    assert values[-1] > horizon
+    assert n_levels == eager.size - 1
+    return n_levels
+
+
+def test_covering_levels_match_eager_grid():
+    for seed, theta, horizon in [(1, 0.6, 10.0), (2, 0.3, 1e4), (3, 0.9, 0.5), (4, 1.0, 7.0)]:
+        check_covering_levels(theta, default_inverse_clock_step(theta, horizon), horizon, seed)
+
+
+def test_covering_levels_extension_matches_eager_grid(short_blocks):
+    for seed in (5, 6):
+        # a first block of 2 levels, then several extensions
+        assert check_covering_levels(0.7, 0.01, 3.0, seed) >= 2 + 64 + 64
+
+
+def test_timechange_matches_eager_construction():
+    cases = [(0.6, 2.0, 100.0, None), (0.9, 1e5, 0.3, 1.0), (0.4, 1.0, 1e3, 0.05)]
+    for seed, (theta, lam, horizon, step) in enumerate(cases):
+        p = FppParams(theta, lam)
+        tl = simulate_fpp_timechange(p, horizon, RngStream(seed=seed), step=step)
+        step = default_inverse_clock_step(theta, horizon) if step is None else step
+        assert_bitwise_equal(tl.times, eager_timechange_times(p, horizon, RngStream(seed=seed), step))
+
+
+def test_timechange_extension_matches_eager_construction(short_blocks):
+    p = FppParams(0.7, 3.0)
+    tl = simulate_fpp_timechange(p, 3.0, RngStream(seed=8), step=0.01)
+    assert_bitwise_equal(tl.times, eager_timechange_times(p, 3.0, RngStream(seed=8), 0.01))
+
+
+def check_renewal_paths(theta, lam, horizon, seed):
+    p = FppParams(theta, lam)
+    times = simulate_fpp_renewal(p, horizon, RngStream(seed=seed)).times
+    assert_bitwise_equal(times, eager_renewal_times(p, horizon, RngStream(seed=seed), 64))
+    # the limit-law observables' renewal paths, in blocks of at least 16
+    observable = processes._renewal_times(p, horizon, RngStream(seed=seed))
+    assert_bitwise_equal(observable, eager_renewal_times(p, horizon, RngStream(seed=seed), 16))
+    return times.size
+
+
+def test_renewal_paths_match_eager_blocks():
+    for seed, (theta, lam, horizon) in enumerate([(0.9, 1.0, 1e3), (0.3, 2.0, 50.0), (1.0, 3.0, 20.0)]):
+        check_renewal_paths(theta, lam, horizon, seed)
+    check_renewal_paths(0.2, 1.0, 1e6, 3)  # float collisions are nudged
+
+
+def test_renewal_paths_with_later_blocks_match_eager_blocks(short_blocks):
+    for seed, theta in enumerate((0.6, 0.8, 1.0)):
+        # blocks of 64 and 16 gaps for a few hundred events
+        assert check_renewal_paths(theta, 4.0, 2000.0, seed) > 64

@@ -1,6 +1,7 @@
 """Reflected queue mechanics: the Skorokhod identity, priority service order,
 and the location-marked (best ask) variant."""
 
+import csv
 import math
 
 import numpy as np
@@ -273,6 +274,36 @@ def test_queue_invariants_random_scripts(script, extra_classes):
     assert final == int(traj.final_lengths().sum())
     assert emptyings == traj.emptying_times.size
     assert peak == int(traj.total_lengths.max(initial=0))
+
+
+def csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    # wasted services (class 0), three classes, and an empty run
+    arr = make_timeline([0.5, 1.0, 1.0 + 1e-9, 2.0, 3.25], 5.0, labels=[2, 1, 3, 3, 1])
+    dep = make_timeline([0.25, 1.0, 2.5, 3.0, 4.0, 4.5, 4.75], 5.0)
+    empty = make_timeline([], 5.0, labels=[])
+    for traj in (simulate_multiclass_queue(arr, dep, n_classes=3),
+                 simulate_multiclass_queue(empty, make_timeline([], 5.0), n_classes=2)):
+        header = (["time", "event_type", "class"]
+                  + [f"q_{i}" for i in range(1, traj.n_classes + 1)] + ["q_total", "infimum"])
+        rows = [
+            ["%.17g" % traj.event_times[k], str(traj.event_types[k]),
+             "" if traj.event_classes[k] == 0 else int(traj.event_classes[k])]
+            + [int(v) for v in traj.lengths[k]]
+            + [int(traj.total_lengths[k]), int(traj.netflow_infimum[k])]
+            for k in range(traj.event_times.size)
+        ]
+        traj.to_csv(str(tmp_path / "traj.csv"))
+        got = (tmp_path / "traj.csv").read_bytes()
+        assert got == csv_writer_bytes(tmp_path / "oracle.csv", header, rows)
 
 
 def test_aggregate_lengths():
