@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -77,19 +78,22 @@ def _add_flags(sub: argparse.ArgumentParser, names: list[str]) -> None:
 
 
 def _merge_config(ns: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file (flags win)."""
-    if not ns.config:
-        return
-    with open(ns.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ParameterError("config file must hold one JSON object")
-    for key, value in cfg.items():
-        if key not in _FLAG_SPECS and key != "out":
-            raise ParameterError(f"unknown config key {key!r}")
-        dest, typ = _FLAG_SPECS.get(key, ("out", str))
-        if getattr(ns, dest, None) is None:
-            setattr(ns, dest, typ(value) if value is not None else None)
+    """Fill unset flags from the JSON config file (flags win), then reject nan
+    and inf in numeric flags and config entries alike."""
+    if ns.config:
+        with open(ns.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ParameterError("config file must hold one JSON object")
+        for key, value in cfg.items():
+            if key not in _FLAG_SPECS and key != "out":
+                raise ParameterError(f"unknown config key {key!r}")
+            dest, typ = _FLAG_SPECS.get(key, ("out", str))
+            if getattr(ns, dest, None) is None:
+                setattr(ns, dest, typ(value) if value is not None else None)
+    for flag, (dest, typ) in _FLAG_SPECS.items():
+        if typ is float and not math.isfinite(getattr(ns, dest, None) or 0.0):
+            raise ParameterError(f"--{flag} must be a finite number, got {getattr(ns, dest)}")
 
 
 def _require(ns: argparse.Namespace, **defaults):

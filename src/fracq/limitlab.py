@@ -375,18 +375,18 @@ def _scaled_queue_end(
     beta: float,
     lam: float,
     mu: float,
-    head_prob: float,
+    heads: tuple[float, ...],
     horizon: float,
     rng: RngStream,
-) -> tuple[int, int, int]:
-    """(Q_{<=i}(T), emptyings, running max) for one replica of the queue fed by
-    class-(<=i) arrivals (kept with probability head_prob) and all services."""
+) -> list[tuple[int, int, int]]:
+    """(Q_{<=i}(T), emptyings, running max) of one replica of the queue fed by
+    class-(<=i) arrivals and all services, for each head probability P_i in
+    heads, all thinning the same arrivals by uniforms drawn if some P_i < 1."""
     arr = _renewal_times(FppParams(alpha, lam), horizon, rng.substream(0))
-    if head_prob < 1.0:
-        keep = rng.substream(1).generator().random(arr.size) < head_prob
-        arr = arr[keep]
     dep = _renewal_times(FppParams(beta, mu), horizon, rng.substream(2))
-    return reflected_path_stats(arr, dep)
+    thin = min(heads) < 1.0
+    unif = rng.substream(1).generator().random(arr.size) if thin else np.zeros(arr.size)
+    return [reflected_path_stats(arr[unif < head], dep) for head in heads]
 
 
 def _compensated_queue_end(
@@ -697,22 +697,12 @@ def verify_queue_scaling(
     head = probs.head_sum(i)
     horizon = u * t
     regime = _regime(alpha, beta)
+    # balanced, i >= 2: also the same arrivals thinned one class shorter
+    heads = (head, probs.head_sum(i - 1)) if regime == "balanced" and i >= 2 else (head,)
 
     def one(r: int) -> tuple[int, int]:
-        sub = rng.substream(4).substream(r)
-        if regime == "balanced" and i >= 2:
-            # same arrivals thinned one class shorter, fresh services kept
-            # identical by reusing the substream layout
-            arr = _renewal_times(FppParams(alpha, lam), horizon, sub.substream(0))
-            gloc = sub.substream(1).generator()
-            unif = gloc.random(arr.size)
-            arr_head = arr[unif < head]
-            arr_prev = arr[unif < probs.head_sum(i - 1)]
-            dep = _renewal_times(FppParams(beta, mu), horizon, sub.substream(2))
-            q_hi = reflected_path_stats(arr_head, dep)[0]
-            q_lo = reflected_path_stats(arr_prev, dep)[0]
-            return q_hi, q_hi - q_lo
-        return _scaled_queue_end(alpha, beta, lam, mu, head, horizon, sub)[0], 0
+        ends = _scaled_queue_end(alpha, beta, lam, mu, heads, horizon, rng.substream(4).substream(r))
+        return ends[0][0], ends[0][0] - ends[-1][0]
 
     # the replica closure draws from substream(4); keep 0-3 for oracles
     pairs = map_replicas(one, replicas, jobs)
@@ -890,8 +880,8 @@ def verify_recurrence(
 
         def one(r: int, horizon=horizon, hi=hi) -> tuple[int, int]:
             sub = rng.substream(hi).substream(r)
-            _, emptyings, running_max = _scaled_queue_end(
-                alpha, alpha, lam, mu, 1.0, horizon, sub
+            ((_, emptyings, running_max),) = _scaled_queue_end(
+                alpha, alpha, lam, mu, (1.0,), horizon, sub
             )
             return emptyings, running_max
 

@@ -6,6 +6,11 @@ agree in law: a renewal construction (partial sums of Mittag-Leffler waiting
 times) and a time-change construction (homogeneous Poisson events placed in
 inverse-subordinator time and mapped back through the clock's generalized
 inverse).
+
+Renewal paths, covering clock grids and both vectorized counts are partial
+sums up to the first one above a level, all built by one loop, _passage,
+over (rows, columns) blocks.  Blocks are drawn in full, so the draws do not
+depend on how far a walk reads; transforms and sums run on prefixes only.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoverageError, EventCapError, ParameterError
-from .samplers import RngStream, _mittag_leffler_draws, _stable_draws, sample_positive_stable
+from .samplers import RngStream, _mittag_leffler_draws, _stable_draws
+from .samplers import sample_inverse_subordinator_at, sample_positive_stable
 from .special import FppParams, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
@@ -176,22 +182,81 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
     return (np.maximum.accumulate(bits - shift) + shift).view(np.float64)
 
 
-def _first_passage(variates, n: int, start: float, level: float, k0: int) -> np.ndarray:
-    """Partial sums start + cumsum(x) of the n variates x = variates(lo, hi),
-    up to the first sum above level (all n if none is).  Only a prefix of x
-    is evaluated: k0 variates, doubling until a sum passes the level.  Each
-    pass sums the whole prefix; offsetting a later chunk's cumsum would round
-    differently from the full cumsum."""
-    x = np.empty(n)
-    done, k = 0, min(max(k0, 1), n)
+def _first_passage(steps, n: int, start, level: float, k0: int):
+    """Sums start[r] + cumsum(x[r]) of a (rows, n) block x = steps(key) on a
+    prefix of k0 columns, doubling on the rows not yet above the level (start
+    None: zeros).  Each pass sums a row's whole prefix: offsetting a later
+    chunk's cumsum would round differently.  Returns (count, sums, short):
+    each row's number of sums at or below the level, the last pass's sums
+    (for one row, up to its first above the level), and which of those rows
+    end the block at or below it, None if none does."""
+    k = min(max(k0, 1), n)
+    live, x = slice(None), steps(np.s_[:, :k])
+    count = np.empty(x.shape[0], dtype=np.int64)
     while True:
-        x[done:k] = variates(done, k)
-        done = k
-        sums = start + np.cumsum(x[:k])
-        j = int(np.searchsorted(sums, level, side="right"))
-        if j < k or k == n:
-            return sums[: j + 1]
-        k = min(2 * k, n)
+        sums = np.cumsum(x, axis=1)
+        if start is not None:
+            sums += start[live, None]
+        above = sums > level
+        # sums are nondecreasing: a row's count is the index of its first above
+        count[live] = c = np.where(above[:, -1], above.argmax(axis=1), k)
+        more = c == k
+        n_more = np.count_nonzero(more)
+        if n_more == 0:
+            return count, sums, None
+        if k == n:
+            return count, sums, more
+        if n_more < c.size:
+            live, x = np.arange(count.size)[live][more], x[more]
+        done, k = k, min(2 * k, n)
+        x = np.concatenate([x, steps(np.s_[live, done:k])], axis=1)
+
+
+def _passage(draw, rows: int, level: float, k0: int, width):
+    """First passage above level of `rows` walks from 0 with positive steps, in
+    chunks of rows of at most 4M first-block steps.  draw(shape) draws a block
+    in full and returns its steps by numpy index; width(drawn) is the width of
+    the next block for the rows still short after `drawn` steps.  Returns
+    (count, drawn, path): each row's number of sums at or below the level and,
+    for one walk, its steps drawn and its sums per block to the first above."""
+    count, drawn, path = np.empty(rows, dtype=np.int64), 0, []
+    chunk = max(1, min(rows, 4_000_000 // width(0)))
+    for lo in range(0, rows, chunk):
+        live, size, start, drawn = slice(lo, lo + chunk), min(chunk, rows - lo), None, 0
+        while True:
+            n = width(drawn)
+            c, sums, short = _first_passage(draw((size, n)), n, start, level, k0)
+            count[live] = c if start is None else count[live] + c
+            drawn += n
+            if rows == 1:
+                path.append(sums[0, : c[0] + 1])
+            if short is None:
+                break
+            start = sums[short, -1]
+            if start.size < size:
+                live, size = np.arange(rows)[live][c == n], start.size
+    return count, drawn, path
+
+
+def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
+                   min_block: int = 16, event_cap: float = math.inf):
+    """_passage over horizon of `rows` walks of Mittag-Leffler gaps in blocks of
+    mean + 8 sd of N(horizon), at least min_block, read from a prefix of mean
+    + 2 sd; raises EventCapError past event_cap gaps short of the horizon."""
+    mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
+    rate = p.lam**p.theta
+    sd = math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)
+    block = max(min_block, int(rate * mean_y + 8.0 * sd))
+
+    def width(drawn: int) -> int:
+        if drawn > event_cap:
+            raise EventCapError(
+                f"renewal simulation exceeded {event_cap} events before reaching the horizon"
+            )
+        return block
+
+    draw = lambda shape: _mittag_leffler_draws(p, rng, shape)
+    return _passage(draw, rows, horizon, int(rate * mean_y + 2.0 * sd), width)
 
 
 def _renewal_times(
@@ -199,25 +264,8 @@ def _renewal_times(
 ) -> np.ndarray:
     """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
     sums, drawn in blocks of at least min_block and mean + 8 sd of the count."""
-    mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
-    rate = p.lam**p.theta
-    sd = math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)
-    block = max(min_block, int(rate * mean_y + 8.0 * sd))
-    k0 = int(rate * mean_y + 2.0 * sd)
-    chunks: list[np.ndarray] = []
-    total, n_drawn = 0.0, 0
-    while True:
-        gaps = _mittag_leffler_draws(p, rng, block)
-        chunks.append(_first_passage(gaps, block, total, horizon, k0))
-        total = chunks[-1][-1]
-        n_drawn += block
-        if total > horizon:
-            break
-        if n_drawn > event_cap:
-            raise EventCapError(
-                f"renewal simulation exceeded {event_cap} events before reaching the horizon"
-            )
-    times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    path = _renewal_walks(p, horizon, rng, 1, min_block, event_cap)[2]
+    times = path[0] if len(path) == 1 else np.concatenate(path)
     # partial sums can collide in float64 after a long wait
     times = _strictly_increasing(times[times <= horizon])
     times = times[times <= horizon]
@@ -275,26 +323,34 @@ def default_inverse_clock_step(theta: float, horizon: float) -> float:
     return 1e-3 * max(horizon, 1e-12) ** theta
 
 
+def _level_steps(theta: float, step: float, horizon: float, rng: RngStream):
+    """(draw, k0, mean_y, sd_y): _passage's draw rule for the increments
+    step^(1/theta) S of L per level, the levels to Y(horizon)'s mean + 2 sd,
+    and that mean and sd."""
+    mean_y, var_y = inverse_subordinator_moments(theta, horizon)
+    if not 0.0 < step < math.inf:
+        raise ParameterError("require 0 < step <= s_max")
+    sd_y = math.sqrt(var_y)
+    scale = step ** (1.0 / theta)
+
+    def draw(shape):
+        kanter = _stable_draws(theta, rng, shape)
+        return lambda key: scale * kanter(key)
+
+    return draw, int((mean_y + 2.0 * sd_y) / step) + 1, mean_y, sd_y
+
+
 def _covering_levels(
     theta: float, step: float, horizon: float, rng: RngStream
 ) -> tuple[np.ndarray, int]:
     """L on the levels k step, from L(0) = 0 up to its first value above the
     horizon, and the number of levels drawn, extending until one is above."""
-    mean_y, var_y = inverse_subordinator_moments(theta, horizon)
-    if step <= 0:
-        raise ParameterError("require 0 < step <= s_max")
-    s_max = max(step, 1.25 * mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step)
-    m = int(math.ceil(s_max / step - 1e-12))
-    k0 = int((mean_y + 2.0 * math.sqrt(var_y)) / step) + 1
-    scale = step ** (1.0 / theta)
-    chunks, n_levels = [np.zeros(1)], 0
-    while chunks[-1][-1] <= horizon:
-        kanter = _stable_draws(theta, rng, m)
-        incs = lambda lo, hi: scale * kanter(lo, hi)
-        chunks.append(_first_passage(incs, m, chunks[-1][-1], horizon, k0))
-        n_levels += m
-        m = max(64, (n_levels + 1) // 2)
-    return np.concatenate(chunks), n_levels
+    draw, k0, mean_y, sd_y = _level_steps(theta, step, horizon, rng)
+    m = int(math.ceil(max(step, 1.25 * mean_y + 8.0 * sd_y + 2.0 * step) / step - 1e-12))
+    _, n_levels, path = _passage(
+        draw, 1, horizon, k0, lambda drawn: max(64, (drawn + 1) // 2) if drawn else m
+    )
+    return np.concatenate([np.zeros(1), *path]), n_levels
 
 
 def simulate_fpp_timechange(
@@ -361,37 +417,9 @@ def class_count_at(events: EventTimeline, class_id: int, t: float) -> int:
 
 def renewal_counts(p: FppParams, t: float, n: int, rng: RngStream) -> np.ndarray:
     """n independent copies of the renewal-construction count N(t)."""
-    from .samplers import sample_mittag_leffler
-
     if t < 0:
         raise ParameterError("t must be nonnegative")
-    mean_y, var_y = inverse_subordinator_moments(p.theta, t)
-    rate = p.lam**p.theta
-    block = max(16, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, min(n, int(4_000_000 // block)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        rows = hi - lo
-        sums = np.cumsum(
-            sample_mittag_leffler(p, rng, size=rows * block).reshape(rows, block), axis=1
-        )
-        counts = (sums <= t).sum(axis=1)
-        unfinished = np.flatnonzero(sums[:, -1] <= t)
-        tails = sums[unfinished, -1]
-        while unfinished.size:
-            more = np.cumsum(
-                sample_mittag_leffler(p, rng, size=unfinished.size * block).reshape(
-                    unfinished.size, block
-                ),
-                axis=1,
-            ) + tails[:, None]
-            counts[unfinished] += (more <= t).sum(axis=1)
-            still = np.flatnonzero(more[:, -1] <= t)
-            tails = more[still, -1]
-            unfinished = unfinished[still]
-        out[lo:hi] = counts
-    return out
+    return _renewal_walks(p, t, rng, n)[0]
 
 
 def timechange_counts(
@@ -406,35 +434,12 @@ def timechange_counts(
     """
     if t < 0:
         raise ParameterError("t must be nonnegative")
-    from .samplers import sample_inverse_subordinator_at
-
     g = rng.substream(1).generator()
     if step is None:
         y_t = sample_inverse_subordinator_at(p.theta, t, rng.substream(0), size=n)
         return g.poisson(p.lam**p.theta * y_t).astype(np.int64)
-    mean_y, var_y = inverse_subordinator_moments(p.theta, t)
-    m0 = max(8, int((mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step) / step))
-    clock = rng.substream(0)
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, min(n, int(4_000_000 // m0)))
-    scale = step ** (1.0 / p.theta)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        rows = hi - lo
-        incs = scale * sample_positive_stable(p.theta, clock, size=rows * m0).reshape(rows, m0)
-        paths = np.cumsum(incs, axis=1)
-        while True:
-            short = np.flatnonzero(paths[:, -1] <= t)
-            if short.size == 0:
-                break
-            m_extra = max(16, m0 // 2)
-            more = scale * sample_positive_stable(p.theta, clock, size=short.size * m_extra)
-            more = np.cumsum(more.reshape(short.size, m_extra), axis=1) + paths[short, -1][:, None]
-            paths = np.concatenate(
-                [paths, np.full((rows, m_extra), np.inf)], axis=1
-            )
-            paths[short, -m_extra:] = more
-        k = (paths <= t).sum(axis=1) + 1
-        y_t = k * step
-        out[lo:hi] = g.poisson(p.lam**p.theta * y_t)
-    return out
+    draw, k0, mean_y, sd_y = _level_steps(p.theta, step, t, rng.substream(0))
+    m0 = max(8, int((mean_y + 8.0 * sd_y + 2.0 * step) / step))
+    below = _passage(draw, n, t, k0, lambda drawn: max(16, m0 // 2) if drawn else m0)[0]
+    # Y(t) is the first level above t
+    return g.poisson(p.lam**p.theta * ((below + 1) * step))

@@ -44,35 +44,35 @@ def _check_theta(theta: float) -> None:
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
 
 
-def _stable_draws(theta: float, rng: RngStream, n: int):
-    """Draw the uniforms and exponentials behind n positive stable variates
-    and return Kanter's transform as a function of a slice: kanter(lo, hi)
-    gives variates lo..hi-1, the same numbers whatever slices are asked."""
+def _stable_draws(theta: float, rng: RngStream, shape):
+    """Draw the uniforms and exponentials behind a block of positive stable
+    variates and return Kanter's transform by numpy index: kanter(key) is
+    block[key].  g.random((r, c)) is g.random(r * c) reshaped."""
     g = rng.generator()
     if theta == 1.0:
-        return lambda lo, hi: np.ones(hi - lo)
-    u = g.random(n) * np.pi
-    e = g.standard_exponential(n)
+        return lambda key: np.ones(shape)[key]
+    u = g.random(shape) * np.pi
+    e = g.standard_exponential(shape)
     ratio = (1.0 - theta) / theta
 
-    def kanter(lo: int, hi: int) -> np.ndarray:
-        v = u[lo:hi]
+    def kanter(key) -> np.ndarray:
+        v = u[key]
         return (np.sin(theta * v) / np.sin(v) ** (1.0 / theta)) * (
-            np.sin((1.0 - theta) * v) / e[lo:hi]
+            np.sin((1.0 - theta) * v) / e[key]
         ) ** ratio
 
     return kanter
 
 
-def _mittag_leffler_draws(p: FppParams, rng: RngStream, n: int):
-    """_stable_draws for n Mittag-Leffler variates E^(1/theta) S / lam; the
-    leading exponentials E are drawn in full first."""
-    e = rng.generator().standard_exponential(n)
+def _mittag_leffler_draws(p: FppParams, rng: RngStream, shape):
+    """_stable_draws for a block of Mittag-Leffler variates E^(1/theta) S / lam;
+    the leading exponentials E are drawn in full first."""
+    e = rng.generator().standard_exponential(shape)
     if p.theta == 1.0:
-        return lambda lo, hi: e[lo:hi] / p.lam
-    kanter = _stable_draws(p.theta, rng, n)
+        return lambda key: e[key] / p.lam
+    kanter = _stable_draws(p.theta, rng, shape)
     # S first, so that E^(1/theta) is not held while the transform runs
-    return lambda lo, hi: kanter(lo, hi) * e[lo:hi] ** (1.0 / p.theta) / p.lam
+    return lambda key: kanter(key) * e[key] ** (1.0 / p.theta) / p.lam
 
 
 def _n_variates(size: int | None) -> int:
@@ -95,7 +95,7 @@ def sample_positive_stable(theta: float, rng: RngStream, size: int | None = None
     """
     _check_theta(theta)
     n = _n_variates(size)
-    out = _stable_draws(theta, rng, n)(0, n)
+    out = _stable_draws(theta, rng, n)(np.s_[:])
     return float(out[0]) if size is None else out
 
 
@@ -106,7 +106,7 @@ def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int | None = None)
     result is 1 / (1 + (s/lam)^theta).  theta = 1 reduces to Exp(lam) exactly.
     """
     n = _n_variates(size)
-    out = _mittag_leffler_draws(p, rng, n)(0, n)
+    out = _mittag_leffler_draws(p, rng, n)(np.s_[:])
     return float(out[0]) if size is None else out
 
 

@@ -213,6 +213,26 @@ def test_invalid_theta_is_usage_error(tmp_path):
     assert run_cli("sample", "ml", "--theta", 1.5, "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["fpp", "timechange", "--theta", 0.7, "--lambda", 1, "--horizon", 1, "--step", "nan"],
+         None),
+        (["fpp", "renewal", "--theta", 0.7, "--lambda", 1, "--horizon", "inf"], None),
+        (["verify", "pmf", "--theta", 0.7, "--lambda", 1, "--t", "nan"], None),
+        (["fpp", "renewal", "--theta", 0.7, "--lambda", 1], {"horizon": float("-inf")}),
+        (["sample", "ml", "--theta", 0.7], {"lambda": float("nan")}),
+    ],
+)
+def test_non_finite_number_is_usage_error(tmp_path, capsys, args, config):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))  # written as NaN / -Infinity
+        args = [*args, "--config", cfg]
+    assert run_cli(*args, "--out", tmp_path) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     code = run_cli("plot-data", "--kind", "ecdf", "--input",
                    tmp_path / "nope.csv", "--out", tmp_path)

@@ -22,6 +22,7 @@ from fracq import (
     inverse_subordinator_moments,
     invert_subordinator,
     renewal_counts,
+    sample_inverse_subordinator_at,
     sample_mittag_leffler,
     sample_positive_stable,
     simulate_fpp_renewal,
@@ -300,6 +301,17 @@ def test_timechange_deterministic():
     np.testing.assert_array_equal(a.times, b.times)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+def test_invalid_clock_step_is_rejected(step):
+    # a negative step once made the level increments complex and the
+    # extension loop never ended
+    p = FppParams(0.7, 1.0)
+    with pytest.raises(ParameterError, match="require 0 < step <= s_max"):
+        timechange_counts(p, 1.0, 5, RngStream(seed=1), step=step)
+    with pytest.raises(ParameterError, match="require 0 < step <= s_max"):
+        simulate_fpp_timechange(p, 1.0, RngStream(seed=1), step=step)
+
+
 def test_constructions_agree_in_law():
     # the central dual-route check: renewal counts vs time-change counts
     p = FppParams(0.6, 1.3)
@@ -418,17 +430,33 @@ def test_kanter_prefix_matches_eager_draws(theta):
     eager = eager_stable(theta, RngStream(seed=3), n)
     assert_bitwise_equal(sample_positive_stable(theta, RngStream(seed=3), size=n), eager)
     for k in (1, 13, 203, 999):
-        assert_bitwise_equal(_stable_draws(theta, RngStream(seed=3), n)(0, k), eager[:k])
+        assert_bitwise_equal(_stable_draws(theta, RngStream(seed=3), n)(np.s_[:k]), eager[:k])
     # slices that start off any vector boundary give the same numbers
     kanter = _stable_draws(theta, RngStream(seed=3), n)
     cuts = (0, 13, 203, 461, 999, 1000)
-    assert_bitwise_equal(np.concatenate([kanter(a, b) for a, b in zip(cuts, cuts[1:])]), eager)
+    assert_bitwise_equal(np.concatenate([kanter(np.s_[a:b]) for a, b in zip(cuts, cuts[1:])]), eager)
 
     p = FppParams(theta, 2.5)
     eager = eager_mittag_leffler(p, RngStream(seed=4), n)
     assert_bitwise_equal(sample_mittag_leffler(p, RngStream(seed=4), size=n), eager)
     ml = _mittag_leffler_draws(p, RngStream(seed=4), n)
-    assert_bitwise_equal(np.concatenate([ml(a, b) for a, b in zip(cuts, cuts[1:])]), eager)
+    assert_bitwise_equal(np.concatenate([ml(np.s_[a:b]) for a, b in zip(cuts, cuts[1:])]), eager)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
+def test_kanter_block_keys_match_eager_draws(theta):
+    # a (rows, cols) block draws what a flat block of rows * cols draws, and
+    # gathered rows and column slices read the same numbers
+    rows, cols = 40, 25
+    gathered = np.array([0, 3, 17, 39])
+    stable = eager_stable(theta, RngStream(seed=5), rows * cols).reshape(rows, cols)
+    kanter = _stable_draws(theta, RngStream(seed=5), (rows, cols))
+    p = FppParams(theta, 0.7)
+    ml_eager = eager_mittag_leffler(p, RngStream(seed=6), rows * cols).reshape(rows, cols)
+    ml = _mittag_leffler_draws(p, RngStream(seed=6), (rows, cols))
+    for key in (np.s_[:, :], np.s_[:, 7:19], np.s_[gathered, 3:11], np.s_[gathered[1:], :]):
+        assert_bitwise_equal(kanter(key), stable[key])
+        assert_bitwise_equal(ml(key), ml_eager[key])
 
 
 def eager_covering_grid(theta, step, horizon, rng):
@@ -534,3 +562,124 @@ def test_renewal_paths_with_later_blocks_match_eager_blocks(short_blocks):
     for seed, theta in enumerate((0.6, 0.8, 1.0)):
         # blocks of 64 and 16 gaps for a few hundred events
         assert check_renewal_paths(theta, 4.0, 2000.0, seed) > 64
+
+
+def test_first_passage_on_gathered_rows_matches_eager_sums():
+    # rows past the level after 4, 8, 16 and 32 columns retire, and the last
+    # pass sums the whole block on the rows left, two of them short
+    rows, n, level = 60, 64, 200.0
+    start = np.linspace(0.0, level, rows, endpoint=False)
+    steps = _stable_draws(0.7, RngStream(seed=9), (rows, n))
+    full = start[:, None] + np.cumsum(eager_stable(0.7, RngStream(seed=9), rows * n).reshape(rows, n), axis=1)
+    count, sums, short = processes._first_passage(steps, n, start, level, 4)
+    np.testing.assert_array_equal(count, (full <= level).sum(axis=1))
+    last = count >= 32
+    assert 0 < last.sum() < rows and (count < 4).any()
+    assert_bitwise_equal(sums, full[last])
+    np.testing.assert_array_equal(short, count[last] == n)
+    assert short.sum() == 2
+
+
+def eager_passage_counts(steps, rows, level, first, extra):
+    """Number of partial sums at or below level in each of `rows` walks, every
+    block drawn and summed in full: rows x first steps, then rows x extra
+    steps for the rows still short, offset by their last sums."""
+    sums = np.cumsum(steps(rows * first).reshape(rows, first), axis=1)
+    counts = (sums <= level).sum(axis=1)
+    short = np.flatnonzero(sums[:, -1] <= level)
+    tails = sums[short, -1]
+    while short.size:
+        more = tails[:, None] + np.cumsum(steps(short.size * extra).reshape(short.size, extra), axis=1)
+        counts[short] += (more <= level).sum(axis=1)
+        still = more[:, -1] <= level
+        short, tails = short[still], more[still, -1]
+    return counts
+
+
+def eager_renewal_counts(p, t, n, rng):
+    """renewal_counts from blocks of mean + 8 sd Mittag-Leffler gaps drawn in
+    full (one chunk of rows: n * block below 4M)."""
+    mean_y, var_y = processes.inverse_subordinator_moments(p.theta, t)
+    rate = p.lam**p.theta
+    block = max(16, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
+    return eager_passage_counts(lambda size: eager_mittag_leffler(p, rng, size), n, t, block, block)
+
+
+def eager_timechange_step_counts(p, t, n, rng, step):
+    """timechange_counts(step=...) from clock levels drawn in full: a first
+    block of mean + 8 sd levels, then blocks of max(16, first // 2)."""
+    mean_y, var_y = processes.inverse_subordinator_moments(p.theta, t)
+    m0 = max(8, int((mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step) / step))
+    clock = rng.substream(0)
+    incs = lambda size: step ** (1.0 / p.theta) * eager_stable(p.theta, clock, size)
+    below = eager_passage_counts(incs, n, t, m0, max(16, m0 // 2))
+    return rng.substream(1).generator().poisson(p.lam**p.theta * ((below + 1) * step))
+
+
+COUNT_CASES = [(0.7, 1.2, 1.0, 400), (0.3, 2.0, 5.0, 300), (0.95, 1.5, 20.0, 200), (1.0, 2.0, 1.5, 100)]
+
+
+def test_count_helpers_match_eager_blocks():
+    for seed, (theta, lam, t, n) in enumerate(COUNT_CASES):
+        p = FppParams(theta, lam)
+        assert_bitwise_equal(
+            renewal_counts(p, t, n, RngStream(seed=seed)),
+            eager_renewal_counts(p, t, n, RngStream(seed=seed)),
+        )
+        for step in (0.3, 0.05, 0.01):
+            assert_bitwise_equal(
+                timechange_counts(p, t, n, RngStream(seed=seed), step=step),
+                eager_timechange_step_counts(p, t, n, RngStream(seed=seed), step),
+            )
+
+
+def test_count_helpers_with_tail_blocks_match_eager_blocks(short_blocks):
+    # first blocks of 16 gaps or 8 levels: most rows need tail blocks, some
+    # several, and the first prefixes of 2 gaps or 1 level double
+    ren = {}
+    for seed, (theta, lam, t, n) in enumerate(COUNT_CASES):
+        p = FppParams(theta, lam)
+        ren[theta] = renewal_counts(p, t, n, RngStream(seed=seed))
+        assert_bitwise_equal(ren[theta], eager_renewal_counts(p, t, n, RngStream(seed=seed)))
+        for step in (0.3, 0.05):
+            tch = timechange_counts(p, t, n, RngStream(seed=seed), step=step)
+            assert_bitwise_equal(tch, eager_timechange_step_counts(p, t, n, RngStream(seed=seed), step))
+    assert (ren[0.95] > 16).sum() > 100 and (ren[0.95] > 32).sum() > 10
+
+
+# exact law of the covering grid: a driftless stable subordinator passes
+# every level by a jump, so L(s) > t exactly when s >= Y(t), and the first
+# level above t is ceil(Y(t) / step) at any step, with Y(t) = (t / S)^theta
+
+
+def chi_square_two_samples(a, b, cells=50):
+    """p-value of a chi-square test that two integer samples share one law,
+    on cells cut at quantiles of the pooled sample."""
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, cells + 1)[1:-1],
+                                  method="inverted_cdf"))
+    table = np.array([np.bincount(np.searchsorted(edges, x), minlength=edges.size + 1)
+                      for x in (a, b)])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1]
+
+
+EXACT_LAW_CASES = [(0.7, 1.0, 0.05, 31), (0.5, 3.0, 0.2, 32)]
+
+
+@pytest.mark.parametrize("theta, t, step, seed", EXACT_LAW_CASES)
+def test_covering_grid_first_level_above_t_has_exact_law(theta, t, step, seed):
+    n = 10_000
+    rng = RngStream(seed=seed)
+    k_top = np.array([_covering_levels(theta, step, t, rng.substream(r))[0].size - 1
+                      for r in range(n)])
+    y = sample_inverse_subordinator_at(theta, t, RngStream(seed=seed + 100), size=n)
+    assert chi_square_two_samples(k_top, np.ceil(y / step).astype(int)) > 1e-3
+
+
+@pytest.mark.parametrize("theta, t, step, seed", EXACT_LAW_CASES)
+def test_timechange_step_counts_have_exact_law(theta, t, step, seed):
+    p, n = FppParams(theta, 1.5), 200_000
+    counts = timechange_counts(p, t, n, RngStream(seed=seed), step=step)
+    rng = RngStream(seed=seed + 100)
+    k_top = np.ceil(sample_inverse_subordinator_at(theta, t, rng.substream(0), size=n) / step)
+    exact = rng.substream(1).generator().poisson(p.lam**p.theta * step * k_top)
+    assert chi_square_two_samples(counts, exact) > 1e-3
