@@ -114,18 +114,17 @@ def _out_dir(ns: argparse.Namespace) -> str:
 
 
 def _parse_probs(text: str) -> ClassProbabilities:
-    try:
-        values = [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ParameterError(f"--p expects a comma list of probabilities, got {text!r}") from exc
-    return ClassProbabilities(p=np.asarray(values))
+    return ClassProbabilities(p=np.asarray(_parse_float_list(text, "p")))
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise ParameterError(f"--{flag} expects a comma list of numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"--{flag} must be finite numbers, got {text!r}")
+    return values
 
 
 def _parse_locations(text: str) -> LocationSampler:

@@ -4,7 +4,7 @@ and a chi-square test with tail pooling for integer-valued samples."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .errors import ParameterError
 
@@ -20,12 +20,16 @@ def ecdf(sample) -> tuple[np.ndarray, np.ndarray]:
 
 def ks_two_sample(x, y) -> tuple[float, float]:
     """Two-sample KS statistic and p-value."""
+    from scipy import stats  # not at module level: it doubles fracq's start-up
+
     res = stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float), method="auto")
     return float(res.statistic), float(res.pvalue)
 
 
 def ks_one_sample(x, cdf) -> tuple[float, float]:
     """One-sample KS test of `x` against a vectorized CDF callable."""
+    from scipy import stats  # not at module level: it doubles fracq's start-up
+
     res = stats.kstest(np.asarray(x, dtype=float), cdf)
     return float(res.statistic), float(res.pvalue)
 
@@ -73,5 +77,5 @@ def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, fl
     if dof < 1:
         raise ParameterError("need at least two cells after pooling")
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
-    pvalue = float(stats.chi2.sf(statistic, dof))
+    pvalue = float(chdtrc(dof, statistic))  # the chi2(dof) survival function
     return statistic, pvalue, dof

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .errors import DomainError, ParameterError
 from .gof import chi_square_counts, ecdf, ks_two_sample
@@ -360,10 +360,10 @@ class LimitLawSampler:
         elif self.kind == "reflected_difference":
             out = np.full_like(q_arr, max(self.coef_a - self.coef_b, 0.0) * self.t)
         elif self.kind == "brownian_time_changed":
-            out = stats.norm.ppf(q_arr, scale=math.sqrt(self.coef_a * self.t))
+            out = ndtri(q_arr) * math.sqrt(self.coef_a * self.t)
         else:
             scale = math.sqrt((self.coef_a + self.coef_b) * self.t)
-            out = scale * stats.norm.ppf((1.0 + q_arr) / 2.0)
+            out = scale * ndtri((1.0 + q_arr) / 2.0)
         return float(out) if np.isscalar(q) else out
 
 

@@ -149,7 +149,7 @@ class ClassProbabilities:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ParameterError("p must be a nonempty vector")
-        if np.any(p <= 0):
+        if not np.all(p > 0):  # also false for nan; an inf fails the sum test
             raise ParameterError("all class probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ParameterError(f"class probabilities sum to {p.sum()}, not 1")

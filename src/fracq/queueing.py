@@ -219,14 +219,14 @@ class LocationSampler:
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "LocationSampler":
-        if not (0 <= a < b):
-            raise ParameterError("require 0 <= a < b")
+        if not (0 <= a < b < np.inf):
+            raise ParameterError("require 0 <= a < b < inf")
         return cls(kind="uniform", a=a, b=b)
 
     @classmethod
     def exponential(cls, rate: float) -> "LocationSampler":
-        if rate <= 0:
-            raise ParameterError("rate must be positive")
+        if not (0 < rate < np.inf):
+            raise ParameterError("rate must be positive and finite")
         return cls(kind="exponential", rate=rate)
 
     @classmethod
@@ -235,15 +235,16 @@ class LocationSampler:
         w = np.asarray(weights, dtype=float)
         if locs.size == 0 or locs.shape != w.shape:
             raise ParameterError("locations and weights must be equal-length nonempty vectors")
-        if np.any(locs < 0) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ParameterError("need nonnegative locations and positive weights summing to 1")
+        if (not np.all((locs >= 0) & (locs < np.inf)) or not np.all(w > 0)
+                or abs(w.sum() - 1.0) > 1e-12):
+            raise ParameterError("need finite nonnegative locations and positive weights summing to 1")
         return cls(kind="points", locations=locs, weights=w)
 
     @classmethod
     def empirical(cls, values) -> "LocationSampler":
         vals = np.asarray(values, dtype=float)
-        if vals.size == 0 or np.any(vals < 0):
-            raise ParameterError("need a nonempty sample of nonnegative locations")
+        if vals.size == 0 or not np.all((vals >= 0) & (vals < np.inf)):
+            raise ParameterError("need a nonempty sample of finite nonnegative locations")
         return cls(kind="empirical", locations=vals)
 
     def support_infimum(self) -> float:

@@ -233,6 +233,22 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, args, config):
     assert "must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["queue", "--alpha", 0.8, "--beta", 0.7, "--lambda", 1, "--mu", 1,
+          "--p", "nan,0.5", "--horizon", 5], "p"),
+        (["auction", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1,
+          "--locations", "uniform:0,inf", "--horizon", 10], "locations"),
+        (["verify", "oscillation", "--theta", 0.5, "--horizons", "100,1000,inf",
+          "--replicas", 20], "horizons"),
+    ],
+)
+def test_non_finite_list_entry_is_usage_error(tmp_path, capsys, args, flag):
+    assert run_cli(*args, "--out", tmp_path) == 2
+    assert f"--{flag} must be finite numbers" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     code = run_cli("plot-data", "--kind", "ecdf", "--input",
                    tmp_path / "nope.csv", "--out", tmp_path)

@@ -1,10 +1,16 @@
 """Goodness-of-fit helpers, checked against hand-computed statistics."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import chdtrc
 
 from fracq import ParameterError, ecdf, ks_one_sample, ks_two_sample
 from fracq.gof import chi_square_counts
@@ -43,6 +49,20 @@ def test_chi_square_hand_case():
     assert math.isclose(stat, 1.0)
     assert dof == 1
     assert math.isclose(p, stats.chi2.sf(1.0, 1))
+
+
+def test_chi_square_pvalue_is_scipy_chi2_sf_bitwise():
+    sample = np.repeat([0, 1], [50, 50])
+    assert chi_square_counts(sample, [0.5, 0.5], min_expected=1.0) == (0.0, 1.0, 1)
+    rng = np.random.default_rng(10)
+    for mean in (0.5, 2.0, 6.0, 15.0):
+        pmf = stats.poisson.pmf(np.arange(40), 1.05 * mean)
+        for n in (50, 500, 5000):
+            stat, p, dof = chi_square_counts(rng.poisson(mean, size=n), pmf)
+            assert p == stats.chi2.sf(stat, dof)
+    x = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 1e3, 2000)])
+    for dof in (1, 2, 3, 5, 10, 30, 100):
+        np.testing.assert_array_equal(chdtrc(dof, x), stats.chi2.sf(x, dof))
 
 
 def test_chi_square_exact_expected_is_zero():
@@ -89,3 +109,37 @@ def test_chi_square_validation():
         chi_square_counts([0, 1], [0.7, 0.7])
     with pytest.raises(ParameterError):
         chi_square_counts([0, 1], [])
+
+
+def test_simulation_commands_do_not_load_scipy_stats(tmp_path):
+    # scipy.stats about doubles the start-up time and memory of `import fracq`,
+    # and only the KS tests need it.  A fresh interpreter, because this test
+    # session has imported scipy.stats already.
+    script = textwrap.dedent(f"""
+        import sys
+        import fracq, fracq.cli
+        runs = [
+            ["queue", "--alpha", "0.8", "--beta", "0.7", "--lambda", "2", "--mu", "1.5",
+             "--p", "0.5,0.5", "--horizon", "20"],
+            ["fpp", "renewal", "--theta", "0.8", "--lambda", "2", "--horizon", "10",
+             "--p", "0.3,0.7"],
+            ["fpp", "timechange", "--theta", "0.6", "--lambda", "1", "--horizon", "5"],
+            ["auction", "--alpha", "0.8", "--beta", "0.5", "--lambda", "2", "--mu", "1",
+             "--locations", "uniform:1,2", "--horizon", "50"],
+            ["sample", "stable", "--theta", "0.6", "--replicas", "200"],
+        ]
+        loaded = ["import fracq"] if "scipy.stats" in sys.modules else []
+        for args in runs:
+            assert fracq.cli.main([*args, "--seed", "1", "--out", {str(tmp_path)!r}]) == 0
+            if not loaded and "scipy.stats" in sys.modules:
+                loaded.append(" ".join(args[:2]))
+        print(loaded)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last == "[]", f"scipy.stats loaded by: {last}"

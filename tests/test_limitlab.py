@@ -151,6 +151,22 @@ def test_reflected_brownian_difference_at_one_is_folded_gaussian():
     assert math.isclose(med, scale * stats.norm.ppf(0.75))
 
 
+def test_closed_form_gaussian_quantiles_match_scipy_norm_bitwise():
+    q = np.concatenate([[1e-300, 1e-16, 1e-10, 1.0 - 1e-10, 1.0 - 1e-16],
+                        np.linspace(0.0, 1.0, 1001)[1:-1]])
+    for va, vb, t in ((1.7, 0.0, 2.0), (1.0, 0.5, 1.0), (0.3, 2.2, 7.0)):
+        s = LimitLawSampler.brownian_time_changed(1.0, va, t)
+        ref = stats.norm.ppf(q, scale=math.sqrt(va * t))
+        np.testing.assert_array_equal(s.closed_form_quantile(q).view(np.uint64),
+                                      ref.view(np.uint64))
+        assert [s.closed_form_quantile(float(q[k])) for k in (0, 4, 505)] == list(ref[[0, 4, 505]])
+        s = LimitLawSampler.reflected_brownian_difference(1.0, va, 1.0, vb, t=t)
+        scale = math.sqrt((va + vb) * t)
+        ref = scale * stats.norm.ppf((1.0 + q) / 2.0)
+        np.testing.assert_array_equal(s.closed_form_quantile(q).view(np.uint64),
+                                      ref.view(np.uint64))
+
+
 # limit-law samplers: fractional clocks
 
 

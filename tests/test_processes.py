@@ -132,6 +132,9 @@ def test_class_probabilities_validation():
         ClassProbabilities(np.array([0.5, 0.0, 0.5]))
     with pytest.raises(ParameterError):
         ClassProbabilities(np.array([0.5, 0.4]))
+    for bad in ([np.nan, 0.5], [np.nan, 1.0], [np.inf, 0.5], [0.5, -np.inf, 0.5]):
+        with pytest.raises(ParameterError):
+            ClassProbabilities(np.array(bad))
 
 
 def test_class_probabilities_cumulative():

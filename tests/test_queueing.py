@@ -348,6 +348,22 @@ def test_location_sampler_validation():
         LocationSampler.point_masses([-1.0], [1.0])
     with pytest.raises(ParameterError):
         LocationSampler.empirical([])
+    non_finite = [
+        lambda: LocationSampler.uniform(0.0, np.inf),
+        lambda: LocationSampler.uniform(np.nan, 1.0),
+        lambda: LocationSampler.uniform(0.0, np.nan),
+        lambda: LocationSampler.exponential(np.nan),
+        lambda: LocationSampler.exponential(np.inf),
+        lambda: LocationSampler.point_masses([1.0, np.inf], [0.5, 0.5]),
+        lambda: LocationSampler.point_masses([np.nan], [1.0]),
+        lambda: LocationSampler.point_masses([1.0, 2.0], [np.nan, 1.0]),
+        lambda: LocationSampler.point_masses([1.0, 2.0], [np.inf, 0.5]),
+        lambda: LocationSampler.empirical([1.0, np.nan]),
+        lambda: LocationSampler.empirical([np.inf]),
+    ]
+    for make in non_finite:
+        with pytest.raises(ParameterError):
+            make()
 
 
 def test_location_sampler_support():
