@@ -417,8 +417,8 @@ def class_count_at(events: EventTimeline, class_id: int, t: float) -> int:
 
 def renewal_counts(p: FppParams, t: float, n: int, rng: RngStream) -> np.ndarray:
     """n independent copies of the renewal-construction count N(t)."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if t < 0 or n < 0:
+        raise ParameterError("t and n must be nonnegative")
     return _renewal_walks(p, t, rng, n)[0]
 
 
@@ -432,8 +432,8 @@ def timechange_counts(
     (t/S)^theta; passing an explicit level `step` instead discretizes the clock
     on the same grid as simulate_fpp_timechange (bias at most one level).
     """
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if t < 0 or n < 0:
+        raise ParameterError("t and n must be nonnegative")
     g = rng.substream(1).generator()
     if step is None:
         y_t = sample_inverse_subordinator_at(p.theta, t, rng.substream(0), size=n)

@@ -225,12 +225,8 @@ def _fpp_pmf_mixture(theta: float, x: float, n: int) -> float:
     rule (nodes cluster doubly exponentially at both endpoints, and pi - phi
     is carried explicitly to avoid rounding near pi); the w integral uses the
     same double-exponential rule family as the Mittag-Leffler quadrature.
+    fpp_pmf sends only theta <= 0.98 here.
     """
-    if theta > 0.98:
-        raise DomainError(
-            "theta in (0.98, 1) with lam * t outside the series zone is not "
-            "validated; use theta == 1 or a smaller theta"
-        )
     h = 0.012 if theta <= 0.95 else 0.004
     w_hi = 745.0 + 2.0 * n
     t_hi = math.asinh(math.log(w_hi) / (0.5 * math.pi))

@@ -249,6 +249,23 @@ def test_non_finite_list_entry_is_usage_error(tmp_path, capsys, args, flag):
     assert f"--{flag} must be finite numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "pmf", "--theta", 0.7, "--lambda", 1, "--replicas", -5], "nonnegative"),
+        (["verify", "oscillation", "--theta", 0.5, "--replicas", 0], "one replica"),
+        (["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1,
+          "--locations", "uniform:1,2", "--replicas", 0], "one replica"),
+        (["verify", "oscillation", "--theta", 0.5, "--horizons", "0,10,100"], "increasing horizons"),
+        (["verify", "oscillation", "--theta", 0.5, "--horizons", "100,100"], "increasing horizons"),
+    ],
+)
+def test_bad_replicas_or_horizons_is_usage_error(tmp_path, capsys, args, message):
+    assert run_cli(*args, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+
+
 def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     code = run_cli("plot-data", "--kind", "ecdf", "--input",
                    tmp_path / "nope.csv", "--out", tmp_path)

@@ -4,6 +4,7 @@ exercise exact reductions, closed forms, and small smoke runs."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,8 +76,16 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_map_replicas_parallel_matches_serial():
-    fn = lambda r: r * r + 1
-    assert map_replicas(fn, 50, jobs=1) == map_replicas(fn, 50, jobs=8)
+    def fn(sub):
+        return sub.generator().random(3)
+
+    serial = map_replicas(fn, RngStream(seed=4), 50, jobs=1)
+    assert serial.shape == (50, 3)
+    np.testing.assert_array_equal(serial, map_replicas(fn, RngStream(seed=4), 50, jobs=8))
+    # replica r draws from substream r
+    np.testing.assert_array_equal(serial[7], RngStream(seed=4).substream(7).generator().random(3))
+    with pytest.raises(ParameterError):
+        map_replicas(fn, RngStream(seed=4), 0)
 
 
 # limit-law samplers: validation
@@ -95,6 +104,20 @@ def test_limit_law_sampler_validation():
         LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, 1.0, t=1.0, resolution=0.0)
     with pytest.raises(ParameterError):
         LimitLawSampler.inverse_clock(0.5, 1.0, t=1.0).sample(RngStream(seed=0), -1)
+    with pytest.raises(ParameterError):
+        LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, 1.0, t=1.0).sample(RngStream(seed=0), 0)
+    # non-finite input would sample NaN or never finish a passage grid
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        lambda: LimitLawSampler.inverse_clock(0.5, nan, 1.0),
+        lambda: LimitLawSampler.inverse_clock(0.5, 1.0, t=nan),
+        lambda: LimitLawSampler.brownian_time_changed(0.5, 1.0, t=inf),
+        lambda: LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, nan, t=1.0),
+        lambda: LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, 1.0, t=1.0, resolution=inf),
+        lambda: LimitLawSampler.reflected_brownian_difference(0.5, 1.0, t=1.0, resolution=nan),
+    ):
+        with pytest.raises(ParameterError):
+            bad()
 
 
 def test_closed_form_quantile_domain():
@@ -242,6 +265,18 @@ def test_verify_covariance_smoke():
     assert rep.statistic < 4.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_covariance_single_replica_fails():
+    # one replica has no sample variance: every z-score is NaN
+    rep = limitlab.verify_covariance(
+        0.7, 1.0, ClassProbabilities(np.array([0.5, 0.5])), t=1.0, replicas=1,
+        rng=RngStream(seed=0), verbose=False,
+    )
+    assert math.isnan(rep.details["z_11"])
+    assert math.isnan(rep.statistic)
+    assert not rep.verdict
+
+
 def test_verify_lln_smoke():
     rep = limitlab.verify_lln(
         0.7, 1.0, PROBS2, t=1.0, u=1e4, replicas=2000,
@@ -343,6 +378,58 @@ def test_verify_validation_errors():
             0.5, 0.8, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0),
             t_values=(1.0, 10.0), replicas=5, rng=RngStream(seed=0), verbose=False,
         )
+    # horizons must be positive and strictly increasing
+    for horizons in ((0.0, 10.0, 100.0), (100.0, 100.0), (1.0, float("nan"))):
+        with pytest.raises(ParameterError, match="positive, strictly increasing"):
+            limitlab.verify_oscillation(
+                0.5, 1.0, horizons=horizons, replicas=5,
+                rng=RngStream(seed=0), verbose=False,
+            )
+    with pytest.raises(ParameterError, match="positive, strictly increasing"):
+        limitlab.verify_best_ask(
+            0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0),
+            t_values=(10.0, 10.0), replicas=5, rng=RngStream(seed=0), verbose=False,
+        )
+    with pytest.raises(ParameterError):
+        limitlab.verify_recurrence(
+            0.6, 1.0, 1.0, PROBS2, horizons=(10.0, 20.0, 40.0),
+            replicas=0, rng=RngStream(seed=0), verbose=False,
+        )
+
+
+# every replica loop keys its streams by replica, never by thread
+
+JOBS_CASES = {
+    "queue_scaling_balanced": lambda **kw: limitlab.verify_queue_scaling(
+        0.6, 0.6, 1.1, 1.0, ClassProbabilities(np.array([0.5, 0.5])), i=2,
+        t=1.0, u=100.0, replicas=40, rng=RngStream(seed=1), **kw),
+    "centered_clt": lambda **kw: limitlab.verify_centered_queue_clt(
+        0.6, 0.6, 1.0, 1.0, PROBS2, i=2, t=1.0, u=100.0, replicas=40,
+        rng=RngStream(seed=2), **kw),
+    "recurrence": lambda **kw: limitlab.verify_recurrence(
+        0.6, 2.0, 1.0, ClassProbabilities(np.array([1.0])), horizons=(10.0, 100.0, 1000.0),
+        replicas=20, rng=RngStream(seed=3), **kw),
+    "oscillation": lambda **kw: limitlab.verify_oscillation(
+        0.5, 1.0, horizons=(1.0, 10.0), replicas=20, rng=RngStream(seed=4), **kw),
+    "best_ask": lambda **kw: limitlab.verify_best_ask(
+        0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0), t_values=(10.0, 100.0),
+        replicas=20, rng=RngStream(seed=5), **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOBS_CASES))
+def test_experiments_independent_of_jobs(tmp_path, monkeypatch, name):
+    reports, files = [], []
+    for jobs in (1, 2):
+        # a relative out dir gives both runs the same artifact paths
+        run_dir = tmp_path / f"jobs{jobs}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        reports.append(JOBS_CASES[name](out_dir="out", jobs=jobs, verbose=False).to_dict())
+        files.append({p.name: p.read_bytes() for p in sorted(Path("out").iterdir())})
+    assert reports[0] == reports[1]
+    assert files[0] == files[1]
+    assert len(files[0]) == 1 + len(reports[0]["artifacts"])
 
 
 # limit-law paths that draw only what the union grid reads, against the
