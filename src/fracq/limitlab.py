@@ -30,7 +30,7 @@ from .processes import (
     renewal_counts,
     timechange_counts,
 )
-from .queueing import LocationSampler, reflected_path_stats, simulate_continuum_queue
+from .queueing import LocationSampler, _reflect, reflected_path_stats, simulate_continuum_queue
 from .samplers import RngStream, sample_inverse_subordinator_at
 from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
 
@@ -220,10 +220,6 @@ def _brownian_difference_path(
     return math.sqrt(var_a) * ba[ka] - math.sqrt(var_b) * bb[kb]
 
 
-def _reflected_end(path: np.ndarray) -> float:
-    return float(path[-1] - min(0.0, path.min()))
-
-
 _KINDS = (
     "inverse_clock",
     "reflected_difference",
@@ -337,7 +333,7 @@ class LimitLawSampler:
             return np.abs(x) if self.kind == "reflected_brownian_difference" else x
         path = _clock_difference_path if kind == "reflected_difference" else _brownian_difference_path
         args = (self.theta_a, self.coef_a, self.theta_b, self.coef_b, self.t, self.resolution)
-        return map_replicas(lambda sub: _reflected_end(path(*args, sub)), rng, size)
+        return map_replicas(lambda sub: _reflect(path(*args, sub))[-1], rng, size)
 
     def closed_form_quantile(self, q) -> np.ndarray | float:
         """Quantile function when every active clock index equals 1."""
@@ -414,11 +410,24 @@ def _compensated_queue_end(
     a_counts = np.searchsorted(arr_pos, ya, side="right")
     c_counts = np.searchsorted(dep_pos, yb, side="right")
     path = (a_counts - rate_a * ya) - (c_counts - rate_b * yb)
-    return _reflected_end(path)
+    return float(_reflect(path)[-1])
 
 
 # ---------------------------------------------------------------------------
 # verification experiments
+
+def _require_ks_can_reject(replicas: int, p_min: float) -> None:
+    """Reject a p_min outside (0, 1), or a replica count n at which a two-sample
+    KS p-value, never below 2 / C(2n, n), cannot fall below p_min."""
+    if not 0.0 < p_min < 1.0:
+        raise ParameterError(f"p_min must lie in (0, 1), got {p_min}")
+    n, bound = 1, 1.0  # 2 / C(2n, n), updated by its ratio from n to n + 1
+    while bound >= p_min:
+        n, bound = n + 1, bound * (n + 1) / (4 * n + 2)
+    if 0 <= replicas < n:  # a negative count is left to the samplers' check
+        raise ParameterError(f"{replicas} replicas cannot give a KS p-value below "
+                             f"p_min = {p_min}; need at least {n}")
+
 
 def verify_pmf(
     theta: float,
@@ -432,6 +441,7 @@ def verify_pmf(
 ) -> ExperimentReport:
     """Both process constructions against the analytic pmf, and against
     each other."""
+    _require_ks_can_reject(replicas, p_min)
     params = FppParams(theta=theta, lam=lam)
     ren = renewal_counts(params, t, replicas, rng.substream(0))
     tch = timechange_counts(params, t, replicas, rng.substream(1))
@@ -526,6 +536,8 @@ def verify_lln(
 ) -> ExperimentReport:
     """Scaled class counts N_i(ut)/u^theta against the law lam^theta p_i Y(t);
     at theta = 1 the limit is deterministic and the check is an RMS window."""
+    if theta != 1.0:
+        _require_ks_can_reject(replicas, p_min)
     total = renewal_counts(FppParams(theta, lam), u * t, replicas, rng.substream(0))
     split = rng.substream(1).generator().multinomial(total, probs.p).astype(float)
     scaled = split / u**theta
@@ -592,6 +604,7 @@ def verify_fclt(
     width u^(-1/2); the oracle is projected onto that lattice before the KS
     comparison to keep the test well specified.
     """
+    _require_ks_can_reject(replicas, p_min)
     rate = lam**theta
     y_big = sample_inverse_subordinator_at(theta, u * t, rng.substream(0), size=replicas)
     g = rng.substream(1).generator()
@@ -690,6 +703,8 @@ def verify_queue_scaling(
     head = probs.head_sum(i)
     horizon = u * t
     regime = _regime(alpha, beta)
+    if regime != "services-dominate":
+        _require_ks_can_reject(replicas, p_min)
     # balanced, i >= 2: also the same arrivals thinned one class shorter
     heads = (head, probs.head_sum(i - 1)) if regime == "balanced" and i >= 2 else (head,)
 
@@ -730,7 +745,7 @@ def verify_queue_scaling(
                 yb = step_b * kb
                 hi = lam**alpha * head * ya - mu**beta * yb
                 lo = lam**alpha * probs.head_sum(i - 1) * ya - mu**beta * yb
-                return _reflected_end(hi) - _reflected_end(lo)
+                return _reflect(hi)[-1] - _reflect(lo)[-1]
 
             oracle_pc = map_replicas(one_per_class, rng.substream(2), replicas, jobs)
             d_pc, p_pc = ks_two_sample(per_class, oracle_pc)
@@ -781,6 +796,7 @@ def verify_centered_queue_clt(
 ) -> ExperimentReport:
     """Reflected compensated netflow, scaled by u^(gamma/2), against the
     reflected difference of Brownian motions on independent inverse clocks."""
+    _require_ks_can_reject(replicas, p_min)
     gamma = max(alpha, beta)
     head = probs.head_sum(i)
     horizon = u * t

@@ -7,10 +7,10 @@ times) and a time-change construction (homogeneous Poisson events placed in
 inverse-subordinator time and mapped back through the clock's generalized
 inverse).
 
-Renewal paths, covering clock grids and both vectorized counts are partial
-sums up to the first one above a level, all built by one loop, _passage,
-over (rows, columns) blocks.  Blocks are drawn in full, so the draws do not
-depend on how far a walk reads; transforms and sums run on prefixes only.
+Renewal paths, renewal counts and covering clock grids are partial sums up
+to the first one above a level, all built by one loop, _passage, over (rows,
+columns) blocks.  Blocks are drawn in full, so the draws do not depend on how
+far a walk reads; transforms and sums run on prefixes only.
 """
 
 from __future__ import annotations
@@ -323,10 +323,13 @@ def default_inverse_clock_step(theta: float, horizon: float) -> float:
     return 1e-3 * max(horizon, 1e-12) ** theta
 
 
-def _level_steps(theta: float, step: float, horizon: float, rng: RngStream):
-    """(draw, k0, mean_y, sd_y): _passage's draw rule for the increments
-    step^(1/theta) S of L per level, the levels to Y(horizon)'s mean + 2 sd,
-    and that mean and sd."""
+def _covering_levels(
+    theta: float, step: float, horizon: float, rng: RngStream
+) -> tuple[np.ndarray, int]:
+    """L on the levels k step, from L(0) = 0 up to its first value above the
+    horizon, and the number of levels drawn: a first block reaching 1.25 mean
+    + 8 sd of Y(horizon), read from a prefix reaching mean + 2 sd, then blocks
+    of half the levels drawn (at least 64) until one is above."""
     mean_y, var_y = inverse_subordinator_moments(theta, horizon)
     if not 0.0 < step < math.inf:
         raise ParameterError("require 0 < step <= s_max")
@@ -337,15 +340,7 @@ def _level_steps(theta: float, step: float, horizon: float, rng: RngStream):
         kanter = _stable_draws(theta, rng, shape)
         return lambda key: scale * kanter(key)
 
-    return draw, int((mean_y + 2.0 * sd_y) / step) + 1, mean_y, sd_y
-
-
-def _covering_levels(
-    theta: float, step: float, horizon: float, rng: RngStream
-) -> tuple[np.ndarray, int]:
-    """L on the levels k step, from L(0) = 0 up to its first value above the
-    horizon, and the number of levels drawn, extending until one is above."""
-    draw, k0, mean_y, sd_y = _level_steps(theta, step, horizon, rng)
+    k0 = int((mean_y + 2.0 * sd_y) / step) + 1
     m = int(math.ceil(max(step, 1.25 * mean_y + 8.0 * sd_y + 2.0 * step) / step - 1e-12))
     _, n_levels, path = _passage(
         draw, 1, horizon, k0, lambda drawn: max(64, (drawn + 1) // 2) if drawn else m
@@ -422,24 +417,11 @@ def renewal_counts(p: FppParams, t: float, n: int, rng: RngStream) -> np.ndarray
     return _renewal_walks(p, t, rng, n)[0]
 
 
-def timechange_counts(
-    p: FppParams, t: float, n: int, rng: RngStream, step: float | None = None
-) -> np.ndarray:
-    """n independent copies of the time-change-construction count N(t).
-
-    The count at one time only needs the clock value: N(t) = Pi(lam^theta Y(t))
-    with Pi a unit-rate Poisson process.  By default Y(t) is drawn exactly via
-    (t/S)^theta; passing an explicit level `step` instead discretizes the clock
-    on the same grid as simulate_fpp_timechange (bias at most one level).
-    """
+def timechange_counts(p: FppParams, t: float, n: int, rng: RngStream) -> np.ndarray:
+    """n independent copies of the time-change-construction count N(t) =
+    Pi(lam^theta Y(t)), Pi a unit-rate Poisson process, with the clock value
+    Y(t) drawn exactly via (t/S)^theta."""
     if t < 0 or n < 0:
         raise ParameterError("t and n must be nonnegative")
-    g = rng.substream(1).generator()
-    if step is None:
-        y_t = sample_inverse_subordinator_at(p.theta, t, rng.substream(0), size=n)
-        return g.poisson(p.lam**p.theta * y_t).astype(np.int64)
-    draw, k0, mean_y, sd_y = _level_steps(p.theta, step, t, rng.substream(0))
-    m0 = max(8, int((mean_y + 8.0 * sd_y + 2.0 * step) / step))
-    below = _passage(draw, n, t, k0, lambda drawn: max(16, m0 // 2) if drawn else m0)[0]
-    # Y(t) is the first level above t
-    return g.poisson(p.lam**p.theta * ((below + 1) * step))
+    y_t = sample_inverse_subordinator_at(p.theta, t, rng.substream(0), size=n)
+    return rng.substream(1).generator().poisson(p.lam**p.theta * y_t).astype(np.int64)

@@ -266,6 +266,44 @@ def test_bad_replicas_or_horizons_is_usage_error(tmp_path, capsys, args, message
     assert "usage error" in err and message in err
 
 
+# a two-sample KS p-value at n replicas each is never below 2 / C(2n, n):
+# 2.2e-3 at n = 6 and 5.8e-4 at n = 7, either side of the default p_min 1e-3
+KS_EXPERIMENTS = {
+    "pmf": ["--theta", 0.7, "--lambda", 1],
+    "lln": ["--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5"],
+    "fclt": ["--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5"],
+    "scaling": ["--alpha", 0.9, "--beta", 0.3, "--lambda", 1, "--mu", 1, "--u", 100],
+    "centered-clt": ["--alpha", 0.6, "--beta", 0.6, "--lambda", 1, "--mu", 1, "--u", 100],
+}
+
+
+@pytest.mark.filterwarnings("ignore:ks_2samp:RuntimeWarning")  # ties among 7 counts
+@pytest.mark.parametrize("kind", sorted(KS_EXPERIMENTS))
+def test_too_few_replicas_for_a_ks_verdict_is_usage_error(tmp_path, capsys, kind):
+    args = ["verify", kind, *KS_EXPERIMENTS[kind], "--out", tmp_path]
+    for replicas in (1, 6):
+        assert run_cli(*args, "--replicas", replicas) == 2
+        captured = capsys.readouterr()
+        assert "need at least 7" in captured.err and "[PASS]" not in captured.out
+    assert run_cli(*args, "--replicas", 7) in (0, 1)
+
+
+@pytest.mark.parametrize("p_min", [0, 1, -0.5, 2])
+def test_p_min_outside_unit_interval_is_usage_error(tmp_path, capsys, p_min):
+    code = run_cli("verify", "pmf", "--theta", 0.7, "--lambda", 1, "--replicas", 100,
+                   "--p-min", p_min, "--out", tmp_path)
+    assert code == 2
+    assert "p_min must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_experiments_without_a_ks_verdict_take_few_replicas(tmp_path):
+    # the concentration window at theta = 1 and the services-dominate mean
+    assert run_cli("verify", "lln", "--theta", 1, "--lambda", 1, "--p", "1.0",
+                   "--replicas", 2, "--out", tmp_path) in (0, 1)
+    assert run_cli("verify", "scaling", "--alpha", 0.3, "--beta", 0.9, "--lambda", 1,
+                   "--mu", 1, "--u", 100, "--replicas", 2, "--out", tmp_path) in (0, 1)
+
+
 def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     code = run_cli("plot-data", "--kind", "ecdf", "--input",
                    tmp_path / "nope.csv", "--out", tmp_path)

@@ -20,7 +20,9 @@ from fracq import (
     RngStream,
 )
 from fracq import limitlab
+from fracq.gof import ks_two_sample
 from fracq.limitlab import map_replicas
+from fracq.queueing import _reflect
 from fracq.special import inverse_subordinator_moments
 
 PROBS2 = ClassProbabilities(np.array([0.6, 0.4]))
@@ -397,6 +399,19 @@ def test_verify_validation_errors():
         )
 
 
+@pytest.mark.parametrize("p_min", [0.05, 1e-3, 1e-6])
+def test_ks_check_accepts_the_fewest_replicas_that_can_reject(p_min):
+    # the smallest two-sample KS p-value at n each is that of two samples that
+    # do not interleave, 2 / C(2n, n)
+    n = next(n for n in range(2, 100) if 2 / math.comb(2 * n, n) < p_min)
+    for m, rejects in ((n - 1, False), (n, True)):
+        p = ks_two_sample(np.arange(m), np.arange(m) + m)[1]
+        assert (p < p_min) == rejects
+    limitlab._require_ks_can_reject(n, p_min)
+    with pytest.raises(ParameterError, match=f"need at least {n}$"):
+        limitlab._require_ks_can_reject(n - 1, p_min)
+
+
 # every replica loop keys its streams by replica, never by thread
 
 JOBS_CASES = {
@@ -468,4 +483,4 @@ def test_compensated_queue_end_matches_full_sort():
             np.searchsorted(dep_pos, yb, side="right") - 1.5 * yb
         )
         assert arr_pos[-1] > ya[-1] and dep_pos[-1] > yb[-1]
-        assert got == limitlab._reflected_end(path)
+        assert got == _reflect(path)[-1]

@@ -31,7 +31,7 @@ from fracq import (
     thin_events,
     timechange_counts,
 )
-from fracq import processes
+from fracq import limitlab, processes
 from fracq.gof import chi_square_counts
 from fracq.processes import (
     _covering_levels,
@@ -308,11 +308,8 @@ def test_timechange_deterministic():
 def test_invalid_clock_step_is_rejected(step):
     # a negative step once made the level increments complex and the
     # extension loop never ended
-    p = FppParams(0.7, 1.0)
     with pytest.raises(ParameterError, match="require 0 < step <= s_max"):
-        timechange_counts(p, 1.0, 5, RngStream(seed=1), step=step)
-    with pytest.raises(ParameterError, match="require 0 < step <= s_max"):
-        simulate_fpp_timechange(p, 1.0, RngStream(seed=1), step=step)
+        simulate_fpp_timechange(FppParams(0.7, 1.0), 1.0, RngStream(seed=1), step=step)
 
 
 def test_constructions_agree_in_law():
@@ -322,15 +319,6 @@ def test_constructions_agree_in_law():
     a = renewal_counts(p, 1.0, n, RngStream(seed=11))
     b = timechange_counts(p, 1.0, n, RngStream(seed=12))
     res = stats.ks_2samp(a, b)
-    assert res.pvalue > 1e-3
-
-
-def test_timechange_grid_variant_agrees():
-    p = FppParams(0.7, 1.0)
-    n = 8000
-    exact = timechange_counts(p, 1.0, n, RngStream(seed=13))
-    grid = timechange_counts(p, 1.0, n, RngStream(seed=14), step=1e-4)
-    res = stats.ks_2samp(exact, grid)
     assert res.pvalue > 1e-3
 
 
@@ -583,40 +571,24 @@ def test_first_passage_on_gathered_rows_matches_eager_sums():
     assert short.sum() == 2
 
 
-def eager_passage_counts(steps, rows, level, first, extra):
-    """Number of partial sums at or below level in each of `rows` walks, every
-    block drawn and summed in full: rows x first steps, then rows x extra
-    steps for the rows still short, offset by their last sums."""
-    sums = np.cumsum(steps(rows * first).reshape(rows, first), axis=1)
-    counts = (sums <= level).sum(axis=1)
-    short = np.flatnonzero(sums[:, -1] <= level)
-    tails = sums[short, -1]
-    while short.size:
-        more = tails[:, None] + np.cumsum(steps(short.size * extra).reshape(short.size, extra), axis=1)
-        counts[short] += (more <= level).sum(axis=1)
-        still = more[:, -1] <= level
-        short, tails = short[still], more[still, -1]
-    return counts
-
-
 def eager_renewal_counts(p, t, n, rng):
     """renewal_counts from blocks of mean + 8 sd Mittag-Leffler gaps drawn in
-    full (one chunk of rows: n * block below 4M)."""
+    full (one chunk of rows: n * block below 4M): n x block gaps, then
+    block more for each row still short, offset by its last sum."""
     mean_y, var_y = processes.inverse_subordinator_moments(p.theta, t)
     rate = p.lam**p.theta
     block = max(16, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
-    return eager_passage_counts(lambda size: eager_mittag_leffler(p, rng, size), n, t, block, block)
-
-
-def eager_timechange_step_counts(p, t, n, rng, step):
-    """timechange_counts(step=...) from clock levels drawn in full: a first
-    block of mean + 8 sd levels, then blocks of max(16, first // 2)."""
-    mean_y, var_y = processes.inverse_subordinator_moments(p.theta, t)
-    m0 = max(8, int((mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step) / step))
-    clock = rng.substream(0)
-    incs = lambda size: step ** (1.0 / p.theta) * eager_stable(p.theta, clock, size)
-    below = eager_passage_counts(incs, n, t, m0, max(16, m0 // 2))
-    return rng.substream(1).generator().poisson(p.lam**p.theta * ((below + 1) * step))
+    sums = np.cumsum(eager_mittag_leffler(p, rng, n * block).reshape(n, block), axis=1)
+    counts = (sums <= t).sum(axis=1)
+    short = np.flatnonzero(sums[:, -1] <= t)
+    tails = sums[short, -1]
+    while short.size:
+        gaps = eager_mittag_leffler(p, rng, short.size * block).reshape(short.size, block)
+        more = tails[:, None] + np.cumsum(gaps, axis=1)
+        counts[short] += (more <= t).sum(axis=1)
+        still = more[:, -1] <= t
+        short, tails = short[still], more[still, -1]
+    return counts
 
 
 COUNT_CASES = [(0.7, 1.2, 1.0, 400), (0.3, 2.0, 5.0, 300), (0.95, 1.5, 20.0, 200), (1.0, 2.0, 1.5, 100)]
@@ -629,24 +601,16 @@ def test_count_helpers_match_eager_blocks():
             renewal_counts(p, t, n, RngStream(seed=seed)),
             eager_renewal_counts(p, t, n, RngStream(seed=seed)),
         )
-        for step in (0.3, 0.05, 0.01):
-            assert_bitwise_equal(
-                timechange_counts(p, t, n, RngStream(seed=seed), step=step),
-                eager_timechange_step_counts(p, t, n, RngStream(seed=seed), step),
-            )
 
 
 def test_count_helpers_with_tail_blocks_match_eager_blocks(short_blocks):
-    # first blocks of 16 gaps or 8 levels: most rows need tail blocks, some
-    # several, and the first prefixes of 2 gaps or 1 level double
+    # first blocks of 16 gaps: most rows need tail blocks, some several, and
+    # the first prefixes of 2 gaps double
     ren = {}
     for seed, (theta, lam, t, n) in enumerate(COUNT_CASES):
         p = FppParams(theta, lam)
         ren[theta] = renewal_counts(p, t, n, RngStream(seed=seed))
         assert_bitwise_equal(ren[theta], eager_renewal_counts(p, t, n, RngStream(seed=seed)))
-        for step in (0.3, 0.05):
-            tch = timechange_counts(p, t, n, RngStream(seed=seed), step=step)
-            assert_bitwise_equal(tch, eager_timechange_step_counts(p, t, n, RngStream(seed=seed), step))
     assert (ren[0.95] > 16).sum() > 100 and (ren[0.95] > 32).sum() > 10
 
 
@@ -678,11 +642,37 @@ def test_covering_grid_first_level_above_t_has_exact_law(theta, t, step, seed):
     assert chi_square_two_samples(k_top, np.ceil(y / step).astype(int)) > 1e-3
 
 
-@pytest.mark.parametrize("theta, t, step, seed", EXACT_LAW_CASES)
-def test_timechange_step_counts_have_exact_law(theta, t, step, seed):
-    p, n = FppParams(theta, 1.5), 200_000
-    counts = timechange_counts(p, t, n, RngStream(seed=seed), step=step)
-    rng = RngStream(seed=seed + 100)
-    k_top = np.ceil(sample_inverse_subordinator_at(theta, t, rng.substream(0), size=n) / step)
-    exact = rng.substream(1).generator().poisson(p.lam**p.theta * step * k_top)
+# the time-change path reads Y(horizon) as ceil(Y / step) levels, so its
+# count at the horizon is Poisson with mean lam^theta step ceil(Y / step)
+PATH_LAW_CASES = [(0.5, 3.0, 0.2, 32), (0.9, 1.0, 0.1, 33)]
+
+
+@pytest.mark.parametrize("theta, t, step, seed", PATH_LAW_CASES)
+def test_timechange_path_count_has_exact_law(theta, t, step, seed):
+    p, n = FppParams(theta, 1.5), 10_000
+    rng = RngStream(seed=seed)
+    counts = np.array([len(simulate_fpp_timechange(p, t, rng.substream(r), step=step))
+                       for r in range(n)])
+    ref = RngStream(seed=seed + 100)
+    k_top = np.ceil(sample_inverse_subordinator_at(theta, t, ref.substream(0), size=n) / step)
+    exact = ref.substream(1).generator().poisson(p.lam**p.theta * step * k_top)
     assert chi_square_two_samples(counts, exact) > 1e-3
+
+
+# each clock of the two-clock grid reads, at t, the last level it passed by
+# t: k[-1] = floor(Y(t) / step)
+
+
+@pytest.mark.parametrize("theta_a, theta_b, t, resolution, seed",
+                         [(0.6, 0.9, 2.0, 0.05, 41), (0.5, 0.5, 1.0, 0.1, 42)])
+def test_two_clocks_read_exact_clock_law_at_t(theta_a, theta_b, t, resolution, seed):
+    n = 10_000
+    rng = RngStream(seed=seed)
+    clocks = [limitlab._two_clocks(theta_a, theta_b, t, resolution, rng.substream(r))
+              for r in range(n)]
+    ref = RngStream(seed=seed + 100)
+    for j, theta in enumerate((theta_a, theta_b)):
+        k_end = np.array([pair[j][1][-1] for pair in clocks])
+        y = sample_inverse_subordinator_at(theta, t, ref.substream(j), size=n)
+        exact = np.floor(y / (resolution * t**theta)).astype(int)
+        assert chi_square_two_samples(k_end, exact) > 1e-3
