@@ -3,6 +3,8 @@ and a chi-square test with tail pooling for integer-valued samples."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.special import chdtrc
 
@@ -19,10 +21,19 @@ def ecdf(sample) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ks_two_sample(x, y) -> tuple[float, float]:
-    """Two-sample KS statistic and p-value."""
+    """Two-sample KS statistic and p-value.
+
+    scipy's exact p-value gives up, with a RuntimeWarning, only where it
+    rounds above 1 (small samples with ties and a small statistic); its
+    asymptotic fallback is then itself close to 1, so the warning is
+    silenced and the p-value kept."""
     from scipy import stats  # not at module level: it doubles fracq's start-up
 
-    res = stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float), method="auto")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful",
+                                RuntimeWarning)
+        res = stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                             method="auto")
     return float(res.statistic), float(res.pvalue)
 
 

@@ -9,8 +9,12 @@ inverse).
 
 Renewal paths, renewal counts and covering clock grids are partial sums up
 to the first one above a level, all built by one loop, _passage, over (rows,
-columns) blocks.  Blocks are drawn in full, so the draws do not depend on how
-far a walk reads; transforms and sums run on prefixes only.
+columns) blocks.  A walk reads its block a chunk of columns at a time and
+stops at its first sum above the level; transforms and sums run on what it
+reads.  Each block draws all its uniforms and leading exponentials, and a
+one-row block draws its Kanter exponentials only as far as it reads, while
+its stream owes the rest and draws them before any later draw, so no drawn
+number depends on how far a walk reads.
 """
 
 from __future__ import annotations
@@ -182,57 +186,68 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
     return (np.maximum.accumulate(bits - shift) + shift).view(np.float64)
 
 
-def _first_passage(steps, n: int, start, level: float, k0: int):
-    """Sums start[r] + cumsum(x[r]) of a (rows, n) block x = steps(key) on a
-    prefix of k0 columns, doubling on the rows not yet above the level (start
-    None: zeros).  Each pass sums a row's whole prefix: offsetting a later
-    chunk's cumsum would round differently.  Returns (count, sums, short):
-    each row's number of sums at or below the level, the last pass's sums
-    (for one row, up to its first above the level), and which of those rows
-    end the block at or below it, None if none does."""
-    k = min(max(k0, 1), n)
-    live, x = slice(None), steps(np.s_[:, :k])
-    count = np.empty(x.shape[0], dtype=np.int64)
+_MIN_READ = 64  # steps a read takes at least, to spread its fixed cost
+
+
+def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
+    """Sums start[r] + cumsum(x[r]) of a (rows, n) block x = steps(key) up to
+    each row's first above the level (start None: zeros), read a chunk of
+    columns at a time on the rows still at or below it: k columns, then a
+    quarter more of the columns read so far each time, a read taking at least
+    _MIN_READ steps over its rows.  A row's running in-block sum is folded
+    into its next chunk's first step, so the chunk's cumsum continues the
+    whole row's to the last bit; start is added after.
+    Returns (count, ends, path): each row's number of sums at or below the
+    level, the last sums of the rows that end the block at or below it (in
+    row order), and for a one-row block its sums per read, up to its first
+    above the level."""
+    rows, n = shape
+    k = min(max(k, math.ceil(_MIN_READ / rows)), n)
+    live, done, path, x = slice(None), 0, [], steps(np.s_[:, :k])
+    count = np.empty(rows, dtype=np.int64)
     while True:
-        sums = np.cumsum(x, axis=1)
-        if start is not None:
-            sums += start[live, None]
+        run = np.cumsum(x, axis=1)
+        sums = run if start is None else run + start[live, None]
         above = sums > level
         # sums are nondecreasing: a row's count is the index of its first above
-        count[live] = c = np.where(above[:, -1], above.argmax(axis=1), k)
-        more = c == k
-        n_more = np.count_nonzero(more)
-        if n_more == 0:
-            return count, sums, None
-        if k == n:
-            return count, sums, more
-        if n_more < c.size:
-            live, x = np.arange(count.size)[live][more], x[more]
-        done, k = k, min(2 * k, n)
-        x = np.concatenate([x, steps(np.s_[live, done:k])], axis=1)
+        c = np.where(above[:, -1], above.argmax(axis=1), k - done)
+        count[live] = done + c
+        if rows == 1:
+            path.append(sums[0, : c[0] + 1])
+        more = c == k - done
+        if k == n or not more.any():
+            return count, sums[more, -1], path
+        if not more.all():
+            live, run = np.arange(rows)[live][more], run[more]
+        done, k = k, min(n, k + max(k // 4, math.ceil(_MIN_READ / run.shape[0])))
+        x = steps(np.s_[live, done:k])
+        x[:, 0] += run[:, -1]
 
 
 def _passage(draw, rows: int, level: float, k0: int, width):
     """First passage above level of `rows` walks from 0 with positive steps, in
     chunks of rows of at most 4M first-block steps.  draw(shape) draws a block
-    in full and returns its steps by numpy index; width(drawn) is the width of
-    the next block for the rows still short after `drawn` steps.  Returns
-    (count, drawn, path): each row's number of sums at or below the level and,
-    for one walk, its steps drawn and its sums per block to the first above."""
+    and returns its steps by numpy index; width(drawn) is the width of the
+    next block for the rows still short after `drawn` steps.  A block is read
+    from its first k0 columns, a later one from a quarter of the steps drawn.
+    Returns (count, drawn, path): each row's number of sums at or below the
+    level and, for one walk, its steps drawn and its sums per read to the
+    first above."""
     count, drawn, path = np.empty(rows, dtype=np.int64), 0, []
     chunk = max(1, min(rows, 4_000_000 // width(0)))
     for lo in range(0, rows, chunk):
         live, size, start, drawn = slice(lo, lo + chunk), min(chunk, rows - lo), None, 0
         while True:
             n = width(drawn)
-            c, sums, short = _first_passage(draw((size, n)), n, start, level, k0)
+            k = k0 if start is None else drawn // 4
+            c, ends, reads = _first_passage(draw((size, n)), (size, n), start, level, k)
             count[live] = c if start is None else count[live] + c
             drawn += n
             if rows == 1:
-                path.append(sums[0, : c[0] + 1])
-            if short is None:
+                path += reads
+            if ends.size == 0:
                 break
-            start = sums[short, -1]
+            start = ends
             if start.size < size:
                 live, size = np.arange(rows)[live][c == n], start.size
     return count, drawn, path
@@ -241,8 +256,9 @@ def _passage(draw, rows: int, level: float, k0: int, width):
 def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
                    min_block: int = 16, event_cap: float = math.inf):
     """_passage over horizon of `rows` walks of Mittag-Leffler gaps in blocks of
-    mean + 8 sd of N(horizon), at least min_block, read from a prefix of mean
-    + 2 sd; raises EventCapError past event_cap gaps short of the horizon."""
+    mean + 8 sd of N(horizon), at least min_block, read from a first chunk of
+    the mean count; raises EventCapError past event_cap gaps short of the
+    horizon."""
     mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
     rate = p.lam**p.theta
     sd = math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)
@@ -256,7 +272,7 @@ def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
         return block
 
     draw = lambda shape: _mittag_leffler_draws(p, rng, shape)
-    return _passage(draw, rows, horizon, int(rate * mean_y + 2.0 * sd), width)
+    return _passage(draw, rows, horizon, int(rate * mean_y), width)
 
 
 def _renewal_times(
@@ -328,8 +344,8 @@ def _covering_levels(
 ) -> tuple[np.ndarray, int]:
     """L on the levels k step, from L(0) = 0 up to its first value above the
     horizon, and the number of levels drawn: a first block reaching 1.25 mean
-    + 8 sd of Y(horizon), read from a prefix reaching mean + 2 sd, then blocks
-    of half the levels drawn (at least 64) until one is above."""
+    + 8 sd of Y(horizon), read from a first chunk reaching its mean, then
+    blocks of half the levels drawn (at least 64) until one is above."""
     mean_y, var_y = inverse_subordinator_moments(theta, horizon)
     if not 0.0 < step < math.inf:
         raise ParameterError("require 0 < step <= s_max")
@@ -340,7 +356,7 @@ def _covering_levels(
         kanter = _stable_draws(theta, rng, shape)
         return lambda key: scale * kanter(key)
 
-    k0 = int((mean_y + 2.0 * sd_y) / step) + 1
+    k0 = int(mean_y / step) + 1
     m = int(math.ceil(max(step, 1.25 * mean_y + 8.0 * sd_y + 2.0 * step) / step - 1e-12))
     _, n_levels, path = _passage(
         draw, 1, horizon, k0, lambda drawn: max(64, (drawn + 1) // 2) if drawn else m
@@ -367,8 +383,9 @@ def simulate_fpp_timechange(
         raise ParameterError("horizon must be positive")
     if step is None:
         step = default_inverse_clock_step(p.theta, horizon)
-    g = rng.generator()
     values, n_levels = _covering_levels(p.theta, step, horizon, rng)
+    # after the clock's draws: its last block may owe exponentials
+    g = rng.generator()
     # Y(horizon) in the over-approximating grid sense
     k_top = values.size - 1
     y_top = k_top * step

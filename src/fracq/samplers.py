@@ -24,14 +24,21 @@ class RngStream:
     stream_index: int = 0
     _path: tuple[int, ...] = field(default=(), repr=False, compare=False)
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    # exponentials of a one-row stable block not drawn yet (_stable_draws)
+    _owed: int = field(default=0, repr=False, compare=False)
 
     def generator(self) -> np.random.Generator:
-        """The underlying generator; successive calls continue one stream."""
+        """The underlying generator; successive calls continue one stream.
+        Exponentials owed by a one-row stable block are drawn and discarded
+        first, so later draws do not depend on how far the block was read."""
         if self._gen is None:
             seq = np.random.SeedSequence(
                 self.seed, spawn_key=(self.stream_index, *self._path)
             )
             self._gen = np.random.Generator(np.random.Philox(seq))
+        if self._owed:
+            owed, self._owed = self._owed, 0
+            self._gen.standard_exponential(owed)
         return self._gen
 
     def substream(self, k: int) -> "RngStream":
@@ -47,18 +54,39 @@ def _check_theta(theta: float) -> None:
 def _stable_draws(theta: float, rng: RngStream, shape):
     """Draw the uniforms and exponentials behind a block of positive stable
     variates and return Kanter's transform by numpy index: kanter(key) is
-    block[key].  g.random((r, c)) is g.random(r * c) reshaped."""
+    block[key].  g.random((r, c)) is g.random(r * c) reshaped.
+
+    A one-row block, shape (1, n), draws its exponentials, the last of its
+    draws, in order and only up to the last column a key has read (keys take
+    columns by slice); rng owes the rest until it next hands out its
+    generator."""
     g = rng.generator()
     if theta == 1.0:
         return lambda key: np.ones(shape)[key]
-    u = g.random(shape) * np.pi
-    e = g.standard_exponential(shape)
+    u = g.random(shape)
+    if isinstance(shape, tuple) and shape[0] == 1:
+        n = shape[1]
+        e = np.empty(shape)
+        drawn = 0
+        rng._owed = n
+
+        def exponentials(key) -> np.ndarray:
+            nonlocal drawn
+            stop = key[1].indices(n)[1]
+            if stop > drawn:
+                if rng._owed != n - drawn:
+                    raise RuntimeError("stable block read after its stream moved on")
+                g.standard_exponential(out=e[0, drawn:stop])
+                drawn, rng._owed = stop, n - stop
+            return e[key]
+    else:
+        exponentials = g.standard_exponential(shape).__getitem__
     ratio = (1.0 - theta) / theta
 
     def kanter(key) -> np.ndarray:
-        v = u[key]
+        v = u[key] * np.pi
         return (np.sin(theta * v) / np.sin(v) ** (1.0 / theta)) * (
-            np.sin((1.0 - theta) * v) / e[key]
+            np.sin((1.0 - theta) * v) / exponentials(key)
         ) ** ratio
 
     return kanter

@@ -277,7 +277,6 @@ KS_EXPERIMENTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:ks_2samp:RuntimeWarning")  # ties among 7 counts
 @pytest.mark.parametrize("kind", sorted(KS_EXPERIMENTS))
 def test_too_few_replicas_for_a_ks_verdict_is_usage_error(tmp_path, capsys, kind):
     args = ["verify", kind, *KS_EXPERIMENTS[kind], "--out", tmp_path]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,21 @@ def test_ks_two_sample_matches_scipy():
     ref = stats.ks_2samp(x, y)
     assert math.isclose(stat, ref.statistic)
     assert math.isclose(p, ref.pvalue)
+
+
+def test_ks_two_sample_of_few_tied_counts_keeps_scipy_p_without_warning():
+    # at 7 counts with ties and D = 1/7 scipy's exact p-value rounds above 1
+    # and it warns and falls back to the asymptotic one
+    x, y = [1, 2, 3, 2, 3, 2, 2], [1, 3, 0, 2, 2, 3, 2]
+    with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+        ref = stats.ks_2samp(np.asarray(x, float), np.asarray(y, float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ks_two_sample(x, y) == (ref.statistic, ref.pvalue)
+        # fully separated counts take the exact branch: 2 / C(14, 7)
+        stat, p = ks_two_sample([0] * 7, [1, 1, 2, 1, 2, 2, 1])
+    assert stat == 1.0 and math.isclose(p, 2 / math.comb(14, 7)) and p < 5.9e-4
+    assert ref.pvalue > 0.9999
 
 
 def test_chi_square_hand_case():

@@ -555,20 +555,82 @@ def test_renewal_paths_with_later_blocks_match_eager_blocks(short_blocks):
         assert check_renewal_paths(theta, 4.0, 2000.0, seed) > 64
 
 
+def recorded_reads(steps, reads):
+    """steps, appending the column range and row count of each read."""
+    def read(key):
+        x = steps(key)
+        reads.append((key[1].start or 0, key[1].stop, x.shape[0]))
+        return x
+    return read
+
+
 def test_first_passage_on_gathered_rows_matches_eager_sums():
-    # rows past the level after 4, 8, 16 and 32 columns retire, and the last
-    # pass sums the whole block on the rows left, two of them short
+    # rows past the level retire after different reads, and the last read
+    # takes the block's last column on the rows left, two of them short
     rows, n, level = 60, 64, 200.0
     start = np.linspace(0.0, level, rows, endpoint=False)
-    steps = _stable_draws(0.7, RngStream(seed=9), (rows, n))
+    reads = []
+    steps = recorded_reads(_stable_draws(0.7, RngStream(seed=9), (rows, n)), reads)
     full = start[:, None] + np.cumsum(eager_stable(0.7, RngStream(seed=9), rows * n).reshape(rows, n), axis=1)
-    count, sums, short = processes._first_passage(steps, n, start, level, 4)
+    count, ends, path = processes._first_passage(steps, (rows, n), start, level, 4)
     np.testing.assert_array_equal(count, (full <= level).sum(axis=1))
-    last = count >= 32
-    assert 0 < last.sum() < rows and (count < 4).any()
-    assert_bitwise_equal(sums, full[last])
-    np.testing.assert_array_equal(short, count[last] == n)
-    assert short.sum() == 2
+    # reads cover the block in order, each a quarter more than read so far
+    # and at least 64 steps over its rows
+    assert reads[0] == (0, 4, rows) and reads[-1][1] == n
+    assert all(a == prev_b and b == min(n, a + max(a // 4, math.ceil(64 / r)))
+               for (_, prev_b, _), (a, b, r) in zip(reads, reads[1:]))
+    retired_after = {int(np.searchsorted([b for _, b, _ in reads], c + 1)) for c in count[count < n]}
+    assert len(retired_after) > 5 and (count < 4).any()
+    assert_bitwise_equal(ends, full[count == n, -1])
+    assert (count == n).sum() == 2 and path == []
+
+
+def one_row_passage(level, n=400, k=16, seed=10):
+    """_first_passage of a one-row block from start 3.5: its count, its sums
+    joined across reads, its reads and the eager sums of the whole block."""
+    reads = []
+    steps = recorded_reads(_stable_draws(0.7, RngStream(seed=seed), (1, n)), reads)
+    count, ends, path = processes._first_passage(steps, (1, n), np.array([3.5]), level, k)
+    full = 3.5 + np.cumsum(eager_stable(0.7, RngStream(seed=seed), n))
+    return int(count[0]), np.concatenate(path), reads, full, ends
+
+
+def test_first_passage_of_one_row_matches_eager_sums_at_read_edges():
+    _, _, reads, full, ends = one_row_passage(math.inf)
+    # reads of at least 64 steps from the first on
+    assert reads[:3] == [(0, 64, 1), (64, 128, 1), (128, 192, 1)]
+    assert len(reads) > 4 and ends.size == 1 and ends[0] == full[-1]
+    for j in (0, 1, 3):
+        last = reads[j][1] - 1
+        # first above the level on the last column of read j, then on the
+        # first column of read j + 1
+        for first_above, n_reads in ((last, j + 1), (last + 1, j + 2)):
+            count, sums, got_reads, _, ends = one_row_passage(full[first_above - 1])
+            assert count == first_above and ends.size == 0
+            assert got_reads == reads[:n_reads]
+            assert_bitwise_equal(sums, full[: first_above + 1])
+
+
+def record_renewal_reads(monkeypatch):
+    """The reads of the renewal walks' blocks, as recorded_reads lists them."""
+    reads = []
+    monkeypatch.setattr(processes, "_mittag_leffler_draws", lambda p, rng, shape: recorded_reads(
+        _mittag_leffler_draws(p, rng, shape), reads))
+    return reads
+
+
+def test_one_row_walk_over_two_blocks_matches_eager_sums(short_blocks, monkeypatch):
+    # blocks of 1024 gaps, the first read from 64 columns on: 1791 events
+    p, horizon = FppParams(0.8, 4.0), 1500.0
+    reads = record_renewal_reads(monkeypatch)
+    count, drawn, path = processes._renewal_walks(p, horizon, RngStream(seed=5), 1, 1024)
+    assert count[0] == 1791 and drawn == 2048 and len(reads) > 15
+    # the second block is read from a quarter of the 1024 steps drawn
+    assert reads[0] == (0, 64, 1) and (0, 256, 1) in reads[1:]
+    rng = RngStream(seed=5)
+    full = np.cumsum(eager_mittag_leffler(p, rng, 1024))
+    full = np.concatenate([full, full[-1] + np.cumsum(eager_mittag_leffler(p, rng, 1024))])
+    assert_bitwise_equal(np.concatenate(path), full[:1792])
 
 
 def eager_renewal_counts(p, t, n, rng):
@@ -612,6 +674,55 @@ def test_count_helpers_with_tail_blocks_match_eager_blocks(short_blocks):
         ren[theta] = renewal_counts(p, t, n, RngStream(seed=seed))
         assert_bitwise_equal(ren[theta], eager_renewal_counts(p, t, n, RngStream(seed=seed)))
     assert (ren[0.95] > 16).sum() > 100 and (ren[0.95] > 32).sum() > 10
+
+
+# a one-row block draws its Kanter exponentials only as far as its walk
+# reads; its stream draws the rest before any later draw
+
+
+def stream_after_walks(rng, theta=0.7):
+    p = FppParams(theta, 3.0)
+    processes._renewal_times(p, 40.0, rng)
+    _covering_levels(theta, 0.05, 2.0, rng)
+    simulate_fpp_timechange(p, 2.0, rng, step=0.05)
+    renewal_counts(p, 40.0, 1, rng)
+    return rng.generator().random(8)
+
+
+def eager_stream_after_walks(rng, theta=0.7):
+    p = FppParams(theta, 3.0)
+    eager_renewal_times(p, 40.0, rng, 16)
+    eager_covering_grid(theta, 0.05, 2.0, rng)
+    eager_timechange_times(p, 2.0, rng, 0.05)
+    eager_renewal_counts(p, 40.0, 1, rng)
+    return rng.generator().random(8)
+
+
+@pytest.mark.parametrize("theta", [0.4, 0.7])
+def test_stream_continues_after_one_row_walks_as_after_eager_blocks(theta):
+    for seed in (11, 12):
+        assert_bitwise_equal(stream_after_walks(RngStream(seed=seed), theta),
+                             eager_stream_after_walks(RngStream(seed=seed), theta))
+
+
+def test_stream_continues_after_walks_over_later_blocks(short_blocks):
+    assert_bitwise_equal(stream_after_walks(RngStream(seed=13)),
+                         eager_stream_after_walks(RngStream(seed=13)))
+
+
+def test_one_row_walk_reads_about_a_quarter_past_its_count(monkeypatch):
+    # the queue-scaling arrivals point: a first read of the mean count, 32879
+    # gaps, of blocks of 117510
+    p, horizon = FppParams(0.9, 1.0), 1e5
+    for seed in range(4):
+        reads = record_renewal_reads(monkeypatch)
+        rng = RngStream(seed=seed)
+        count, drawn, _ = processes._renewal_walks(p, horizon, rng, 1)
+        transformed = sum(b - a for a, b, _ in reads)
+        assert drawn == 117_510 and reads[0] == (0, 32_879, 1)
+        assert transformed <= max(32_879, 1.25 * (count[0] + 1))
+        # the exponentials drawn are the ones transformed
+        assert drawn - rng._owed == transformed
 
 
 # exact law of the covering grid: a driftless stable subordinator passes
