@@ -126,6 +126,8 @@ def main(argv=None) -> int:
                     help="comma-separated experiment names (substring match)")
     ap.add_argument("--list", action="store_true", help="list experiment names and exit")
     args = ap.parse_args(argv)
+    if args.seed < 0:  # experiment k uses seed + k, so one negative seed would fail mid-battery
+        ap.error(f"--seed must be a nonnegative integer, got {args.seed}")
 
     experiments = build_experiments(args.seed, args.scale, args.jobs)
     if args.list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from .gof import ecdf
 from .processes import (
     ClassProbabilities,
     EventTimeline,
-    _fmt,
+    _write_csv,
     simulate_fpp_renewal,
     simulate_fpp_timechange,
     thin_events,
@@ -150,13 +151,6 @@ def _parse_locations(text: str) -> LocationSampler:
     raise ParameterError(f"unknown location spec kind {kind!r} in {text!r}")
 
 
-def _write_values_csv(path: str, values: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("value\n")
-        for v in values:
-            fh.write(_fmt(v) + "\n")
-
-
 def _read_column(path: str, column: str) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -178,7 +172,7 @@ def _cmd_sample(ns: argparse.Namespace) -> int:
     else:  # inverse-clock
         values = sample_inverse_subordinator_at(ns.theta, ns.t, rng, size=ns.replicas)
     path = os.path.join(_out_dir(ns), "samples.csv")
-    _write_values_csv(path, values)
+    _write_csv(path, ["value"], [(values, "%.17g")])
     print(f"wrote {path} ({values.size} draws)")
     return 0
 
@@ -228,10 +222,8 @@ def _cmd_auction(ns: argparse.Namespace) -> int:
     ask_path, state = simulate_continuum_queue(arrivals, sampler, departures, rng.substream(2))
     out = _out_dir(ns)
     path = os.path.join(out, "best_ask.csv")
-    with open(path, "w") as fh:
-        fh.write("time,best_ask\n")
-        for t, v in zip(ask_path.jump_times, ask_path.values):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+    _write_csv(path, ["time", "best_ask"],
+               [(ask_path.jump_times, "%.17g"), (ask_path.values, "%.17g")])
     summary = {
         "best_ask": None if np.isposinf(state.best_ask) else state.best_ask,
         "total_waiting": state.total,
@@ -332,10 +324,7 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
     """
     if kind == "ecdf":
         xs, ps = ecdf(_read_column(input_path, column or "value"))
-        with open(out_path, "w") as fh:
-            fh.write("value,cum_prob\n")
-            for x, p in zip(xs, ps):
-                fh.write(f"{_fmt(x)},{_fmt(p)}\n")
+        _write_csv(out_path, ["value", "cum_prob"], [(xs, "%.17g"), (ps, "%.17g")])
         return
     if kind == "path":
         with open(input_path, newline="") as fh:
@@ -353,10 +342,8 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
             if value_col is None:
                 raise ParameterError(f"{input_path} has no recognized value column")
             rows = [(row[time_col], row[value_col]) for row in reader]
-        with open(out_path, "w") as fh:
-            fh.write("time,value\n")
-            for t, v in rows:
-                fh.write(f"{t},{v}\n")
+        rows = np.array(rows, dtype=str).reshape(-1, 2)  # (0, 2) for no rows
+        _write_csv(out_path, ["time", "value"], [(rows[:, 0], "%s"), (rows[:, 1], "%s")])
         return
     if kind == "qq":
         if input2_path is None:
@@ -367,10 +354,7 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
         grid = (np.arange(m) + 0.5) / m
         tq = np.quantile(theo, grid)
         eq = np.quantile(emp, grid)
-        with open(out_path, "w") as fh:
-            fh.write("theoretical_q,empirical_q\n")
-            for a, b in zip(tq, eq):
-                fh.write(f"{_fmt(a)},{_fmt(b)}\n")
+        _write_csv(out_path, ["theoretical_q", "empirical_q"], [(tq, "%.17g"), (eq, "%.17g")])
         return
     raise ParameterError(f"unknown plot-data kind {kind!r}; expected ecdf, path, or qq")
 
@@ -383,6 +367,7 @@ def _cmd_plot_data(ns: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was: one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracq",

@@ -27,6 +27,7 @@ from .processes import (
     EventTimeline,
     _covering_levels,
     _renewal_times,
+    _write_csv,
     renewal_counts,
     timechange_counts,
 )
@@ -126,10 +127,7 @@ def _ecdf_artifact(out_dir: str | None, name: str, sample) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     xs, ps = ecdf(sample)
     path = os.path.join(out_dir, f"{name}.csv")
-    with open(path, "w") as fh:
-        fh.write("x,F\n")
-        for x, p in zip(xs, ps):
-            fh.write(f"{x:.17g},{p:.17g}\n")
+    _write_csv(path, ["x", "F"], [(xs, "%.17g"), (ps, "%.17g")])
     return [path]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,37 +31,26 @@ from .samplers import sample_inverse_subordinator_at, sample_positive_stable
 from .special import FppParams, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
-_CSV_BLOCK = 64
+_CSV_BLOCK = 1024
+_CRLF = "\r\n"
 
 
-def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write (values, format) columns, format turning a slice of values into
-    fields that need no quoting, as csv.writer would (CRLF rows).  Rows are
-    formatted a block at a time, so memory does not grow with the file."""
-    n = len(columns[0][0])
+def _write_csv(path: str, header: list[str], columns, eol: str = "\n") -> None:
+    """Write (values, field) array columns of equal length as CSV rows ended by
+    eol (CRLF rows as csv.writer writes them).  A field is "%.17g" (round-trip
+    text of a float64, inf as "inf"), "%d", "%s", or "class" for class labels,
+    empty for class 0 (none); fields must need no quoting.  Each block of rows
+    becomes Python objects and then text through one %-template, so memory
+    does not grow with the file."""
+    row = ",".join("%s" if field == "class" else field for _, field in columns) + eol
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, _CSV_BLOCK):
-            fields = [fmt(values[lo : lo + _CSV_BLOCK]) for values, fmt in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*fields))
-
-
-def _fmt(x: float) -> str:
-    """Round-trip text of a float64; "%.17g" already spells +inf as "inf"."""
-    return "%.17g" % x
-
-
-def _fmt_all(values) -> list[str]:
-    return [_fmt(x) for x in np.asarray(values, dtype=float).tolist()]
-
-
-def _int_column(values) -> list[str]:
-    return list(map(str, np.asarray(values, dtype=int).tolist()))
-
-
-def _class_column(labels) -> list[str]:
-    """Class labels as CSV fields; class 0 (none) is an empty field."""
-    return ["" if c == "0" else c for c in _int_column(labels)]
+        fh.write(",".join(header) + eol)
+        for lo in range(0, len(columns[0][0]), _CSV_BLOCK):
+            block = []
+            for values, field in columns:
+                objects = values[lo : lo + _CSV_BLOCK].tolist()
+                block.append([c or "" for c in objects] if field == "class" else objects)
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 @dataclass(frozen=True)
@@ -97,8 +87,9 @@ class EventTimeline:
         return int(np.searchsorted(self.times, t, side="right"))
 
     def to_csv(self, path: str) -> None:
-        labels = np.zeros(self.times.size) if self.labels is None else self.labels
-        _write_csv(path, ["time", "class"], [(self.times, _fmt_all), (labels, _class_column)])
+        # unlabelled: a zero-strided column of class 0, so every class field is empty
+        labels = np.broadcast_to(0, self.times.shape) if self.labels is None else self.labels
+        _write_csv(path, ["time", "class"], [(self.times, "%.17g"), (labels, "class")], _CRLF)
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,7 @@ class SubordinatorGrid:
 
     def to_csv(self, path: str) -> None:
         t = np.arange(self.values.size) * self.step
-        _write_csv(path, ["t", "y"], [(t, _fmt_all), (self.values, _fmt_all)])
+        _write_csv(path, ["t", "y"], [(t, "%.17g"), (self.values, "%.17g")], _CRLF)
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,7 @@ class InverseClockGrid:
             raise ParameterError("t_grid and y_values must have equal length")
 
     def to_csv(self, path: str) -> None:
-        _write_csv(path, ["t", "y"], [(self.t_grid, _fmt_all), (self.y_values, _fmt_all)])
+        _write_csv(path, ["t", "y"], [(self.t_grid, "%.17g"), (self.y_values, "%.17g")], _CRLF)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .processes import EventTimeline, _class_column, _fmt_all, _int_column, _write_csv
+from .processes import _CRLF, EventTimeline, _write_csv
 from .samplers import RngStream
 
 
@@ -127,14 +127,14 @@ class QueueTrajectory:
             + ["q_total", "infimum"]
         )
         columns = [
-            (self.event_times, _fmt_all),
-            (self.event_types, list),
-            (self.event_classes, _class_column),
-            *((q, _int_column) for q in self.lengths.T),
-            (self.total_lengths, _int_column),
-            (self.netflow_infimum, _int_column),
+            (self.event_times, "%.17g"),
+            (self.event_types, "%s"),
+            (self.event_classes, "class"),
+            *((q, "%d") for q in self.lengths.T),
+            (self.total_lengths, "%d"),
+            (self.netflow_infimum, "%d"),
         ]
-        _write_csv(path, header, columns)
+        _write_csv(path, header, columns, _CRLF)
 
 
 def simulate_multiclass_queue(

@@ -27,6 +27,10 @@ class RngStream:
     # exponentials of a one-row stable block not drawn yet (_stable_draws)
     _owed: int = field(default=0, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+
     def generator(self) -> np.random.Generator:
         """The underlying generator; successive calls continue one stream.
         Exponentials owed by a one-row stable block are drawn and discarded

@@ -1,6 +1,7 @@
 """Command-line behavior: flag/config handling, artifacts, exit codes, and
 byte-level determinism of seeded runs."""
 
+import csv
 import json
 import os
 import shutil
@@ -8,8 +9,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fracq import (
+    FppParams,
+    LocationSampler,
+    RngStream,
+    ecdf,
+    renewal_counts,
+    sample_mittag_leffler,
+    sample_positive_stable,
+    simulate_continuum_queue,
+    simulate_fpp_renewal,
+    timechange_counts,
+)
 from fracq.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -216,6 +230,27 @@ def test_invalid_theta_is_usage_error(tmp_path):
 @pytest.mark.parametrize(
     "args, config",
     [
+        (["sample", "ml", "--theta", 0.5, "--seed", -1], None),
+        (["queue", "--alpha", 0.8, "--beta", 0.7, "--lambda", 1, "--mu", 1,
+          "--p", "0.5,0.5", "--horizon", 5, "--seed", -1], None),
+        (["fpp", "renewal", "--theta", 0.7, "--lambda", 1, "--horizon", 5, "--seed", -1], None),
+        (["fpp", "timechange", "--theta", 0.7, "--lambda", 1, "--horizon", 5], {"seed": -1}),
+    ],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, args, config):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", cfg]
+    assert run_cli(*args, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fracq: usage error: seed must be a nonnegative integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
         (["fpp", "timechange", "--theta", 0.7, "--lambda", 1, "--horizon", 1, "--step", "nan"],
          None),
         (["fpp", "renewal", "--theta", 0.7, "--lambda", 1, "--horizon", "inf"], None),
@@ -374,6 +409,99 @@ def test_plot_data_unknown_kind(tmp_path, capsys):
     code = run_cli("plot-data", "--kind", "sparkline", "--input",
                    tmp_path / "samples.csv", "--out", tmp_path)
     assert code == 2
+
+
+# artifact bytes
+
+
+def per_row_lf_csv(header, rows):
+    """A CSV as written one row at a time: fields joined by commas, "\n"
+    after each row."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+
+
+def floats(*columns):
+    return [["%.17g" % x for x in row] for row in zip(*columns)]
+
+
+def test_lf_artifacts_match_per_row_formatting(tmp_path):
+    def artifact(sub, name, *args):
+        assert run_cli(*args, "--out", tmp_path / sub) == 0
+        return (tmp_path / sub / name).read_bytes()
+
+    # samples.csv, longer than one block of rows, and header only
+    ml = sample_mittag_leffler(FppParams(0.6, 1.0), RngStream(seed=3), size=2500)
+    got = artifact("ml", "samples.csv", "sample", "ml", "--theta", 0.6, "--replicas", 2500,
+                   "--seed", 3)
+    assert got == per_row_lf_csv(["value"], floats(ml))
+    stable = sample_positive_stable(0.7, RngStream(seed=4), size=1500)
+    got = artifact("stable", "samples.csv", "sample", "stable", "--theta", 0.7,
+                   "--replicas", 1500, "--seed", 4)
+    assert got == per_row_lf_csv(["value"], floats(stable))
+    assert artifact("none", "samples.csv", "sample", "ml", "--theta", 0.6, "--replicas", 0,
+                    "--seed", 3) == b"value\n"
+
+    # best_ask.csv, with an empty book (+inf)
+    rng = RngStream(seed=1)
+    arrivals = simulate_fpp_renewal(FppParams(0.8, 2.0), 50.0, rng.substream(0))
+    departures = simulate_fpp_renewal(FppParams(0.5, 1.0), 50.0, rng.substream(1))
+    ask, _ = simulate_continuum_queue(arrivals, LocationSampler.uniform(1.0, 2.0), departures,
+                                      rng.substream(2))
+    got = artifact("auction", "best_ask.csv", "auction", "--alpha", 0.8, "--beta", 0.5,
+                   "--lambda", 2.0, "--mu", 1.0, "--locations", "uniform:1,2",
+                   "--horizon", 50.0, "--seed", 1)
+    assert b",inf\n" in got
+    assert got == per_row_lf_csv(["time", "best_ask"], floats(ask.jump_times, ask.values))
+
+    # plot_ecdf.csv, plot_qq.csv and plot_path.csv
+    got = artifact("plot", "plot_ecdf.csv", "plot-data", "--kind", "ecdf",
+                   "--input", tmp_path / "ml" / "samples.csv")
+    assert got == per_row_lf_csv(["value", "cum_prob"], floats(*ecdf(ml)))
+    got = artifact("plot", "plot_qq.csv", "plot-data", "--kind", "qq",
+                   "--input", tmp_path / "ml" / "samples.csv",
+                   "--input2", tmp_path / "stable" / "samples.csv")
+    grid = (np.arange(1500) + 0.5) / 1500
+    rows = floats(np.quantile(np.sort(ml), grid), np.quantile(np.sort(stable), grid))
+    assert got == per_row_lf_csv(["theoretical_q", "empirical_q"], rows)
+    assert run_cli("queue", "--alpha", 0.9, "--beta", 0.9, "--lambda", 2.0, "--mu", 2.0,
+                   "--p", "0.3,0.7", "--horizon", 2000, "--seed", 2,
+                   "--out", tmp_path / "queue") == 0
+    with open(tmp_path / "queue" / "trajectory.csv", newline="") as fh:
+        rows = [(row["time"], row["q_total"]) for row in csv.DictReader(fh)]
+    assert len(rows) > 1024
+    got = artifact("plot", "plot_path.csv", "plot-data", "--kind", "path",
+                   "--input", tmp_path / "queue" / "trajectory.csv")
+    assert got == per_row_lf_csv(["time", "value"], rows)
+
+    # an experiment's ecdf CSVs
+    assert run_cli("verify", "pmf", "--theta", 0.7, "--lambda", 1.0, "--replicas", 5000,
+                   "--seed", 3, "--out", tmp_path / "pmf") in (0, 1)
+    rng, params = RngStream(seed=3), FppParams(0.7, 1.0)
+    for name, counts in [("renewal", renewal_counts(params, 1.0, 5000, rng.substream(0))),
+                         ("timechange", timechange_counts(params, 1.0, 5000, rng.substream(1)))]:
+        got = (tmp_path / "pmf" / f"pmf_{name}_ecdf.csv").read_bytes()
+        assert got == per_row_lf_csv(["x", "F"], floats(*ecdf(counts)))
+
+
+def test_many_commands_in_one_process_match_a_fresh_process(tmp_path):
+    args = ["fpp", "timechange", "--theta", 0.7, "--lambda", 2, "--horizon", 50, "--seed", 4]
+    assert run_cli(*args, "--step", 0.05, "--p", "0.4,0.6", "--out", tmp_path / "a") == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, "--no-such-flag", 1, "--out", tmp_path / "b")
+    assert exc.value.code == 2
+    assert run_cli(*args, "--step", 0, "--p", "0.4,0.6", "--out", tmp_path / "c") == 2
+    assert run_cli(*args, "--out", tmp_path / "in_process") == 0
+    src = str(REPO / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracq.cli", *map(str, args), "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "in_process" / "timeline.csv").read_bytes() == (
+        tmp_path / "fresh" / "timeline.csv"
+    ).read_bytes()
 
 
 # installed entry point

@@ -3,6 +3,7 @@ agreement between the renewal and time-change routes."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_timeline_and_grid_csv_match_csv_writer(tmp_path):
     grid.to_csv(str(tmp_path / "grid.csv"))
     rows = [("%.17g" % (k * 0.1), "%.17g" % v) for k, v in enumerate(grid.values)]
     assert (tmp_path / "grid.csv").read_bytes() == writer_bytes(["t", "y"], rows)
+
+
+def test_csv_writer_memory_does_not_grow_with_the_file(tmp_path):
+    n = 1_000_000
+    tl = EventTimeline(horizon=float(n), times=np.arange(1, n + 1, dtype=float),
+                       labels=np.random.default_rng(2).integers(1, 4, size=n))
+    tracemalloc.start()
+    try:
+        tl.to_csv(str(tmp_path / "big.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with open(tmp_path / "big.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == n + 1
 
 
 # class probabilities

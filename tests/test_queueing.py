@@ -286,12 +286,18 @@ def csv_writer_bytes(path, header, rows):
 
 
 def test_trajectory_csv_matches_csv_writer(tmp_path):
-    # wasted services (class 0), three classes, and an empty run
+    # wasted services (class 0), three classes, an empty run, and more rows
+    # than one formatting block
     arr = make_timeline([0.5, 1.0, 1.0 + 1e-9, 2.0, 3.25], 5.0, labels=[2, 1, 3, 3, 1])
     dep = make_timeline([0.25, 1.0, 2.5, 3.0, 4.0, 4.5, 4.75], 5.0)
     empty = make_timeline([], 5.0, labels=[])
+    g = np.random.default_rng(4)
+    long_arr = make_timeline(np.cumsum(g.exponential(size=1500)), 1e4,
+                             labels=g.integers(1, 3, size=1500))
+    long_dep = make_timeline(np.cumsum(g.exponential(size=1500)), 1e4)
     for traj in (simulate_multiclass_queue(arr, dep, n_classes=3),
-                 simulate_multiclass_queue(empty, make_timeline([], 5.0), n_classes=2)):
+                 simulate_multiclass_queue(empty, make_timeline([], 5.0), n_classes=2),
+                 simulate_multiclass_queue(long_arr, long_dep)):
         header = (["time", "event_type", "class"]
                   + [f"q_{i}" for i in range(1, traj.n_classes + 1)] + ["q_total", "infimum"])
         rows = [

@@ -81,6 +81,18 @@ def test_substream_paths_distinct():
             assert not np.array_equal(draws[keys[i]], draws[keys[j]])
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+        RngStream(seed=seed)
+
+
+def test_numpy_and_large_integer_seeds_are_accepted():
+    a = RngStream(seed=np.int64(3)).generator().random(4)
+    np.testing.assert_array_equal(a, RngStream(seed=3).generator().random(4))
+    assert RngStream(seed=0).generator().random() != RngStream(seed=2**70).generator().random()
+
+
 def test_scalar_and_shape_conventions():
     rng = RngStream(seed=0)
     assert isinstance(sample_positive_stable(0.5, rng), float)

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,3 +24,12 @@ def test_scaling_bias_sweep_writes_one_row_per_decade(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["u"]) for r in rows] == [10.0, 100.0]
     assert all(r["regime"] == "arrivals-dominate" for r in rows)
+
+
+def test_verification_suite_rejects_a_negative_seed_before_any_experiment(tmp_path, capsys):
+    suite = load_script("run_verification_suite")
+    with pytest.raises(SystemExit) as exc:
+        suite.main(["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
