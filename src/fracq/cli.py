@@ -83,18 +83,32 @@ def _merge_config(ns: argparse.Namespace) -> None:
     and inf in numeric flags and config entries alike."""
     if ns.config:
         with open(ns.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"config file {ns.config} is not JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ParameterError("config file must hold one JSON object")
         for key, value in cfg.items():
             if key not in _FLAG_SPECS and key != "out":
                 raise ParameterError(f"unknown config key {key!r}")
             dest, typ = _FLAG_SPECS.get(key, ("out", str))
-            if getattr(ns, dest, None) is None:
-                setattr(ns, dest, typ(value) if value is not None else None)
+            if getattr(ns, dest, None) is None and value is not None:
+                setattr(ns, dest, _config_value(key, value, typ))
     for flag, (dest, typ) in _FLAG_SPECS.items():
         if typ is float and not math.isfinite(getattr(ns, dest, None) or 0.0):
             raise ParameterError(f"--{flag} must be a finite number, got {getattr(ns, dest)}")
+
+
+def _config_value(key: str, value, typ):
+    """Convert one config entry as its flag would convert the same text; only
+    a string or a number stands for a flag's text, never a bool or a list."""
+    if isinstance(value, str | int | float) and not isinstance(value, bool):
+        try:
+            return typ(str(value))
+        except ValueError:
+            pass
+    raise ParameterError(f"config key {key!r}: invalid {typ.__name__} value {json.dumps(value)}")
 
 
 def _require(ns: argparse.Namespace, **defaults):
@@ -350,6 +364,8 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
             raise ParameterError("qq needs --input (theoretical) and --input2 (empirical)")
         theo = np.sort(_read_column(input_path, column or "value"))
         emp = np.sort(_read_column(input2_path, column or "value"))
+        if not (theo.size and emp.size):
+            raise ParameterError("empty sample")
         m = min(theo.size, emp.size)
         grid = (np.arange(m) + 0.5) / m
         tq = np.quantile(theo, grid)

@@ -301,7 +301,7 @@ def simulate_subordinator(
     if not (0.0 < theta <= 1.0):
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
     if step <= 0 or s_max < step:
-        raise ParameterError("require 0 < step <= s_max")
+        raise ParameterError(f"step must be positive and finite, got {step}")
     m = int(math.ceil(s_max / step - 1e-12))
     incs = step ** (1.0 / theta) * sample_positive_stable(theta, rng, size=m)
     values = np.concatenate([[0.0], np.cumsum(incs)])
@@ -339,7 +339,7 @@ def _covering_levels(
     blocks of half the levels drawn (at least 64) until one is above."""
     mean_y, var_y = inverse_subordinator_moments(theta, horizon)
     if not 0.0 < step < math.inf:
-        raise ParameterError("require 0 < step <= s_max")
+        raise ParameterError(f"step must be positive and finite, got {step}")
     sd_y = math.sqrt(var_y)
     scale = step ** (1.0 / theta)
 

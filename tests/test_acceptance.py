@@ -19,7 +19,6 @@ from fracq import (
     ClassProbabilities,
     EventTimeline,
     LimitLawSampler,
-    LocationSampler,
     RngStream,
     StepFunction,
     aggregate_lengths,
@@ -216,19 +215,18 @@ def test_criterion_06_reflection_oracle_equivalence():
     report(6, True, f"exact equality on 100 runs ({checked} aggregate paths)")
 
 
+def battery_point(name: str, seed: int):
+    """One point of the verification battery at its base replica count."""
+    _, verify, kw = limitlab.BATTERY[name]
+    return verify(rng=RngStream(seed=seed), verbose=False, **kw)
+
+
 def test_criterion_07_lln_and_fclt():
-    probs = ClassProbabilities(np.array([0.3, 0.7]))
     stats_seen = []
     ok = True
-    for theta in (0.7, 1.0):
-        r_lln = limitlab.verify_lln(
-            theta, 1.0, probs, t=1.0, u=1e3, replicas=10_000,
-            rng=RngStream(seed=0), verbose=False,
-        )
-        r_fclt = limitlab.verify_fclt(
-            theta, 1.0, probs, t=1.0, u=1e3, replicas=10_000,
-            rng=RngStream(seed=0), verbose=False,
-        )
+    for theta in ("0.7", "1.0"):
+        r_lln = battery_point(f"lln_theta_{theta}", 0)
+        r_fclt = battery_point(f"fclt_theta_{theta}", 0)
         ok = ok and r_lln.verdict and r_fclt.verdict
         stats_seen.append(f"theta={theta}: lln={r_lln.statistic:.3g} fclt={r_fclt.statistic:.3g}")
     report(7, ok, "; ".join(stats_seen))
@@ -236,22 +234,9 @@ def test_criterion_07_lln_and_fclt():
 
 
 def test_criterion_08_queue_scaling_regimes():
-    probs = ClassProbabilities(np.array([0.3, 0.7]))
-    # the arrivals-dominate observable converges like u^(beta-alpha) plus
-    # counting noise; one extra decade of u over the other regimes is needed
-    # before a KS test at this replica count stops seeing the bias
-    r_arr = limitlab.verify_queue_scaling(
-        0.9, 0.3, 1.0, 1.0, probs, i=1, t=1.0, u=1e5, replicas=1000,
-        rng=RngStream(seed=1), verbose=False,
-    )
-    r_srv = limitlab.verify_queue_scaling(
-        0.3, 0.9, 1.0, 1.0, probs, i=1, t=1.0, u=1e3, replicas=1000,
-        rng=RngStream(seed=0), verbose=False,
-    )
-    r_bal = limitlab.verify_queue_scaling(
-        0.6, 0.6, 1.1, 1.0, ClassProbabilities(np.array([0.5, 0.5])), i=2,
-        t=1.0, u=1e3, replicas=2000, rng=RngStream(seed=0), verbose=False,
-    )
+    r_arr = battery_point("queue_scaling_arrivals", 1)
+    r_srv = battery_point("queue_scaling_services", 0)
+    r_bal = battery_point("queue_scaling_balanced", 0)
     ok = r_arr.verdict and r_srv.verdict and r_bal.verdict
     report(
         8,
@@ -263,30 +248,17 @@ def test_criterion_08_queue_scaling_regimes():
 
 
 def test_criterion_09_centered_queue_clt_regimes():
-    probs = ClassProbabilities(np.array([0.3, 0.7]))
-    outcomes = {}
-    for label, (a, b) in (
-        ("arrivals", (0.9, 0.3)),
-        ("services", (0.3, 0.9)),
-        ("balanced", (0.6, 0.6)),
-    ):
-        r = limitlab.verify_centered_queue_clt(
-            a, b, 1.0, 1.0, probs, i=2, t=1.0, u=1e3, replicas=2000,
-            rng=RngStream(seed=0), verbose=False,
-        )
-        outcomes[label] = r
+    outcomes = {
+        label: battery_point(f"centered_clt_{label}", 0)
+        for label in ("arrivals", "services", "balanced")
+    }
     ok = all(r.verdict for r in outcomes.values())
     report(9, ok, ", ".join(f"{k} p={r.statistic:.4g}" for k, r in outcomes.items()))
     assert ok
 
 
 def test_criterion_10_recurrence_proxy():
-    # medians of the integer emptying count move by well under one unit per
-    # decade, so consecutive decades tie; two-decade spacing resolves the trend
-    r = limitlab.verify_recurrence(
-        0.6, 2.0, 1.0, ClassProbabilities(np.array([1.0])),
-        horizons=(1e2, 1e4, 1e6), replicas=200, rng=RngStream(seed=0), verbose=False,
-    )
+    r = battery_point("recurrence", 0)
     report(
         10,
         r.verdict,
@@ -299,26 +271,17 @@ def test_criterion_10_recurrence_proxy():
 def test_criterion_11_oscillation_proxy():
     outcomes = []
     ok = True
-    for theta, c in ((0.5, 1.0), (0.7, 4.0)):
-        r = limitlab.verify_oscillation(
-            theta, c, horizons=(1e2, 1e3, 1e4), replicas=200,
-            rng=RngStream(seed=0), verbose=False,
-        )
+    for name in ("oscillation_c_1", "oscillation_c_4"):
+        r = battery_point(name, 0)
         ok = ok and r.verdict
-        outcomes.append(f"(theta={theta}, c={c}) margin={r.statistic:.3g}")
+        outcomes.append(f"(theta={r.parameters['theta']}, c={r.parameters['c']}) "
+                        f"margin={r.statistic:.3g}")
     report(11, ok, "; ".join(outcomes))
     assert ok
 
 
 def test_criterion_12_best_ask_convergence():
-    # the exceedance clause already resolves by t=1e3; the near-infimum mass
-    # clause crosses its 0.9 frequency threshold one decade later, so the
-    # ladder carries a fourth rung and the pass margins bind at the top of it
-    r = limitlab.verify_best_ask(
-        0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0),
-        t_values=(10.0, 1e2, 1e3, 1e4), replicas=200,
-        rng=RngStream(seed=0), verbose=False,
-    )
+    r = battery_point("best_ask", 0)
     exc = r.details["exceedance"]["0.1"]
     mass = r.details["near_mass_freq"]["0.1"]
     report(12, r.verdict, f"exceedance ladder {exc}, near-mass ladder {mass}")

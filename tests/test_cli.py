@@ -99,6 +99,30 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"replicas": 2.7, "seed": 1.5}', "config key 'replicas': invalid int value 2.7"),
+        ('{"seed": 1.5}', "config key 'seed': invalid int value 1.5"),
+        ('{"replicas": true}', "config key 'replicas': invalid int value true"),
+        ('{"replicas": "2.7"}', "config key 'replicas': invalid int value \"2.7\""),
+        ('{"theta": "abc"}', "config key 'theta': invalid float value \"abc\""),
+        ('{"theta": [0.5]}', "config key 'theta': invalid float value [0.5]"),
+        ('{"theta": 0.5,', "is not JSON"),
+    ],
+)
+def test_config_value_a_flag_would_reject_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    args = ["sample", "ml", "--config", cfg, "--out", tmp_path]
+    if "theta" not in text:
+        args += ["--theta", 0.6]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fracq: usage error: ") and message in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
 def test_fracq_out_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FRACQ_OUT", str(tmp_path / "fromenv"))
     assert run_cli("sample", "stable", "--theta", 0.5, "--replicas", 50) == 0
@@ -402,6 +426,16 @@ def test_plot_data_qq_needs_second_input(tmp_path, capsys):
     code = run_cli("plot-data", "--kind", "qq", "--input",
                    tmp_path / "samples.csv", "--out", tmp_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["ecdf", "qq"])
+def test_plot_data_of_an_empty_sample_is_usage_error(tmp_path, capsys, kind):
+    assert run_cli("sample", "ml", "--theta", 0.6, "--replicas", 0, "--out", tmp_path) == 0
+    sample = tmp_path / "samples.csv"
+    code = run_cli("plot-data", "--kind", kind, "--input", sample, "--input2", sample,
+                   "--out", tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "fracq: usage error: empty sample\n"
 
 
 def test_plot_data_unknown_kind(tmp_path, capsys):

@@ -484,3 +484,12 @@ def test_compensated_queue_end_matches_full_sort():
         )
         assert arr_pos[-1] > ya[-1] and dep_pos[-1] > yb[-1]
         assert got == _reflect(path)[-1]
+
+
+def test_battery_keys_streams_by_offset_and_scales_replicas():
+    runners = dict(limitlab.battery(3, 0.001, 1))
+    assert list(runners) == list(limitlab.BATTERY)
+    pmf = runners["pmf_theta_0.7"](None)
+    cov = runners["covariance"](None)
+    assert (pmf.seed, pmf.replicas) == (3, 100)
+    assert (cov.seed, cov.replicas) == (5, 1000)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from fracq import limitlab
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -33,3 +35,9 @@ def test_verification_suite_rejects_a_negative_seed_before_any_experiment(tmp_pa
     assert exc.value.code == 2
     assert "--seed must be a nonnegative integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_verification_suite_lists_the_battery_in_table_order(capsys):
+    suite = load_script("run_verification_suite")
+    assert suite.main(["--list"]) == 0
+    assert capsys.readouterr().out.split() == list(limitlab.BATTERY)
