@@ -24,14 +24,13 @@ from .errors import DomainError, ParameterError
 from .gof import chi_square_counts, ecdf, ks_two_sample
 from .processes import (
     ClassProbabilities,
-    EventTimeline,
     _covering_levels,
     _renewal_times,
     _write_csv,
     renewal_counts,
     timechange_counts,
 )
-from .queueing import LocationSampler, _reflect, reflected_path_stats, simulate_continuum_queue
+from .queueing import LocationSampler, _reflect, reflected_path_stats
 from .samplers import RngStream, sample_inverse_subordinator_at
 from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
 
@@ -253,16 +252,12 @@ class LimitLawSampler:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown limit-law kind {self.kind!r}")
-        # comparisons written to fail on NaN
-        if not (0.0 < self.t < math.inf):
-            raise ParameterError("t must be positive and finite")
+        _require_positive(t=self.t, resolution=self.resolution)
         for th in (self.theta_a, self.theta_b):
             if not (0.0 < th <= 1.0):
                 raise ParameterError(f"clock index must be in (0, 1], got {th}")
         if not (0.0 <= self.coef_a < math.inf and 0.0 <= self.coef_b < math.inf):
             raise ParameterError("coefficients must be nonnegative and finite")
-        if not (0.0 < self.resolution < math.inf):
-            raise ParameterError("resolution must be positive and finite")
 
     @classmethod
     def inverse_clock(cls, theta: float, scale: float, t: float) -> "LimitLawSampler":
@@ -414,6 +409,13 @@ def _compensated_queue_end(
 # ---------------------------------------------------------------------------
 # verification experiments
 
+def _require_positive(**values: float) -> None:
+    """Reject any value outside (0, inf); NaN fails the comparison too."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {v}")
+
+
 def _require_ks_can_reject(replicas: int, p_min: float) -> None:
     """Reject a p_min outside (0, 1), or a replica count n at which a two-sample
     KS p-value, never below 2 / C(2n, n), cannot fall below p_min."""
@@ -439,6 +441,7 @@ def verify_pmf(
 ) -> ExperimentReport:
     """Both process constructions against the analytic pmf, and against
     each other."""
+    _require_positive(t=t)
     _require_ks_can_reject(replicas, p_min)
     params = FppParams(theta=theta, lam=lam)
     ren = renewal_counts(params, t, replicas, rng.substream(0))
@@ -484,6 +487,7 @@ def verify_covariance(
     """Empirical second moments of thinned counts against the analytic
     covariance p_i p_j lam^(2 alpha) Var Y_alpha(t) (and the matching
     per-class variances)."""
+    _require_positive(t=t)
     total = renewal_counts(FppParams(alpha, lam), t, replicas, rng.substream(0))
     split = rng.substream(1).generator().multinomial(total, probs.p).astype(float)
     mean_y, var_y = inverse_subordinator_moments(alpha, t)
@@ -534,6 +538,7 @@ def verify_lln(
 ) -> ExperimentReport:
     """Scaled class counts N_i(ut)/u^theta against the law lam^theta p_i Y(t);
     at theta = 1 the limit is deterministic and the check is an RMS window."""
+    _require_positive(t=t, u=u)
     if theta != 1.0:
         _require_ks_can_reject(replicas, p_min)
     total = renewal_counts(FppParams(theta, lam), u * t, replicas, rng.substream(0))
@@ -602,6 +607,7 @@ def verify_fclt(
     width u^(-1/2); the oracle is projected onto that lattice before the KS
     comparison to keep the test well specified.
     """
+    _require_positive(t=t, u=u)
     _require_ks_can_reject(replicas, p_min)
     rate = lam**theta
     y_big = sample_inverse_subordinator_at(theta, u * t, rng.substream(0), size=replicas)
@@ -697,6 +703,7 @@ def verify_queue_scaling(
     balanced (limit Phi(lam^alpha P_i Y - mu^beta Y~)(t), KS); the balanced
     regime also checks the per-class difference Q_i when i >= 2.
     """
+    _require_positive(t=t, u=u)
     gamma = max(alpha, beta)
     head = probs.head_sum(i)
     horizon = u * t
@@ -794,6 +801,7 @@ def verify_centered_queue_clt(
 ) -> ExperimentReport:
     """Reflected compensated netflow, scaled by u^(gamma/2), against the
     reflected difference of Brownian motions on independent inverse clocks."""
+    _require_positive(t=t, u=u)
     _require_ks_can_reject(replicas, p_min)
     gamma = max(alpha, beta)
     head = probs.head_sum(i)
@@ -915,8 +923,7 @@ def verify_oscillation(
     running max strictly increases along growing horizons."""
     if not (0.0 < theta < 1.0):
         raise ParameterError("oscillation requires theta in (0, 1); at 1 the difference is degenerate")
-    if c <= 0:
-        raise ParameterError("c must be positive")
+    _require_positive(c=c)
 
     def one(horizon: float, sub: RngStream) -> tuple[float, float]:
         path = _clock_difference_path(theta, 1.0, theta, c, horizon, resolution, sub)
@@ -959,28 +966,27 @@ def verify_best_ask(
     horizon, while the queue near the infimum outgrows t^(beta/2)."""
     if alpha <= beta:
         raise ParameterError("best-ask convergence needs arrivals to dominate: alpha > beta")
+    if not (len(eps_values) and all(0.0 < eps < math.inf for eps in eps_values)):
+        raise ParameterError(f"need one or more eps in (0, inf), got {list(eps_values)}")
     a = locations.support_infimum()
     eps_main = max(eps_values)
 
-    def one(horizon: float, sub: RngStream) -> tuple[float, ...]:
-        arr = EventTimeline(
-            horizon=horizon,
-            times=_renewal_times(FppParams(alpha, lam), horizon, sub.substream(0)),
-        )
-        dep = EventTimeline(
-            horizon=horizon,
-            times=_renewal_times(FppParams(beta, mu), horizon, sub.substream(1)),
-        )
-        _, state = simulate_continuum_queue(arr, locations, dep, sub.substream(2))
-        return (state.best_ask, *(state.count_within(a + eps) for eps in eps_values))
+    def one(horizon: float, sub: RngStream) -> list[int]:
+        # serving the lowest location is static priority by location: the
+        # customers at locations <= x form their own queue, Phi(A_{<=x} - S)
+        arr = _renewal_times(FppParams(alpha, lam), horizon, sub.substream(0))
+        dep = _renewal_times(FppParams(beta, mu), horizon, sub.substream(1))
+        marks = locations.sample(sub.substream(2), arr.size)
+        return [reflected_path_stats(arr[marks <= a + eps], dep)[0] for eps in eps_values]
 
-    # columns: best ask, then the count within a + eps for each eps
+    # column j counts the queue within a + eps_j; the best ask exceeds
+    # a + eps_j exactly when that count is 0
     t_values, rungs = _ladder(one, t_values, 2, rng, replicas, jobs)
-    exceed = {eps: [float((res[:, 0] > a + eps).mean()) for res in rungs] for eps in eps_values}
-    mass_freq = {
-        eps: [float((res[:, 1 + j] > tv ** (beta / 2.0)).mean()) for tv, res in zip(t_values, rungs)]
-        for j, eps in enumerate(eps_values)
-    }
+    exceed, mass_freq = {}, {}
+    for j, eps in enumerate(eps_values):
+        exceed[eps] = [float((res[:, j] == 0).mean()) for res in rungs]
+        mass_freq[eps] = [float((res[:, j] > tv ** (beta / 2.0)).mean())
+                          for tv, res in zip(t_values, rungs)]
 
     def _noise_slack(p_prev: float, p_next: float) -> float:
         # two-sided binomial noise on the difference of consecutive estimates

@@ -325,6 +325,39 @@ def test_bad_replicas_or_horizons_is_usage_error(tmp_path, capsys, args, message
     assert "usage error" in err and message in err
 
 
+LLN = ["verify", "lln", "--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5"]
+SCALING = ["verify", "scaling", "--alpha", 0.3, "--beta", 0.9, "--lambda", 1, "--mu", 1]
+BEST_ASK = ["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1,
+            "--locations", "uniform:1,2"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([*LLN, "--t", 0], "t must be positive and finite, got 0.0"),
+        ([*LLN, "--u", 0], "u must be positive and finite, got 0.0"),
+        (["verify", "fclt", "--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5", "--u", 0],
+         "u must be positive"),
+        ([*SCALING, "--t", 0], "t must be positive"),
+        ([*SCALING, "--u", -2], "u must be positive"),
+        (["verify", "covariance", "--alpha", 0.7, "--lambda", 1, "--p", "0.5,0.5", "--t", 0],
+         "t must be positive"),
+        (["verify", "centered-clt", "--alpha", 0.6, "--beta", 0.6, "--lambda", 1, "--mu", 1,
+          "--u", 0], "u must be positive"),
+        (["verify", "pmf", "--theta", 0.7, "--lambda", 1, "--t", -1], "t must be positive"),
+        ([*BEST_ASK, "--eps", ","], "eps in (0, inf), got []"),
+        ([*BEST_ASK, "--eps", 0], "eps in (0, inf)"),
+        ([*BEST_ASK, "--eps", "0.1,-0.5"], "eps in (0, inf)"),
+    ],
+)
+def test_nonpositive_time_scale_or_window_is_usage_error(tmp_path, capsys, args, message):
+    # rejected before anything is drawn: no verdict line
+    assert run_cli(*args, "--out", tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert "usage error" in err and message in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
 # a two-sample KS p-value at n replicas each is never below 2 / C(2n, n):
 # 2.2e-3 at n = 6 and 5.8e-4 at n = 7, either side of the default p_min 1e-3
 KS_EXPERIMENTS = {

@@ -399,6 +399,21 @@ def test_verify_validation_errors():
         )
 
 
+def test_nan_time_scale_or_window_is_rejected():
+    # the CLI rejects NaN flags itself; the experiments must too
+    with pytest.raises(ParameterError, match="u must be positive and finite, got nan"):
+        limitlab.verify_lln(0.7, 1.0, PROBS2, t=1.0, u=math.nan, replicas=10,
+                            rng=RngStream(seed=0), verbose=False)
+    with pytest.raises(ParameterError, match="t must be positive and finite, got nan"):
+        limitlab.verify_covariance(0.7, 1.0, PROBS2, t=math.nan, replicas=10,
+                                   rng=RngStream(seed=0), verbose=False)
+    with pytest.raises(ParameterError, match=r"eps in \(0, inf\)"):
+        limitlab.verify_best_ask(
+            0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0), t_values=(1.0, 10.0),
+            replicas=5, rng=RngStream(seed=0), eps_values=(0.1, math.nan), verbose=False,
+        )
+
+
 @pytest.mark.parametrize("p_min", [0.05, 1e-3, 1e-6])
 def test_ks_check_accepts_the_fewest_replicas_that_can_reject(p_min):
     # the smallest two-sample KS p-value at n each is that of two samples that

@@ -460,3 +460,35 @@ def test_continuum_queue_horizon_mismatch():
             make_timeline([1.0], 3.0),
             RngStream(seed=41),
         )
+
+
+IDENTITY_SAMPLERS = [
+    LocationSampler.uniform(1.0, 2.0),
+    LocationSampler.point_masses([1.0, 1.05, 2.0], [0.2, 0.3, 0.5]),
+    LocationSampler.empirical([1.5, 1.0, 1.05, 1.0, 2.5]),
+]
+
+
+@given(
+    st.lists(st.sampled_from(["A", "D", "A+D"]), max_size=80),
+    st.sampled_from(IDENTITY_SAMPLERS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_within_is_reflection_of_the_arrivals_below(script, sampler, seed):
+    # serving the lowest location is static priority by location: the
+    # customers at locations <= x are a queue of their own, fed by their own
+    # arrivals against every service.  "A+D" is an arrival and a service at
+    # one timestamp.
+    arr_t = [step for step, s in enumerate(script, start=1) if s[0] == "A"]
+    dep_t = [step for step, s in enumerate(script, start=1) if s[-1] == "D"]
+    horizon = float(len(script) + 1)
+    arrivals, departures = make_timeline(arr_t, horizon), make_timeline(dep_t, horizon)
+    _, state = simulate_continuum_queue(arrivals, sampler, departures, RngStream(seed=seed))
+    marks = sampler.sample(RngStream(seed=seed), len(arrivals))  # the queue's own marks
+    levels = np.unique(marks)
+    # finite x only: at x = inf an empty queue's best ask, inf, is not > x
+    for x in np.concatenate([levels, (levels[:-1] + levels[1:]) / 2, [0.5, 3.0]]):
+        count = reflected_path_stats(arrivals.times[marks <= x], departures.times)[0]
+        assert state.count_within(x) == count
+        assert (state.best_ask > x) == (count == 0)
