@@ -416,6 +416,15 @@ def _require_positive(**values: float) -> None:
             raise ParameterError(f"{name} must be positive and finite, got {v}")
 
 
+def _standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of x; DomainError when it is 0 or not finite
+    at two or more replicas (one replica gives NaN: a failed z-score)."""
+    se = float(x.std(ddof=1)) / math.sqrt(x.size)
+    if x.size >= 2 and not 0.0 < se < math.inf:
+        raise DomainError(f"the sample has no spread (standard error {se}); raise t or u")
+    return se
+
+
 def _require_ks_can_reject(replicas: int, p_min: float) -> None:
     """Reject a p_min outside (0, 1), or a replica count n at which a two-sample
     KS p-value, never below 2 / C(2n, n), cannot fall below p_min."""
@@ -487,7 +496,7 @@ def verify_covariance(
     """Empirical second moments of thinned counts against the analytic
     covariance p_i p_j lam^(2 alpha) Var Y_alpha(t) (and the matching
     per-class variances)."""
-    _require_positive(t=t)
+    _require_positive(t=t, z_max=z_max)
     total = renewal_counts(FppParams(alpha, lam), t, replicas, rng.substream(0))
     split = rng.substream(1).generator().multinomial(total, probs.p).astype(float)
     mean_y, var_y = inverse_subordinator_moments(alpha, t)
@@ -503,8 +512,7 @@ def verify_covariance(
                 target = probs.p[i] * rate * mean_y + probs.p[i] ** 2 * rate**2 * var_y
             else:
                 target = probs.p[i] * probs.p[j] * rate**2 * var_y
-            se = prod.std(ddof=1) / math.sqrt(replicas)
-            z = (prod.mean() - target) / se
+            z = (prod.mean() - target) / _standard_error(prod)
             z_scores[f"z_{i + 1}{j + 1}"] = float(z)
             z_scores[f"target_{i + 1}{j + 1}"] = float(target)
             z_scores[f"empirical_{i + 1}{j + 1}"] = float(prod.mean())
@@ -538,7 +546,7 @@ def verify_lln(
 ) -> ExperimentReport:
     """Scaled class counts N_i(ut)/u^theta against the law lam^theta p_i Y(t);
     at theta = 1 the limit is deterministic and the check is an RMS window."""
-    _require_positive(t=t, u=u)
+    _require_positive(t=t, u=u, concentration_tol=concentration_tol)
     if theta != 1.0:
         _require_ks_can_reject(replicas, p_min)
     total = renewal_counts(FppParams(theta, lam), u * t, replicas, rng.substream(0))
@@ -607,7 +615,7 @@ def verify_fclt(
     width u^(-1/2); the oracle is projected onto that lattice before the KS
     comparison to keep the test well specified.
     """
-    _require_positive(t=t, u=u)
+    _require_positive(t=t, u=u, z_max=z_max)
     _require_ks_can_reject(replicas, p_min)
     rate = lam**theta
     y_big = sample_inverse_subordinator_at(theta, u * t, rng.substream(0), size=replicas)
@@ -635,8 +643,8 @@ def verify_fclt(
         p_vals.append(p)
         target_var = probs.p[i] * rate * mean_y
         sq = obs_i**2
-        z_var = (sq.mean() - target_var) / (sq.std(ddof=1) / math.sqrt(replicas))
-        z_mean = obs_i.mean() / (obs_i.std(ddof=1) / math.sqrt(replicas))
+        z_var = (sq.mean() - target_var) / _standard_error(sq)
+        z_mean = obs_i.mean() / _standard_error(obs_i)
         z_ok = z_ok and abs(z_var) <= z_max and abs(z_mean) <= z_max
         details[f"class_{i + 1}"] = {
             "ks_D": d,
@@ -650,7 +658,7 @@ def verify_fclt(
         artifacts += _ecdf_artifact(out_dir, f"fclt_class{i + 1}_oracle_ecdf", ora_i)
     if probs.n_classes >= 2:
         prod = m[:, 0] * m[:, 1]
-        z_corr = prod.mean() / (prod.std(ddof=1) / math.sqrt(replicas))
+        z_corr = prod.mean() / _standard_error(prod)
         details["z_cross_class"] = float(z_corr)
         z_ok = z_ok and abs(z_corr) <= z_max
     statistic = float(min(p_vals)) if z_ok else -1.0
@@ -703,7 +711,7 @@ def verify_queue_scaling(
     balanced (limit Phi(lam^alpha P_i Y - mu^beta Y~)(t), KS); the balanced
     regime also checks the per-class difference Q_i when i >= 2.
     """
-    _require_positive(t=t, u=u)
+    _require_positive(t=t, u=u, degenerate_tol=degenerate_tol)
     gamma = max(alpha, beta)
     head = probs.head_sum(i)
     horizon = u * t

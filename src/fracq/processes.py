@@ -9,12 +9,13 @@ inverse).
 
 Renewal paths, renewal counts and covering clock grids are partial sums up
 to the first one above a level, all built by one loop, _passage, over (rows,
-columns) blocks.  A walk reads its block a chunk of columns at a time and
-stops at its first sum above the level; transforms and sums run on what it
-reads.  Each block draws all its uniforms and leading exponentials, and a
-one-row block draws its Kanter exponentials only as far as it reads, while
-its stream owes the rest and draws them before any later draw, so no drawn
-number depends on how far a walk reads.
+columns) blocks and sized by one rule: mean + 2 sd, then half the steps
+drawn, in chunks of at most 1M first-block steps.  A walk reads its block a
+chunk of columns at a time and stops at its first sum above the level;
+transforms and sums run on what it reads.  Each block draws all its uniforms
+and leading exponentials, and a one-row block draws its Kanter exponentials
+only as far as it reads, while its stream owes the rest and draws them
+before any later draw, so no drawn number depends on how far a walk reads.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
 
 
 _MIN_READ = 64  # steps a read takes at least, to spread its fixed cost
+_MIN_BLOCK = 16  # columns a block draws at least
 
 
 def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
@@ -215,22 +217,25 @@ def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
         x[:, 0] += run[:, -1]
 
 
-def _passage(draw, rows: int, level: float, k0: int, width):
-    """First passage above level of `rows` walks from 0 with positive steps, in
-    chunks of rows of at most 4M first-block steps.  draw(shape) draws a block
-    and returns its steps by numpy index; width(drawn) is the width of the
-    next block for the rows still short after `drawn` steps.  A block is read
-    from its first k0 columns, a later one from a quarter of the steps drawn.
+def _passage(draw, rows: int, level: float, mean: float, sd: float, cap: float = math.inf):
+    """First passage above level of `rows` walks from 0 with positive steps,
+    whose count of sums at or below it has mean `mean` and sd `sd`, in chunks
+    of rows of at most 1M first-block steps.  draw(shape) draws a block and
+    returns its steps by numpy index.  The one sizing rule: a first block of
+    int(mean + 2 sd) + 1 steps (at most cap + 1), read from int(mean) + 1
+    columns, then blocks of half the steps drawn, read from a quarter, for
+    the rows still short; at least _MIN_BLOCK steps each.  Raises
+    EventCapError past cap steps.
     Returns (count, drawn, path): each row's number of sums at or below the
     level and, for one walk, its steps drawn and its sums per read to the
     first above."""
+    first = max(_MIN_BLOCK, int(min(mean + 2.0 * sd, cap)) + 1)
     count, drawn, path = np.empty(rows, dtype=np.int64), 0, []
-    chunk = max(1, min(rows, 4_000_000 // width(0)))
+    chunk = max(1, min(rows, 1_000_000 // first))
     for lo in range(0, rows, chunk):
         live, size, start, drawn = slice(lo, lo + chunk), min(chunk, rows - lo), None, 0
+        n, k = first, int(mean) + 1
         while True:
-            n = width(drawn)
-            k = k0 if start is None else drawn // 4
             c, ends, reads = _first_passage(draw((size, n)), (size, n), start, level, k)
             count[live] = c if start is None else count[live] + c
             drawn += n
@@ -238,40 +243,33 @@ def _passage(draw, rows: int, level: float, k0: int, width):
                 path += reads
             if ends.size == 0:
                 break
+            if drawn > cap:
+                raise EventCapError(f"simulation exceeded {cap} events before reaching the horizon")
             start = ends
             if start.size < size:
                 live, size = np.arange(rows)[live][c == n], start.size
+            n, k = max(_MIN_BLOCK, drawn // 2), drawn // 4
     return count, drawn, path
 
 
 def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
-                   min_block: int = 16, event_cap: float = math.inf):
-    """_passage over horizon of `rows` walks of Mittag-Leffler gaps in blocks of
-    mean + 8 sd of N(horizon), at least min_block, read from a first chunk of
-    the mean count; raises EventCapError past event_cap gaps short of the
-    horizon."""
+                   event_cap: float = math.inf):
+    """_passage over horizon of `rows` walks of Mittag-Leffler gaps: blocks of
+    mean + 2 sd of the count N(horizon), then of half the gaps drawn, rows in
+    chunks of at most 1M first-block gaps; EventCapError past event_cap gaps."""
     mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
     rate = p.lam**p.theta
-    sd = math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)
-    block = max(min_block, int(rate * mean_y + 8.0 * sd))
-
-    def width(drawn: int) -> int:
-        if drawn > event_cap:
-            raise EventCapError(
-                f"renewal simulation exceeded {event_cap} events before reaching the horizon"
-            )
-        return block
-
+    sd = math.sqrt(rate**2 * var_y + rate * mean_y)
     draw = lambda shape: _mittag_leffler_draws(p, rng, shape)
-    return _passage(draw, rows, horizon, int(rate * mean_y), width)
+    return _passage(draw, rows, horizon, rate * mean_y, sd, event_cap)
 
 
 def _renewal_times(
-    p: FppParams, horizon: float, rng: RngStream, min_block: int = 16, event_cap: float = math.inf
+    p: FppParams, horizon: float, rng: RngStream, event_cap: float = math.inf
 ) -> np.ndarray:
     """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
-    sums, drawn in blocks of at least min_block and mean + 8 sd of the count."""
-    path = _renewal_walks(p, horizon, rng, 1, min_block, event_cap)[2]
+    sums, in blocks of _passage's one sizing rule (mean + 2 sd, then half)."""
+    path = _renewal_walks(p, horizon, rng, 1, event_cap)[2]
     times = path[0] if len(path) == 1 else np.concatenate(path)
     # partial sums can collide in float64 after a long wait
     times = _strictly_increasing(times[times <= horizon])
@@ -290,7 +288,7 @@ def simulate_fpp_renewal(
     """Fractional Poisson events on (0, horizon] as Mittag-Leffler partial sums."""
     if horizon <= 0:
         raise ParameterError("horizon must be positive")
-    return EventTimeline(horizon=horizon, times=_renewal_times(p, horizon, rng, 64, event_cap))
+    return EventTimeline(horizon=horizon, times=_renewal_times(p, horizon, rng, event_cap))
 
 
 def simulate_subordinator(
@@ -334,24 +332,18 @@ def _covering_levels(
     theta: float, step: float, horizon: float, rng: RngStream
 ) -> tuple[np.ndarray, int]:
     """L on the levels k step, from L(0) = 0 up to its first value above the
-    horizon, and the number of levels drawn: a first block reaching 1.25 mean
-    + 8 sd of Y(horizon), read from a first chunk reaching its mean, then
-    blocks of half the levels drawn (at least 64) until one is above."""
+    horizon, and the number of levels drawn, in _passage's blocks for the
+    level count Y(horizon) / step: mean + 2 sd, then half the levels drawn."""
     mean_y, var_y = inverse_subordinator_moments(theta, horizon)
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step}")
-    sd_y = math.sqrt(var_y)
     scale = step ** (1.0 / theta)
 
     def draw(shape):
         kanter = _stable_draws(theta, rng, shape)
         return lambda key: scale * kanter(key)
 
-    k0 = int(mean_y / step) + 1
-    m = int(math.ceil(max(step, 1.25 * mean_y + 8.0 * sd_y + 2.0 * step) / step - 1e-12))
-    _, n_levels, path = _passage(
-        draw, 1, horizon, k0, lambda drawn: max(64, (drawn + 1) // 2) if drawn else m
-    )
+    _, n_levels, path = _passage(draw, 1, horizon, mean_y / step, math.sqrt(var_y) / step)
     return np.concatenate([np.zeros(1), *path]), n_levels
 
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,46 @@ def test_p_min_outside_unit_interval_is_usage_error(tmp_path, capsys, p_min):
     assert "p_min must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "lln", "--theta", 1, "--lambda", 1, "--p", "0.5,0.5", "--tol", -1],
+         "concentration_tol must be positive and finite, got -1.0"),
+        ([*LLN, "--tol", 0], "concentration_tol must be positive"),
+        ([*SCALING, "--tol", -0.5], "degenerate_tol must be positive"),
+        (["verify", "covariance", "--alpha", 0.7, "--lambda", 1, "--p", "0.5,0.5",
+          "--z-max", 0], "z_max must be positive and finite, got 0.0"),
+        (["verify", "fclt", "--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5", "--z-max", -3],
+         "z_max must be positive"),
+    ],
+)
+def test_threshold_outside_positive_reals_is_usage_error(tmp_path, capsys, args, message):
+    # a threshold no sample can pass is rejected before anything is drawn
+    assert run_cli(*args, "--replicas", 20, "--out", tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert "usage error" in err and message in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "covariance", "--alpha", 0.7, "--lambda", 1, "--p", "0.5,0.5", "--t", 1e-9,
+         "--replicas", 50],
+        ["verify", "fclt", "--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5", "--u", 1e-300,
+         "--replicas", 20],
+    ],
+)
+def test_sample_without_spread_is_usage_error(tmp_path, capsys, args):
+    # every replica's count is 0: a z-score would divide by a zero standard error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*args, "--out", tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert "usage error" in err and "the sample has no spread" in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
 def test_experiments_without_a_ks_verdict_take_few_replicas(tmp_path):
     # the concentration window at theta = 1 and the services-dominate mean
     assert run_cli("verify", "lln", "--theta", 1, "--lambda", 1, "--p", "1.0",
@@ -508,15 +549,16 @@ def test_lf_artifacts_match_per_row_formatting(tmp_path):
     assert artifact("none", "samples.csv", "sample", "ml", "--theta", 0.6, "--replicas", 0,
                     "--seed", 3) == b"value\n"
 
-    # best_ask.csv, with an empty book (+inf)
-    rng = RngStream(seed=1)
+    # best_ask.csv, with an empty book (+inf): seed 2 is the first whose book
+    # empties before the horizon
+    rng = RngStream(seed=2)
     arrivals = simulate_fpp_renewal(FppParams(0.8, 2.0), 50.0, rng.substream(0))
     departures = simulate_fpp_renewal(FppParams(0.5, 1.0), 50.0, rng.substream(1))
     ask, _ = simulate_continuum_queue(arrivals, LocationSampler.uniform(1.0, 2.0), departures,
                                       rng.substream(2))
     got = artifact("auction", "best_ask.csv", "auction", "--alpha", 0.8, "--beta", 0.5,
                    "--lambda", 2.0, "--mu", 1.0, "--locations", "uniform:1,2",
-                   "--horizon", 50.0, "--seed", 1)
+                   "--horizon", 50.0, "--seed", 2)
     assert b",inf\n" in got
     assert got == per_row_lf_csv(["time", "best_ask"], floats(ask.jump_times, ask.values))
 

@@ -199,13 +199,29 @@ def test_renewal_poisson_reduction():
 def test_renewal_event_cap():
     with pytest.raises(EventCapError):
         simulate_fpp_renewal(FppParams(1.0, 1000.0), 1000.0, RngStream(seed=0), event_cap=100)
+    # a first block of cap + 1 gaps, not of the mean count, 1e18
+    with pytest.raises(EventCapError, match="exceeded 1000 events"):
+        simulate_fpp_renewal(FppParams(1.0, 1e9), 1e9, RngStream(seed=0), event_cap=1000)
+
+
+def raw_renewal_sums(p, horizon, seed):
+    """The partial sums of one renewal walk up to the horizon, not nudged."""
+    sums = np.concatenate(processes._renewal_walks(p, horizon, RngStream(seed=seed), 1)[2])
+    return sums[sums <= horizon]
+
+
+# seeds of 0-59 at which two raw partial sums of FppParams(0.2, 1.0) up to
+# 1e6 collide in float64
+COLLISION_SEEDS = (17, 18, 33, 42)
 
 
 def test_renewal_float_collisions_are_nudged():
     # at small theta a long wait can make later gaps fall below one ulp of the
-    # partial sum; at these seeds two partial sums collide in float64
-    for seed in (3, 5, 6, 12, 13, 38):
-        tl = simulate_fpp_renewal(FppParams(0.2, 1.0), 1e6, RngStream(seed=seed))
+    # partial sum
+    p = FppParams(0.2, 1.0)
+    for seed in COLLISION_SEEDS:
+        assert np.any(np.diff(raw_renewal_sums(p, 1e6, seed)) <= 0)
+        tl = simulate_fpp_renewal(p, 1e6, RngStream(seed=seed))
         assert np.all(np.diff(tl.times) > 0)
         assert tl.times[0] > 0 and tl.times[-1] <= 1e6
 
@@ -467,29 +483,43 @@ def test_kanter_block_keys_match_eager_draws(theta):
         assert_bitwise_equal(ml(key), ml_eager[key])
 
 
-def eager_covering_grid(theta, step, horizon, rng):
-    """The covering grid built in full: a first block of mean + 8 sd levels,
-    then blocks of max(64, size // 2) until one value passes the horizon."""
-    mean_y, var_y = processes.inverse_subordinator_moments(theta, horizon)
-    s_max = max(step, 1.25 * mean_y + 8.0 * math.sqrt(var_y) + 2.0 * step)
-    m = int(math.ceil(s_max / step - 1e-12))
-    values = np.concatenate([[0.0], np.cumsum(step ** (1.0 / theta) * eager_stable(theta, rng, m))])
-    while values[-1] <= horizon:
-        m_extra = max(64, values.size // 2)
-        incs = step ** (1.0 / theta) * eager_stable(theta, rng, m_extra)
-        values = np.concatenate([values, values[-1] + np.cumsum(incs)])
-    return values
+def block_widths(mean, sd):
+    """The one sizing rule: a first block of int(mean + 2 sd) + 1 steps, then
+    blocks of half the steps drawn so far, each at least 16."""
+    drawn, width = 0, max(16, int(mean + 2.0 * sd) + 1)
+    while True:
+        yield width
+        drawn += width
+        width = max(16, drawn // 2)
 
 
-def eager_renewal_times(p, horizon, rng, min_block):
-    """Renewal event times from blocks of Mittag-Leffler gaps drawn in full."""
+def count_widths(p, horizon):
+    """block_widths for the count N(horizon) of a renewal walk."""
     mean_y, var_y = processes.inverse_subordinator_moments(p.theta, horizon)
     rate = p.lam**p.theta
-    block = max(min_block, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
+    return block_widths(rate * mean_y, math.sqrt(rate**2 * var_y + rate * mean_y))
+
+
+def eager_covering_grid(theta, step, horizon, rng):
+    """The covering grid built in full, in blocks of block_widths for the
+    level count Y(horizon) / step until one value passes the horizon."""
+    mean_y, var_y = processes.inverse_subordinator_moments(theta, horizon)
+    values = np.zeros(1)
+    for m in block_widths(mean_y / step, math.sqrt(var_y) / step):
+        incs = step ** (1.0 / theta) * eager_stable(theta, rng, m)
+        values = np.concatenate([values, values[-1] + np.cumsum(incs)])
+        if values[-1] > horizon:
+            return values
+
+
+def eager_renewal_times(p, horizon, rng):
+    """Renewal event times from blocks of Mittag-Leffler gaps drawn in full."""
     chunks, total = [], 0.0
-    while total <= horizon:
+    for block in count_widths(p, horizon):
         chunks.append(total + np.cumsum(eager_mittag_leffler(p, rng, block)))
         total = chunks[-1][-1]
+        if total > horizon:
+            break
     times = np.concatenate(chunks)
     times = _strictly_increasing(times[times <= horizon])
     return times[times <= horizon]
@@ -531,8 +561,8 @@ def test_covering_levels_match_eager_grid():
 
 def test_covering_levels_extension_matches_eager_grid(short_blocks):
     for seed in (5, 6):
-        # a first block of 2 levels, then several extensions
-        assert check_covering_levels(0.7, 0.01, 3.0, seed) >= 2 + 64 + 64
+        # a first block of 16 levels, then several extensions
+        assert check_covering_levels(0.7, 0.01, 3.0, seed) > 16 + 16 + 16
 
 
 def test_timechange_matches_eager_construction():
@@ -553,22 +583,22 @@ def test_timechange_extension_matches_eager_construction(short_blocks):
 def check_renewal_paths(theta, lam, horizon, seed):
     p = FppParams(theta, lam)
     times = simulate_fpp_renewal(p, horizon, RngStream(seed=seed)).times
-    assert_bitwise_equal(times, eager_renewal_times(p, horizon, RngStream(seed=seed), 64))
-    # the limit-law observables' renewal paths, in blocks of at least 16
-    observable = processes._renewal_times(p, horizon, RngStream(seed=seed))
-    assert_bitwise_equal(observable, eager_renewal_times(p, horizon, RngStream(seed=seed), 16))
+    eager = eager_renewal_times(p, horizon, RngStream(seed=seed))
+    assert_bitwise_equal(times, eager)
+    # the limit-law observables' renewal paths
+    assert_bitwise_equal(processes._renewal_times(p, horizon, RngStream(seed=seed)), eager)
     return times.size
 
 
 def test_renewal_paths_match_eager_blocks():
     for seed, (theta, lam, horizon) in enumerate([(0.9, 1.0, 1e3), (0.3, 2.0, 50.0), (1.0, 3.0, 20.0)]):
         check_renewal_paths(theta, lam, horizon, seed)
-    check_renewal_paths(0.2, 1.0, 1e6, 3)  # float collisions are nudged
+    check_renewal_paths(0.2, 1.0, 1e6, COLLISION_SEEDS[0])  # float collisions are nudged
 
 
 def test_renewal_paths_with_later_blocks_match_eager_blocks(short_blocks):
     for seed, theta in enumerate((0.6, 0.8, 1.0)):
-        # blocks of 64 and 16 gaps for a few hundred events
+        # blocks from 16 gaps up for a few hundred events
         assert check_renewal_paths(theta, 4.0, 2000.0, seed) > 64
 
 
@@ -637,10 +667,11 @@ def record_renewal_reads(monkeypatch):
 
 
 def test_one_row_walk_over_two_blocks_matches_eager_sums(short_blocks, monkeypatch):
-    # blocks of 1024 gaps, the first read from 64 columns on: 1791 events
+    # blocks of at least 1024 gaps, the first read from 64 columns on: 1791 events
+    monkeypatch.setattr(processes, "_MIN_BLOCK", 1024)
     p, horizon = FppParams(0.8, 4.0), 1500.0
     reads = record_renewal_reads(monkeypatch)
-    count, drawn, path = processes._renewal_walks(p, horizon, RngStream(seed=5), 1, 1024)
+    count, drawn, path = processes._renewal_walks(p, horizon, RngStream(seed=5), 1)
     assert count[0] == 1791 and drawn == 2048 and len(reads) > 15
     # the second block is read from a quarter of the 1024 steps drawn
     assert reads[0] == (0, 64, 1) and (0, 256, 1) in reads[1:]
@@ -651,17 +682,18 @@ def test_one_row_walk_over_two_blocks_matches_eager_sums(short_blocks, monkeypat
 
 
 def eager_renewal_counts(p, t, n, rng):
-    """renewal_counts from blocks of mean + 8 sd Mittag-Leffler gaps drawn in
-    full (one chunk of rows: n * block below 4M): n x block gaps, then
-    block more for each row still short, offset by its last sum."""
-    mean_y, var_y = processes.inverse_subordinator_moments(p.theta, t)
-    rate = p.lam**p.theta
-    block = max(16, int(rate * mean_y + 8.0 * math.sqrt(rate**2 * var_y + rate * mean_y + 1.0)))
+    """renewal_counts from blocks of Mittag-Leffler gaps drawn in full (one
+    chunk of rows: n times the first block below 1M): n x block gaps, then
+    the next block of count_widths for each row still short, offset by its
+    last sum."""
+    widths = count_widths(p, t)
+    block = next(widths)
     sums = np.cumsum(eager_mittag_leffler(p, rng, n * block).reshape(n, block), axis=1)
     counts = (sums <= t).sum(axis=1)
     short = np.flatnonzero(sums[:, -1] <= t)
     tails = sums[short, -1]
     while short.size:
+        block = next(widths)
         gaps = eager_mittag_leffler(p, rng, short.size * block).reshape(short.size, block)
         more = tails[:, None] + np.cumsum(gaps, axis=1)
         counts[short] += (more <= t).sum(axis=1)
@@ -708,7 +740,7 @@ def stream_after_walks(rng, theta=0.7):
 
 def eager_stream_after_walks(rng, theta=0.7):
     p = FppParams(theta, 3.0)
-    eager_renewal_times(p, 40.0, rng, 16)
+    eager_renewal_times(p, 40.0, rng)
     eager_covering_grid(theta, 0.05, 2.0, rng)
     eager_timechange_times(p, 2.0, rng, 0.05)
     eager_renewal_counts(p, 40.0, 1, rng)
@@ -728,18 +760,59 @@ def test_stream_continues_after_walks_over_later_blocks(short_blocks):
 
 
 def test_one_row_walk_reads_about_a_quarter_past_its_count(monkeypatch):
-    # the queue-scaling arrivals point: a first read of the mean count, 32879
-    # gaps, of blocks of 117510
+    # the queue-scaling arrivals point: a first read of the mean count plus
+    # one, 32880 gaps, of a first block of mean + 2 sd, 54038
     p, horizon = FppParams(0.9, 1.0), 1e5
+    assert next(count_widths(p, horizon)) == 54_038
     for seed in range(4):
         reads = record_renewal_reads(monkeypatch)
         rng = RngStream(seed=seed)
         count, drawn, _ = processes._renewal_walks(p, horizon, rng, 1)
         transformed = sum(b - a for a, b, _ in reads)
-        assert drawn == 117_510 and reads[0] == (0, 32_879, 1)
-        assert transformed <= max(32_879, 1.25 * (count[0] + 1))
+        assert drawn == 54_038 and reads[0] == (0, 32_880, 1)
+        assert transformed <= max(32_880, 1.25 * (count[0] + 1))
         # the exponentials drawn are the ones transformed
         assert drawn - rng._owed == transformed
+
+
+# the sizing rule by its ratio of variates drawn to variates kept, summed
+# over seeds 0-99
+
+
+def test_arrivals_walk_draws_under_1_8_gaps_per_gap_kept():
+    p, drawn, kept = FppParams(0.9, 1.0), 0, 0
+    for seed in range(100):
+        count, n, _ = processes._renewal_walks(p, 1e5, RngStream(seed=seed), 1)
+        drawn, kept = drawn + n, kept + int(count[0])
+    assert drawn / kept < 1.8
+
+
+def test_covering_grid_draws_under_2_6_levels_per_level_kept():
+    drawn = kept = 0
+    for seed in range(100):
+        values, n_levels = _covering_levels(0.6, 1e-3, 1.0, RngStream(seed=seed))
+        drawn, kept = drawn + n_levels, kept + values.size - 1
+    assert drawn / kept < 2.6
+
+
+def test_extension_blocks_grow_geometrically(short_blocks, monkeypatch):
+    # from a first block of 16, each block adds half the steps drawn, so a
+    # walk needing N steps takes at most 2 + log_1.5(N / 16) blocks; blocks
+    # of one fixed width would take N / 16
+    blocks = []
+
+    def counted(draws):
+        return lambda *args: blocks.append(args[-1]) or draws(*args)
+
+    monkeypatch.setattr(processes, "_mittag_leffler_draws", counted(_mittag_leffler_draws))
+    monkeypatch.setattr(processes, "_stable_draws", counted(_stable_draws))
+    walks = [lambda: processes._renewal_walks(FppParams(0.8, 4.0), 1500.0, RngStream(seed=5), 1)[0][0] + 1,
+             lambda: _covering_levels(0.7, 1e-3, 3.0, RngStream(seed=6))[0].size - 1]
+    for walk in walks:
+        blocks.clear()
+        needed = walk()
+        assert needed > 1000 and blocks[0] == (1, 16)
+        assert len(blocks) <= 2 + math.log(needed / 16, 1.5)
 
 
 # exact law of the covering grid: a driftless stable subordinator passes
