@@ -170,7 +170,7 @@ def _two_clocks(
     level-passage times up to t (t itself included).
 
     For each clock returns (step, k, n): Y = step * k on the union grid, and
-    n levels drawn for its covering grid, which extends beyond t.
+    the n levels its covering grid's blocks span, beyond t.
     """
     step_a = resolution * t**theta_a
     step_b = resolution * t**theta_b

@@ -12,10 +12,12 @@ to the first one above a level, all built by one loop, _passage, over (rows,
 columns) blocks and sized by one rule: mean + 2 sd, then half the steps
 drawn, in chunks of at most 1M first-block steps.  A walk reads its block a
 chunk of columns at a time and stops at its first sum above the level;
-transforms and sums run on what it reads.  Each block draws all its uniforms
-and leading exponentials, and a one-row block draws its Kanter exponentials
-only as far as it reads, while its stream owes the rest and draws them
-before any later draw, so no drawn number depends on how far a walk reads.
+transforms and sums run on what it reads.  Each step is the transform of a
+pair of uniforms: a trigonometric Mittag-Leffler gap, or Kanter's stable
+level.  A one-row walk draws its pairs from its own stream in the order it
+reads them and only as far as it reads, so its sums do not depend on the
+sizing rule or the reads, which set its speed only; a block of more rows
+draws all its pairs first, so its numbers follow the sizing rule.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CoverageError, EventCapError, ParameterError
-from .samplers import RngStream, _mittag_leffler_draws, _stable_draws
+from .samplers import RngStream, _mittag_leffler_steps, _stable_steps
 from .samplers import sample_inverse_subordinator_at, sample_positive_stable
 from .special import FppParams, inverse_subordinator_moments
 
@@ -183,13 +185,13 @@ _MIN_BLOCK = 16  # columns a block draws at least
 
 
 def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
-    """Sums start[r] + cumsum(x[r]) of a (rows, n) block x = steps(key) up to
-    each row's first above the level (start None: zeros), read a chunk of
-    columns at a time on the rows still at or below it: k columns, then a
-    quarter more of the columns read so far each time, a read taking at least
-    _MIN_READ steps over its rows.  A row's running in-block sum is folded
-    into its next chunk's first step, so the chunk's cumsum continues the
-    whole row's to the last bit; start is added after.
+    """Sums cumsum(x[r]) of a (rows, n) block x = steps(key) up to each row's
+    first above the level, read a chunk of columns at a time on the rows
+    still at or below it: k columns, then a quarter more of the columns read
+    so far each time, a read taking at least _MIN_READ steps over its rows.
+    Each row's start (start None: zeros) is folded into its first step, and
+    its running sum into its next chunk's first step, so the sums continue
+    the whole walk's cumsum to the last bit, whatever the chunks.
     Returns (count, ends, path): each row's number of sums at or below the
     level, the last sums of the rows that end the block at or below it (in
     row order), and for a one-row block its sums per read, up to its first
@@ -197,10 +199,11 @@ def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
     rows, n = shape
     k = min(max(k, math.ceil(_MIN_READ / rows)), n)
     live, done, path, x = slice(None), 0, [], steps(np.s_[:, :k])
+    if start is not None:
+        x[:, 0] += start
     count = np.empty(rows, dtype=np.int64)
     while True:
-        run = np.cumsum(x, axis=1)
-        sums = run if start is None else run + start[live, None]
+        sums = np.cumsum(x, axis=1)
         above = sums > level
         # sums are nondecreasing: a row's count is the index of its first above
         c = np.where(above[:, -1], above.argmax(axis=1), k - done)
@@ -211,10 +214,27 @@ def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
         if k == n or not more.any():
             return count, sums[more, -1], path
         if not more.all():
-            live, run = np.arange(rows)[live][more], run[more]
-        done, k = k, min(n, k + max(k // 4, math.ceil(_MIN_READ / run.shape[0])))
+            live, sums = np.arange(rows)[live][more], sums[more]
+        done, k = k, min(n, k + max(k // 4, math.ceil(_MIN_READ / sums.shape[0])))
         x = steps(np.s_[live, done:k])
-        x[:, 0] += run[:, -1]
+        x[:, 0] += sums[:, -1]
+
+
+def _pair_block(transform, rng: RngStream, shape: tuple[int, int]):
+    """A (rows, n) block of steps transform(pairs), pairs[..., 0] and
+    pairs[..., 1] uniforms, returned by numpy index.  A one-row block draws
+    g.random((1, m, 2)) for the m columns each read takes, so its reads must
+    take its columns in order, each once, and give the steps of one stream of
+    pairs however they are chunked.  A block of more rows draws all its pairs
+    first, g.random((rows, n, 2)), and transforms the ones each read takes."""
+    g = rng.generator()
+    if shape[0] == 1:
+        def read(key):
+            start, stop, _ = key[1].indices(shape[1])
+            return transform(g.random((1, stop - start, 2)))
+        return read
+    pairs = g.random((*shape, 2))
+    return lambda key: transform(pairs[key])
 
 
 def _passage(draw, rows: int, level: float, mean: float, sd: float, cap: float = math.inf):
@@ -227,8 +247,8 @@ def _passage(draw, rows: int, level: float, mean: float, sd: float, cap: float =
     the rows still short; at least _MIN_BLOCK steps each.  Raises
     EventCapError past cap steps.
     Returns (count, drawn, path): each row's number of sums at or below the
-    level and, for one walk, its steps drawn and its sums per read to the
-    first above."""
+    level and, for one walk, the steps its blocks span (it draws only the
+    ones it reads) and its sums per read to the first above."""
     first = max(_MIN_BLOCK, int(min(mean + 2.0 * sd, cap)) + 1)
     count, drawn, path = np.empty(rows, dtype=np.int64), 0, []
     chunk = max(1, min(rows, 1_000_000 // first))
@@ -260,7 +280,7 @@ def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
     mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
     rate = p.lam**p.theta
     sd = math.sqrt(rate**2 * var_y + rate * mean_y)
-    draw = lambda shape: _mittag_leffler_draws(p, rng, shape)
+    draw = lambda shape: _pair_block(lambda pairs: _mittag_leffler_steps(p, pairs), rng, shape)
     return _passage(draw, rows, horizon, rate * mean_y, sd, event_cap)
 
 
@@ -268,7 +288,8 @@ def _renewal_times(
     p: FppParams, horizon: float, rng: RngStream, event_cap: float = math.inf
 ) -> np.ndarray:
     """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
-    sums, in blocks of _passage's one sizing rule (mean + 2 sd, then half)."""
+    sums, read by _passage's one sizing rule (mean + 2 sd, then half) from
+    rng, which serves this walk alone."""
     path = _renewal_walks(p, horizon, rng, 1, event_cap)[2]
     times = path[0] if len(path) == 1 else np.concatenate(path)
     # partial sums can collide in float64 after a long wait
@@ -332,17 +353,14 @@ def _covering_levels(
     theta: float, step: float, horizon: float, rng: RngStream
 ) -> tuple[np.ndarray, int]:
     """L on the levels k step, from L(0) = 0 up to its first value above the
-    horizon, and the number of levels drawn, in _passage's blocks for the
-    level count Y(horizon) / step: mean + 2 sd, then half the levels drawn."""
+    horizon, and the number of levels its blocks span, in _passage's blocks
+    for the level count Y(horizon) / step: mean + 2 sd, then half the levels
+    spanned.  The walk reads rng in order, so rng serves it alone."""
     mean_y, var_y = inverse_subordinator_moments(theta, horizon)
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step}")
     scale = step ** (1.0 / theta)
-
-    def draw(shape):
-        kanter = _stable_draws(theta, rng, shape)
-        return lambda key: scale * kanter(key)
-
+    draw = lambda shape: _pair_block(lambda pairs: scale * _stable_steps(theta, pairs), rng, shape)
     _, n_levels, path = _passage(draw, 1, horizon, mean_y / step, math.sqrt(var_y) / step)
     return np.concatenate([np.zeros(1), *path]), n_levels
 
@@ -366,9 +384,9 @@ def simulate_fpp_timechange(
         raise ParameterError("horizon must be positive")
     if step is None:
         step = default_inverse_clock_step(p.theta, horizon)
-    values, n_levels = _covering_levels(p.theta, step, horizon, rng)
-    # after the clock's draws: its last block may owe exponentials
-    g = rng.generator()
+    # the clock's walk reads its own stream as far as it needs
+    values, n_levels = _covering_levels(p.theta, step, horizon, rng.substream(0))
+    g = rng.substream(1).generator()
     # Y(horizon) in the over-approximating grid sense
     k_top = values.size - 1
     y_top = k_top * step

@@ -18,31 +18,27 @@ from .special import FppParams
 
 @dataclass
 class RngStream:
-    """Reproducible random stream keyed by a seed and a stream index."""
+    """Reproducible random stream keyed by a seed and a stream index.  Draws
+    continue it exactly across calls (g.random(a) then g.random(b) give
+    g.random(a + b)), so a walk that reads its own stream in order draws the
+    same numbers however its reads are chunked."""
 
     seed: int
     stream_index: int = 0
     _path: tuple[int, ...] = field(default=(), repr=False, compare=False)
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
-    # exponentials of a one-row stable block not drawn yet (_stable_draws)
-    _owed: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def generator(self) -> np.random.Generator:
-        """The underlying generator; successive calls continue one stream.
-        Exponentials owed by a one-row stable block are drawn and discarded
-        first, so later draws do not depend on how far the block was read."""
+        """The underlying generator; successive calls continue one stream."""
         if self._gen is None:
             seq = np.random.SeedSequence(
                 self.seed, spawn_key=(self.stream_index, *self._path)
             )
             self._gen = np.random.Generator(np.random.Philox(seq))
-        if self._owed:
-            owed, self._owed = self._owed, 0
-            self._gen.standard_exponential(owed)
         return self._gen
 
     def substream(self, k: int) -> "RngStream":
@@ -55,56 +51,36 @@ def _check_theta(theta: float) -> None:
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
 
 
-def _stable_draws(theta: float, rng: RngStream, shape):
-    """Draw the uniforms and exponentials behind a block of positive stable
-    variates and return Kanter's transform by numpy index: kanter(key) is
-    block[key].  g.random((r, c)) is g.random(r * c) reshaped.
+def _kanter(theta: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Kanter's transform of uniforms u and unit exponentials e (theta < 1)."""
+    v = u * np.pi
+    return (np.sin(theta * v) / np.sin(v) ** (1.0 / theta)) * (
+        np.sin((1.0 - theta) * v) / e
+    ) ** ((1.0 - theta) / theta)
 
-    A one-row block, shape (1, n), draws its exponentials, the last of its
-    draws, in order and only up to the last column a key has read (keys take
-    columns by slice); rng owes the rest until it next hands out its
-    generator."""
-    g = rng.generator()
+
+def _stable_steps(theta: float, pairs: np.ndarray) -> np.ndarray:
+    """Positive stable variates from pairs (U, U') of uniforms, pairs[..., 0]
+    and pairs[..., 1]: Kanter's transform of U and E = -ln(1 - U')."""
     if theta == 1.0:
-        return lambda key: np.ones(shape)[key]
-    u = g.random(shape)
-    if isinstance(shape, tuple) and shape[0] == 1:
-        n = shape[1]
-        e = np.empty(shape)
-        drawn = 0
-        rng._owed = n
-
-        def exponentials(key) -> np.ndarray:
-            nonlocal drawn
-            stop = key[1].indices(n)[1]
-            if stop > drawn:
-                if rng._owed != n - drawn:
-                    raise RuntimeError("stable block read after its stream moved on")
-                g.standard_exponential(out=e[0, drawn:stop])
-                drawn, rng._owed = stop, n - stop
-            return e[key]
-    else:
-        exponentials = g.standard_exponential(shape).__getitem__
-    ratio = (1.0 - theta) / theta
-
-    def kanter(key) -> np.ndarray:
-        v = u[key] * np.pi
-        return (np.sin(theta * v) / np.sin(v) ** (1.0 / theta)) * (
-            np.sin((1.0 - theta) * v) / exponentials(key)
-        ) ** ratio
-
-    return kanter
+        return np.ones(pairs.shape[:-1])
+    return _kanter(theta, pairs[..., 0], -np.log(1.0 - pairs[..., 1]))
 
 
-def _mittag_leffler_draws(p: FppParams, rng: RngStream, shape):
-    """_stable_draws for a block of Mittag-Leffler variates E^(1/theta) S / lam;
-    the leading exponentials E are drawn in full first."""
-    e = rng.generator().standard_exponential(shape)
+def _mittag_leffler_steps(p: FppParams, pairs: np.ndarray) -> np.ndarray:
+    """Mittag-Leffler variates from pairs (U, V) of uniforms by the
+    trigonometric form of Fulger, Scalas & Germano (PRE 77, 2008):
+
+        X = -ln(1 - U) (sin(theta pi (1 - V)) / sin(theta pi V))^(1/theta) / lam,
+
+    sample_mittag_leffler_trig's bracket sin(theta pi)/tan(theta pi V) -
+    cos(theta pi) without its cancellation; -ln(1 - U) / lam at theta = 1."""
+    gap = np.log(1.0 - pairs[..., 0]) / -p.lam
     if p.theta == 1.0:
-        return lambda key: e[key] / p.lam
-    kanter = _stable_draws(p.theta, rng, shape)
-    # S first, so that E^(1/theta) is not held while the transform runs
-    return lambda key: kanter(key) * e[key] ** (1.0 / p.theta) / p.lam
+        return gap
+    tp = p.theta * np.pi
+    ratio = np.sin(tp * (1.0 - pairs[..., 1])) / np.sin(tp * pairs[..., 1])
+    return gap * ratio ** (1.0 / p.theta)
 
 
 def _n_variates(size: int | None) -> int:
@@ -127,7 +103,8 @@ def sample_positive_stable(theta: float, rng: RngStream, size: int | None = None
     """
     _check_theta(theta)
     n = _n_variates(size)
-    out = _stable_draws(theta, rng, n)(np.s_[:])
+    g = rng.generator()
+    out = np.ones(n) if theta == 1.0 else _kanter(theta, g.random(n), g.standard_exponential(n))
     return float(out[0]) if size is None else out
 
 
@@ -138,7 +115,11 @@ def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int | None = None)
     result is 1 / (1 + (s/lam)^theta).  theta = 1 reduces to Exp(lam) exactly.
     """
     n = _n_variates(size)
-    out = _mittag_leffler_draws(p, rng, n)(np.s_[:])
+    e = rng.generator().standard_exponential(n)
+    if p.theta < 1.0:
+        # S first, so that E^(1/theta) is not held while the transform runs
+        e = sample_positive_stable(p.theta, rng, n) * e ** (1.0 / p.theta)
+    out = e / p.lam
     return float(out[0]) if size is None else out
 
 

@@ -25,6 +25,7 @@ from fracq import (
     simulate_fpp_renewal,
     timechange_counts,
 )
+from fracq import processes
 from fracq.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -148,6 +149,21 @@ def test_fpp_timechange(tmp_path):
     assert code == 0
     lines = (tmp_path / "timeline.csv").read_text().splitlines()
     assert lines[0] == "time,class"
+
+
+def test_fpp_timechange_does_not_depend_on_the_reads(tmp_path, monkeypatch):
+    # the clock's walk reads its own stream and the events draw from another,
+    # so reads of at least 64 levels or of 7 in blocks from 16 up give one
+    # timeline
+    for name, min_read in (("a", 64), ("b", 7)):
+        if name == "b":
+            monkeypatch.setattr(processes, "inverse_subordinator_moments", lambda theta, t: (0.0, 0.0))
+        monkeypatch.setattr(processes, "_MIN_READ", min_read)
+        assert run_cli("fpp", "timechange", "--theta", 0.6, "--lambda", 20.0, "--horizon", 5.0,
+                       "--step", 0.01, "--seed", 3, "--out", tmp_path / name) == 0
+    timeline = (tmp_path / "a" / "timeline.csv").read_bytes()
+    assert timeline.count(b"\n") > 10
+    assert timeline == (tmp_path / "b" / "timeline.csv").read_bytes()
 
 
 def test_fpp_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 agreement between the renewal and time-change routes."""
 
 import csv
+import itertools
 import math
 import tracemalloc
 
@@ -36,10 +37,11 @@ from fracq import limitlab, processes
 from fracq.gof import chi_square_counts
 from fracq.processes import (
     _covering_levels,
+    _pair_block,
     _strictly_increasing,
     default_inverse_clock_step,
 )
-from fracq.samplers import _mittag_leffler_draws, _stable_draws
+from fracq.samplers import _mittag_leffler_steps, _stable_steps
 
 
 # timeline container
@@ -212,7 +214,7 @@ def raw_renewal_sums(p, horizon, seed):
 
 # seeds of 0-59 at which two raw partial sums of FppParams(0.2, 1.0) up to
 # 1e6 collide in float64
-COLLISION_SEEDS = (17, 18, 33, 42)
+COLLISION_SEEDS = (13, 27, 42, 54)
 
 
 def test_renewal_float_collisions_are_nudged():
@@ -419,7 +421,7 @@ def test_class_count_consistency():
         class_count_at(simulate_fpp_renewal(p, 1.0, RngStream(seed=23)), 1, 0.5)
 
 
-# Kanter's transform on the first-passage prefix, against the eager draws
+# the walks' pair transforms and blocks, against the whole stream of pairs
 
 
 def assert_bitwise_equal(got, expected):
@@ -448,39 +450,46 @@ def eager_mittag_leffler(p, rng, n):
     return e ** (1.0 / p.theta) * eager_stable(p.theta, rng, n) / p.lam
 
 
+def stream_pairs(seed, n):
+    """The first n pairs of uniforms of RngStream(seed=seed)."""
+    return RngStream(seed=seed).generator().random((n, 2))
+
+
+def pair_transforms(theta, lam):
+    """The walks' steps from pairs: Kanter levels and Mittag-Leffler gaps."""
+    p = FppParams(theta, lam)
+    return lambda x: _stable_steps(theta, x), lambda x: _mittag_leffler_steps(p, x)
+
+
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9, 1.0])
 def test_kanter_prefix_matches_eager_draws(theta):
+    # the product forms behind `fracq sample` keep their draws
     n = 1000
     eager = eager_stable(theta, RngStream(seed=3), n)
     assert_bitwise_equal(sample_positive_stable(theta, RngStream(seed=3), size=n), eager)
-    for k in (1, 13, 203, 999):
-        assert_bitwise_equal(_stable_draws(theta, RngStream(seed=3), n)(np.s_[:k]), eager[:k])
-    # slices that start off any vector boundary give the same numbers
-    kanter = _stable_draws(theta, RngStream(seed=3), n)
-    cuts = (0, 13, 203, 461, 999, 1000)
-    assert_bitwise_equal(np.concatenate([kanter(np.s_[a:b]) for a, b in zip(cuts, cuts[1:])]), eager)
-
     p = FppParams(theta, 2.5)
-    eager = eager_mittag_leffler(p, RngStream(seed=4), n)
-    assert_bitwise_equal(sample_mittag_leffler(p, RngStream(seed=4), size=n), eager)
-    ml = _mittag_leffler_draws(p, RngStream(seed=4), n)
-    assert_bitwise_equal(np.concatenate([ml(np.s_[a:b]) for a, b in zip(cuts, cuts[1:])]), eager)
+    assert_bitwise_equal(sample_mittag_leffler(p, RngStream(seed=4), size=n),
+                         eager_mittag_leffler(p, RngStream(seed=4), n))
+    # the pair transforms on chunks that start off any vector boundary give
+    # the numbers of the whole stream
+    pairs = stream_pairs(5, n)
+    cuts = (0, 1, 13, 203, 461, 999, 1000)
+    for transform in pair_transforms(theta, 2.5):
+        chunks = [transform(pairs[None, a:b])[0] for a, b in zip(cuts, cuts[1:])]
+        assert_bitwise_equal(np.concatenate(chunks), transform(pairs))
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
 def test_kanter_block_keys_match_eager_draws(theta):
-    # a (rows, cols) block draws what a flat block of rows * cols draws, and
-    # gathered rows and column slices read the same numbers
+    # a (rows, cols) block draws its pairs as one (rows, cols, 2) array, and
+    # gathered rows and column slices read the transforms of the same pairs
     rows, cols = 40, 25
     gathered = np.array([0, 3, 17, 39])
-    stable = eager_stable(theta, RngStream(seed=5), rows * cols).reshape(rows, cols)
-    kanter = _stable_draws(theta, RngStream(seed=5), (rows, cols))
-    p = FppParams(theta, 0.7)
-    ml_eager = eager_mittag_leffler(p, RngStream(seed=6), rows * cols).reshape(rows, cols)
-    ml = _mittag_leffler_draws(p, RngStream(seed=6), (rows, cols))
-    for key in (np.s_[:, :], np.s_[:, 7:19], np.s_[gathered, 3:11], np.s_[gathered[1:], :]):
-        assert_bitwise_equal(kanter(key), stable[key])
-        assert_bitwise_equal(ml(key), ml_eager[key])
+    pairs = stream_pairs(5, rows * cols).reshape(rows, cols, 2)
+    for transform in pair_transforms(theta, 0.7):
+        block = _pair_block(transform, RngStream(seed=5), (rows, cols))
+        for key in (np.s_[:, :], np.s_[:, 7:19], np.s_[gathered, 3:11], np.s_[gathered[1:], :]):
+            assert_bitwise_equal(block(key), transform(pairs)[key])
 
 
 def block_widths(mean, sd):
@@ -500,57 +509,60 @@ def count_widths(p, horizon):
     return block_widths(rate * mean_y, math.sqrt(rate**2 * var_y + rate * mean_y))
 
 
+# the stream-order identity: a one-row walk's sums are the cumsum of the
+# transforms of the first pairs of its stream, up to its first above the
+# level, whatever its blocks and reads
+
+
+def stream_order_sums(transform, rng, level):
+    g, steps = rng.generator(), np.empty(0)
+    while True:
+        steps = np.concatenate([steps, transform(g.random((max(16, steps.size), 2)))])
+        sums = np.cumsum(steps)
+        if sums[-1] > level:
+            return sums[: np.argmax(sums > level) + 1]
+
+
 def eager_covering_grid(theta, step, horizon, rng):
-    """The covering grid built in full, in blocks of block_widths for the
-    level count Y(horizon) / step until one value passes the horizon."""
-    mean_y, var_y = processes.inverse_subordinator_moments(theta, horizon)
-    values = np.zeros(1)
-    for m in block_widths(mean_y / step, math.sqrt(var_y) / step):
-        incs = step ** (1.0 / theta) * eager_stable(theta, rng, m)
-        values = np.concatenate([values, values[-1] + np.cumsum(incs)])
-        if values[-1] > horizon:
-            return values
+    scale = step ** (1.0 / theta)
+    return np.concatenate([[0.0], stream_order_sums(lambda x: scale * _stable_steps(theta, x), rng, horizon)])
 
 
 def eager_renewal_times(p, horizon, rng):
-    """Renewal event times from blocks of Mittag-Leffler gaps drawn in full."""
-    chunks, total = [], 0.0
-    for block in count_widths(p, horizon):
-        chunks.append(total + np.cumsum(eager_mittag_leffler(p, rng, block)))
-        total = chunks[-1][-1]
-        if total > horizon:
-            break
-    times = np.concatenate(chunks)
-    times = _strictly_increasing(times[times <= horizon])
+    sums = stream_order_sums(lambda x: _mittag_leffler_steps(p, x), rng, horizon)
+    times = _strictly_increasing(sums[sums <= horizon])
     return times[times <= horizon]
 
 
 def eager_timechange_times(p, horizon, rng, step):
-    g = rng.generator()
-    values = eager_covering_grid(p.theta, step, horizon, rng)
-    k_top = int(np.searchsorted(values, horizon, side="right"))
+    values = eager_covering_grid(p.theta, step, horizon, rng.substream(0))
+    g = rng.substream(1).generator()
+    k_top = values.size - 1
     y_top = k_top * step
     y_pos = np.sort(g.random(int(g.poisson(p.lam**p.theta * y_top)))) * y_top
-    k_ev = np.clip(np.ceil(y_pos / step).astype(int), 1, values.size - 1)
+    k_ev = np.clip(np.ceil(y_pos / step).astype(int), 1, k_top)
     times = values[k_ev - 1]
     times = _strictly_increasing(np.where(times <= 0.0, np.nextafter(0.0, 1.0), times))
     return times[times <= horizon]
+
+
+def no_moments(theta, t):
+    return 0.0, 0.0
 
 
 @pytest.fixture
 def short_blocks(monkeypatch):
     """Size every first block as if the clock never moved, so that blocks
     fall short of the horizon and the extension loops run."""
-    monkeypatch.setattr(processes, "inverse_subordinator_moments", lambda theta, t: (0.0, 0.0))
+    monkeypatch.setattr(processes, "inverse_subordinator_moments", no_moments)
 
 
 def check_covering_levels(theta, step, horizon, seed):
     values, n_levels = _covering_levels(theta, step, horizon, RngStream(seed=seed))
-    eager = eager_covering_grid(theta, step, horizon, RngStream(seed=seed))
-    top = int(np.searchsorted(eager, horizon, side="right"))
-    assert_bitwise_equal(values, eager[: top + 1])
-    assert values[-1] > horizon
-    assert n_levels == eager.size - 1
+    assert_bitwise_equal(values, eager_covering_grid(theta, step, horizon, RngStream(seed=seed)))
+    assert values[-2] <= horizon < values[-1]
+    # the blocks span every level read
+    assert n_levels >= values.size - 1
     return n_levels
 
 
@@ -611,14 +623,72 @@ def recorded_reads(steps, reads):
     return read
 
 
+def record_walk_reads(monkeypatch):
+    """The reads of the walks' blocks, as recorded_reads lists them."""
+    reads = []
+    monkeypatch.setattr(processes, "_pair_block", lambda *args: recorded_reads(_pair_block(*args), reads))
+    return reads
+
+
+IDENTITY_P = FppParams(0.8, 4.0)
+IDENTITY_WALKS = [
+    # (sums of one walk on rng, transform of its steps, level)
+    (lambda rng: np.concatenate(processes._renewal_walks(IDENTITY_P, 1500.0, rng, 1)[2]),
+     lambda x: _mittag_leffler_steps(IDENTITY_P, x), 1500.0),
+    (lambda rng: _covering_levels(0.7, 1e-3, 3.0, rng)[0][1:],
+     lambda x: 1e-3 ** (1.0 / 0.7) * _stable_steps(0.7, x), 3.0),
+]
+
+
+def stream_order_identity_holds():
+    for seed, (walk, transform, level) in itertools.product(range(4), IDENTITY_WALKS):
+        got = walk(RngStream(seed=seed))
+        expected = stream_order_sums(transform, RngStream(seed=seed), level)
+        if got.shape != expected.shape or not np.array_equal(got.view(np.int64), expected.view(np.int64)):
+            return False
+    return True
+
+
+def drop_a_draw_after_each_read(transform, rng, shape):
+    steps = _pair_block(transform, rng, shape)
+    return lambda key: (steps(key), rng.generator().random())[0]
+
+
+def read_pairs_as_v_u(transform, rng, shape):
+    return _pair_block(lambda x: transform(x[..., ::-1]), rng, shape)
+
+
+CHUNK_RULES = {
+    "sized": {},
+    "short_blocks": {"inverse_subordinator_moments": no_moments},
+    "short_reads": {"inverse_subordinator_moments": no_moments, "_MIN_READ": 7, "_MIN_BLOCK": 3},
+}
+
+
+@pytest.mark.parametrize("rule", list(CHUNK_RULES))
+def test_walk_sums_are_cumsums_of_stream_order_pairs(rule, monkeypatch):
+    for name, value in CHUNK_RULES[rule].items():
+        monkeypatch.setattr(processes, name, value)
+    reads = record_walk_reads(monkeypatch)
+    assert stream_order_identity_holds()
+    # the walks read in several chunks, so the planted defects below show
+    assert len(reads) > 3 * 2 * len(IDENTITY_WALKS)
+    for defect in (drop_a_draw_after_each_read, read_pairs_as_v_u):
+        monkeypatch.setattr(processes, "_pair_block", defect)
+        assert not stream_order_identity_holds()
+
+
 def test_first_passage_on_gathered_rows_matches_eager_sums():
     # rows past the level retire after different reads, and the last read
-    # takes the block's last column on the rows left, two of them short
+    # takes the block's last column on the rows left, four of them short
     rows, n, level = 60, 64, 200.0
     start = np.linspace(0.0, level, rows, endpoint=False)
     reads = []
-    steps = recorded_reads(_stable_draws(0.7, RngStream(seed=9), (rows, n)), reads)
-    full = start[:, None] + np.cumsum(eager_stable(0.7, RngStream(seed=9), rows * n).reshape(rows, n), axis=1)
+    stable = pair_transforms(0.7, 1.0)[0]
+    steps = recorded_reads(_pair_block(stable, RngStream(seed=9), (rows, n)), reads)
+    x = stable(stream_pairs(9, rows * n).reshape(rows, n, 2))
+    x[:, 0] += start
+    full = np.cumsum(x, axis=1)
     count, ends, path = processes._first_passage(steps, (rows, n), start, level, 4)
     np.testing.assert_array_equal(count, (full <= level).sum(axis=1))
     # reads cover the block in order, each a quarter more than read so far
@@ -629,17 +699,19 @@ def test_first_passage_on_gathered_rows_matches_eager_sums():
     retired_after = {int(np.searchsorted([b for _, b, _ in reads], c + 1)) for c in count[count < n]}
     assert len(retired_after) > 5 and (count < 4).any()
     assert_bitwise_equal(ends, full[count == n, -1])
-    assert (count == n).sum() == 2 and path == []
+    assert (count == n).sum() == 4 and path == []
 
 
 def one_row_passage(level, n=400, k=16, seed=10):
     """_first_passage of a one-row block from start 3.5: its count, its sums
     joined across reads, its reads and the eager sums of the whole block."""
     reads = []
-    steps = recorded_reads(_stable_draws(0.7, RngStream(seed=seed), (1, n)), reads)
+    stable = pair_transforms(0.7, 1.0)[0]
+    steps = recorded_reads(_pair_block(stable, RngStream(seed=seed), (1, n)), reads)
     count, ends, path = processes._first_passage(steps, (1, n), np.array([3.5]), level, k)
-    full = 3.5 + np.cumsum(eager_stable(0.7, RngStream(seed=seed), n))
-    return int(count[0]), np.concatenate(path), reads, full, ends
+    x = stable(stream_pairs(seed, n))
+    x[0] += 3.5
+    return int(count[0]), np.concatenate(path), reads, np.cumsum(x), ends
 
 
 def test_first_passage_of_one_row_matches_eager_sums_at_read_edges():
@@ -658,44 +730,35 @@ def test_first_passage_of_one_row_matches_eager_sums_at_read_edges():
             assert_bitwise_equal(sums, full[: first_above + 1])
 
 
-def record_renewal_reads(monkeypatch):
-    """The reads of the renewal walks' blocks, as recorded_reads lists them."""
-    reads = []
-    monkeypatch.setattr(processes, "_mittag_leffler_draws", lambda p, rng, shape: recorded_reads(
-        _mittag_leffler_draws(p, rng, shape), reads))
-    return reads
-
-
 def test_one_row_walk_over_two_blocks_matches_eager_sums(short_blocks, monkeypatch):
-    # blocks of at least 1024 gaps, the first read from 64 columns on: 1791 events
+    # blocks of at least 1024 gaps, the first read from 64 columns on: 1686 events
     monkeypatch.setattr(processes, "_MIN_BLOCK", 1024)
     p, horizon = FppParams(0.8, 4.0), 1500.0
-    reads = record_renewal_reads(monkeypatch)
+    reads = record_walk_reads(monkeypatch)
     count, drawn, path = processes._renewal_walks(p, horizon, RngStream(seed=5), 1)
-    assert count[0] == 1791 and drawn == 2048 and len(reads) > 15
+    assert count[0] == 1686 and drawn == 2048 and len(reads) > 15
     # the second block is read from a quarter of the 1024 steps drawn
     assert reads[0] == (0, 64, 1) and (0, 256, 1) in reads[1:]
-    rng = RngStream(seed=5)
-    full = np.cumsum(eager_mittag_leffler(p, rng, 1024))
-    full = np.concatenate([full, full[-1] + np.cumsum(eager_mittag_leffler(p, rng, 1024))])
-    assert_bitwise_equal(np.concatenate(path), full[:1792])
+    full = np.cumsum(_mittag_leffler_steps(p, stream_pairs(5, 1687)))
+    assert_bitwise_equal(np.concatenate(path), full)
 
 
 def eager_renewal_counts(p, t, n, rng):
-    """renewal_counts from blocks of Mittag-Leffler gaps drawn in full (one
-    chunk of rows: n times the first block below 1M): n x block gaps, then
-    the next block of count_widths for each row still short, offset by its
-    last sum."""
+    """renewal_counts from blocks of pairs drawn in full (one chunk of rows:
+    n times the first block below 1M): an (n, block, 2) array, then the next
+    block of count_widths for each row still short, each row's last sum
+    folded into its first gap."""
+    g = rng.generator()
+    gaps = lambda rows, block: _mittag_leffler_steps(p, g.random((rows, block, 2)))
     widths = count_widths(p, t)
-    block = next(widths)
-    sums = np.cumsum(eager_mittag_leffler(p, rng, n * block).reshape(n, block), axis=1)
+    sums = np.cumsum(gaps(n, next(widths)), axis=1)
     counts = (sums <= t).sum(axis=1)
     short = np.flatnonzero(sums[:, -1] <= t)
     tails = sums[short, -1]
     while short.size:
-        block = next(widths)
-        gaps = eager_mittag_leffler(p, rng, short.size * block).reshape(short.size, block)
-        more = tails[:, None] + np.cumsum(gaps, axis=1)
+        x = gaps(short.size, next(widths))
+        x[:, 0] += tails
+        more = np.cumsum(x, axis=1)
         counts[short] += (more <= t).sum(axis=1)
         still = more[:, -1] <= t
         short, tails = short[still], more[still, -1]
@@ -725,54 +788,21 @@ def test_count_helpers_with_tail_blocks_match_eager_blocks(short_blocks):
     assert (ren[0.95] > 16).sum() > 100 and (ren[0.95] > 32).sum() > 10
 
 
-# a one-row block draws its Kanter exponentials only as far as its walk
-# reads; its stream draws the rest before any later draw
-
-
-def stream_after_walks(rng, theta=0.7):
-    p = FppParams(theta, 3.0)
-    processes._renewal_times(p, 40.0, rng)
-    _covering_levels(theta, 0.05, 2.0, rng)
-    simulate_fpp_timechange(p, 2.0, rng, step=0.05)
-    renewal_counts(p, 40.0, 1, rng)
-    return rng.generator().random(8)
-
-
-def eager_stream_after_walks(rng, theta=0.7):
-    p = FppParams(theta, 3.0)
-    eager_renewal_times(p, 40.0, rng)
-    eager_covering_grid(theta, 0.05, 2.0, rng)
-    eager_timechange_times(p, 2.0, rng, 0.05)
-    eager_renewal_counts(p, 40.0, 1, rng)
-    return rng.generator().random(8)
-
-
-@pytest.mark.parametrize("theta", [0.4, 0.7])
-def test_stream_continues_after_one_row_walks_as_after_eager_blocks(theta):
-    for seed in (11, 12):
-        assert_bitwise_equal(stream_after_walks(RngStream(seed=seed), theta),
-                             eager_stream_after_walks(RngStream(seed=seed), theta))
-
-
-def test_stream_continues_after_walks_over_later_blocks(short_blocks):
-    assert_bitwise_equal(stream_after_walks(RngStream(seed=13)),
-                         eager_stream_after_walks(RngStream(seed=13)))
-
-
 def test_one_row_walk_reads_about_a_quarter_past_its_count(monkeypatch):
     # the queue-scaling arrivals point: a first read of the mean count plus
     # one, 32880 gaps, of a first block of mean + 2 sd, 54038
     p, horizon = FppParams(0.9, 1.0), 1e5
     assert next(count_widths(p, horizon)) == 54_038
+    reads = record_walk_reads(monkeypatch)
     for seed in range(4):
-        reads = record_renewal_reads(monkeypatch)
+        reads.clear()
         rng = RngStream(seed=seed)
         count, drawn, _ = processes._renewal_walks(p, horizon, rng, 1)
         transformed = sum(b - a for a, b, _ in reads)
         assert drawn == 54_038 and reads[0] == (0, 32_880, 1)
         assert transformed <= max(32_880, 1.25 * (count[0] + 1))
-        # the exponentials drawn are the ones transformed
-        assert drawn - rng._owed == transformed
+        # the walk drew the pairs it transformed and no more
+        assert_bitwise_equal(rng.generator().random(2), stream_pairs(seed, transformed + 1)[-1])
 
 
 # the sizing rule by its ratio of variates drawn to variates kept, summed
@@ -800,12 +830,8 @@ def test_extension_blocks_grow_geometrically(short_blocks, monkeypatch):
     # walk needing N steps takes at most 2 + log_1.5(N / 16) blocks; blocks
     # of one fixed width would take N / 16
     blocks = []
-
-    def counted(draws):
-        return lambda *args: blocks.append(args[-1]) or draws(*args)
-
-    monkeypatch.setattr(processes, "_mittag_leffler_draws", counted(_mittag_leffler_draws))
-    monkeypatch.setattr(processes, "_stable_draws", counted(_stable_draws))
+    monkeypatch.setattr(processes, "_pair_block",
+                        lambda *args: blocks.append(args[-1]) or _pair_block(*args))
     walks = [lambda: processes._renewal_walks(FppParams(0.8, 4.0), 1500.0, RngStream(seed=5), 1)[0][0] + 1,
              lambda: _covering_levels(0.7, 1e-3, 3.0, RngStream(seed=6))[0].size - 1]
     for walk in walks:

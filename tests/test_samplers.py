@@ -21,6 +21,7 @@ from fracq import (
     sample_mittag_leffler_trig,
     sample_positive_stable,
 )
+from fracq.samplers import _mittag_leffler_steps, _stable_steps
 
 N_LAW = 200_000
 Z_MAX = 4.0
@@ -154,6 +155,48 @@ def test_ml_exponential_reduction(form):
     x = form(p, RngStream(seed=51), size=20_000)
     res = stats.kstest(x, stats.expon(scale=1.0 / 2.5).cdf)
     assert res.pvalue > 1e-3
+
+
+# the walks' steps from pairs of uniforms
+
+
+def inverted_sine_ratio(p, pairs):
+    """A planted defect: the trigonometric gap with its sine ratio upside down."""
+    u, v = pairs[..., 0], pairs[..., 1]
+    tp = p.theta * np.pi
+    return -np.log(1.0 - u) * (np.sin(tp * v) / np.sin(tp * (1.0 - v))) ** (1.0 / p.theta) / p.lam
+
+
+def walk_gaps_pass(gaps, theta, seed):
+    """gaps(p, pairs) against the two other Mittag-Leffler forms: in law
+    against the product form (KS), and draw by draw against the bracket of
+    sample_mittag_leffler_trig fed the same uniforms, U read as 1 - U."""
+    p, n = FppParams(theta, 1.7), 20_000
+    g = RngStream(seed=seed).generator()
+    u, v = g.random(n), g.random(n)
+    x = gaps(p, np.stack([1.0 - u, v], axis=-1))
+    in_law = stats.ks_2samp(x, sample_mittag_leffler(p, RngStream(seed=seed + 1), size=n)).pvalue > 1e-3
+    trig = sample_mittag_leffler_trig(p, RngStream(seed=seed), size=n)
+    return in_law and np.allclose(x, trig, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("theta, seed", [(0.3, 111), (0.65, 113), (0.9, 115)])
+def test_walk_gaps_match_the_other_mittag_leffler_forms(theta, seed):
+    assert walk_gaps_pass(_mittag_leffler_steps, theta, seed)
+    # the inverted ratio has the same law (V and 1 - V are alike), so only
+    # the draw-by-draw check catches it
+    assert not walk_gaps_pass(inverted_sine_ratio, theta, seed)
+    pairs = RngStream(seed=seed + 2).generator().random((20_000, 2))
+    s = sample_positive_stable(theta, RngStream(seed=seed + 3), size=20_000)
+    assert stats.ks_2samp(_stable_steps(theta, pairs), s).pvalue > 1e-3
+
+
+def test_walk_gaps_at_theta_one_are_exponential():
+    pairs = RngStream(seed=117).generator().random((1000, 2))
+    got = _mittag_leffler_steps(FppParams(1.0, 2.5), pairs)
+    expected = -np.log(1.0 - pairs[:, 0]) / 2.5
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.all(_stable_steps(1.0, pairs) == 1.0)
 
 
 def test_ml_rate_scaling():
