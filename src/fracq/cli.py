@@ -345,17 +345,13 @@ def emit_plot_data(kind: str, input_path: str, out_path: str,
             reader = csv.DictReader(fh)
             fields = reader.fieldnames or []
             value_col = column or next(
-                (c for c in ("q_total", "best_ask", "y", "value") if c in fields), None
+                (c for c in ("q_total", "best_ask", "value") if c in fields), None
             )
-            if "time" in fields:
-                time_col = "time"
-            elif "t" in fields:
-                time_col = "t"
-            else:
+            if "time" not in fields:
                 raise ParameterError(f"{input_path} has no time column")
             if value_col is None:
                 raise ParameterError(f"{input_path} has no recognized value column")
-            rows = [(row[time_col], row[value_col]) for row in reader]
+            rows = [(row["time"], row[value_col]) for row in reader]
         rows = np.array(rows, dtype=str).reshape(-1, 2)  # (0, 2) for no rows
         _write_csv(out_path, ["time", "value"], [(rows[:, 0], "%s"), (rows[:, 1], "%s")])
         return

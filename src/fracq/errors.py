@@ -13,10 +13,6 @@ class DomainError(FracqError, ValueError):
     """An argument lies outside the validated evaluation domain."""
 
 
-class CoverageError(FracqError, RuntimeError):
-    """A simulated path does not cover the requested time range."""
-
-
 class EventCapError(FracqError, RuntimeError):
     """A simulation exceeded its event-count resource cap."""
 

@@ -23,6 +23,7 @@ from scipy.special import ndtri
 from .errors import DomainError, ParameterError
 from .gof import chi_square_counts, ecdf, ks_two_sample
 from .processes import (
+    DEFAULT_RESOLUTION,
     ClassProbabilities,
     _covering_levels,
     _renewal_times,
@@ -36,7 +37,6 @@ from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
 
 DEFAULT_P_MIN = 1e-3
 DEFAULT_Z_MAX = 4.0
-DEFAULT_RESOLUTION = 1e-3
 
 
 def _jsonify(obj):

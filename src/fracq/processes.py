@@ -1,5 +1,5 @@
-"""Event-time simulation: fractional Poisson processes, stable subordinator
-paths, inverse-clock grids, and multinomial thinning into classes.
+"""Event-time simulation: fractional Poisson processes, covering clock grids
+of the stable subordinator, and multinomial thinning into classes.
 
 Two constructions of the fractional Poisson process are provided and must
 agree in law: a renewal construction (partial sums of Mittag-Leffler waiting
@@ -28,12 +28,15 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import CoverageError, EventCapError, ParameterError
+from .errors import EventCapError, ParameterError
 from .samplers import RngStream, _mittag_leffler_steps, _stable_steps
 from .samplers import sample_inverse_subordinator_at, sample_positive_stable
 from .special import FppParams, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
+# clock levels at time t are spaced DEFAULT_RESOLUTION * t^theta, a fixed
+# fraction of the clock Y(t)'s natural scale
+DEFAULT_RESOLUTION = 1e-3
 _CSV_BLOCK = 1024
 _CRLF = "\r\n"
 
@@ -93,46 +96,6 @@ class EventTimeline:
         # unlabelled: a zero-strided column of class 0, so every class field is empty
         labels = np.broadcast_to(0, self.times.shape) if self.labels is None else self.labels
         _write_csv(path, ["time", "class"], [(self.times, "%.17g"), (labels, "class")], _CRLF)
-
-
-@dataclass(frozen=True)
-class SubordinatorGrid:
-    """Stable subordinator sampled on the regular grid {0, step, 2 step, ...}."""
-
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.step <= 0:
-            raise ParameterError("step must be positive")
-        if values.size == 0 or values[0] != 0.0:
-            raise ParameterError("grid must start at L(0) = 0")
-        if np.any(np.diff(values) < 0):
-            raise ParameterError("subordinator values must be nondecreasing")
-
-    def to_csv(self, path: str) -> None:
-        t = np.arange(self.values.size) * self.step
-        _write_csv(path, ["t", "y"], [(t, "%.17g"), (self.values, "%.17g")], _CRLF)
-
-
-@dataclass(frozen=True)
-class InverseClockGrid:
-    """Inverse-subordinator values on query times, an over-approximation
-    with bias at most one grid step."""
-
-    t_grid: np.ndarray
-    y_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
-        object.__setattr__(self, "y_values", np.asarray(self.y_values, dtype=float))
-        if self.t_grid.shape != self.y_values.shape:
-            raise ParameterError("t_grid and y_values must have equal length")
-
-    def to_csv(self, path: str) -> None:
-        _write_csv(path, ["t", "y"], [(self.t_grid, "%.17g"), (self.y_values, "%.17g")], _CRLF)
 
 
 @dataclass(frozen=True)
@@ -312,41 +275,17 @@ def simulate_fpp_renewal(
     return EventTimeline(horizon=horizon, times=_renewal_times(p, horizon, rng, event_cap))
 
 
-def simulate_subordinator(
-    theta: float, step: float, s_max: float, rng: RngStream
-) -> SubordinatorGrid:
-    """Stable subordinator increments on a regular grid: values[k] = L(k step),
-    built from iid scaled stable draws step^(1/theta) S_j."""
+def simulate_subordinator(theta: float, step: float, s_max: float, rng: RngStream) -> np.ndarray:
+    """Stable subordinator on a fixed regular grid: values[k] = L(k step) for
+    k = 0..ceil(s_max / step), built from iid scaled stable draws
+    step^(1/theta) S_j."""
     if not (0.0 < theta <= 1.0):
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
-    if step <= 0 or s_max < step:
-        raise ParameterError(f"step must be positive and finite, got {step}")
+    if not 0.0 < step <= s_max < math.inf:
+        raise ParameterError(f"need 0 < step <= s_max < inf, got step={step}, s_max={s_max}")
     m = int(math.ceil(s_max / step - 1e-12))
     incs = step ** (1.0 / theta) * sample_positive_stable(theta, rng, size=m)
-    values = np.concatenate([[0.0], np.cumsum(incs)])
-    return SubordinatorGrid(step=step, values=values)
-
-
-def invert_subordinator(grid: SubordinatorGrid, t_grid) -> InverseClockGrid:
-    """First-passage inversion: y(t) = min{k step : L(k step) > t}.
-
-    Over-approximates the true inverse clock with bias at most one step.
-    Raises CoverageError when the path does not exceed some query time.
-    """
-    t_arr = np.asarray(t_grid, dtype=float)
-    if t_arr.size and t_arr.min() < 0:
-        raise ParameterError("query times must be nonnegative")
-    if t_arr.size and grid.values[-1] <= t_arr.max():
-        raise CoverageError(
-            "subordinator path does not exceed the largest query time; extend s_max"
-        )
-    idx = np.searchsorted(grid.values, t_arr, side="right")
-    return InverseClockGrid(t_grid=t_arr, y_values=idx * grid.step)
-
-
-def default_inverse_clock_step(theta: float, horizon: float) -> float:
-    """Default clock-level resolution: 1e-3 of the clock's natural scale."""
-    return 1e-3 * max(horizon, 1e-12) ** theta
+    return np.concatenate([[0.0], np.cumsum(incs)])
 
 
 def _covering_levels(
@@ -377,13 +316,13 @@ def simulate_fpp_timechange(
     Homogeneous Poisson events of rate lam^theta are placed in clock time on
     (0, Y(horizon)] and mapped back through the right-continuous generalized
     inverse of the simulated clock path.  The clock is discretized on levels
-    spaced by ``step`` (default 1e-3 of its natural scale), so event times
+    spaced by ``step`` (default DEFAULT_RESOLUTION * horizon^theta), so event times
     carry a bias of at most one level passage.
     """
     if horizon <= 0:
         raise ParameterError("horizon must be positive")
     if step is None:
-        step = default_inverse_clock_step(p.theta, horizon)
+        step = DEFAULT_RESOLUTION * horizon**p.theta
     # the clock's walk reads its own stream as far as it needs
     values, n_levels = _covering_levels(p.theta, step, horizon, rng.substream(0))
     g = rng.substream(1).generator()
@@ -413,16 +352,6 @@ def thin_events(
     u = g.random(len(events))
     labels = np.searchsorted(classes.cumulative, u, side="right") + 1
     return EventTimeline(horizon=events.horizon, times=events.times, labels=labels)
-
-
-def class_count_at(events: EventTimeline, class_id: int, t: float) -> int:
-    """Number of class-`class_id` events with time <= t."""
-    if events.labels is None:
-        raise ParameterError("timeline carries no class labels")
-    if class_id < 1:
-        raise ParameterError("class labels start at 1")
-    upto = int(np.searchsorted(events.times, t, side="right"))
-    return int(np.count_nonzero(events.labels[:upto] == class_id))
 
 
 # ---------------------------------------------------------------------------

@@ -99,17 +99,14 @@ def _series_vec(theta: float, zeta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_sinh_rule(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for int_0^inf f(w) dw with f decaying like exp(-w^(1/theta))."""
+def _exp_sinh_nodes(theta: float, w_hi: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Step h, abscissae tau and nodes w = exp((pi/2) sinh(tau)) of the
+    double-exponential rule for int_0^inf f(w) dw on w in [1e-24, w_hi]."""
     h = 0.012 if theta <= 0.95 else 0.004
-    w_hi = 745.0**theta
     t_hi = math.asinh(math.log(w_hi) / (0.5 * math.pi))
     t_lo = math.asinh(math.log(1e-24) / (0.5 * math.pi))
-    k = np.arange(math.floor(t_lo / h), math.ceil(t_hi / h) + 1)
-    tau = h * k
-    w = np.exp(0.5 * np.pi * np.sinh(tau))
-    dw = 0.5 * np.pi * np.cosh(tau) * w * h
-    return w, dw
+    tau = h * np.arange(math.floor(t_lo / h), math.ceil(t_hi / h) + 1)
+    return h, tau, np.exp(0.5 * np.pi * np.sinh(tau))
 
 
 def _spectral_vec(theta: float, x: np.ndarray, same_index: bool) -> np.ndarray:
@@ -119,7 +116,9 @@ def _spectral_vec(theta: float, x: np.ndarray, same_index: bool) -> np.ndarray:
     an explicit rational spectral density, integrated here with a fixed
     double-exponential rule.  Valid for 0 < theta < 1.
     """
-    w, dw = _exp_sinh_rule(theta)
+    # f decays like exp(-w^(1/theta)), below the float64 range past w = 745^theta
+    h, tau, w = _exp_sinh_nodes(theta, 745.0**theta)
+    dw = 0.5 * np.pi * np.cosh(tau) * w * h
     cospi = math.cos(math.pi * theta)
     pref = math.sin(math.pi * theta) / (math.pi * theta)
     out = np.empty_like(x)
@@ -227,13 +226,7 @@ def _fpp_pmf_mixture(theta: float, x: float, n: int) -> float:
     same double-exponential rule family as the Mittag-Leffler quadrature.
     fpp_pmf sends only theta <= 0.98 here.
     """
-    h = 0.012 if theta <= 0.95 else 0.004
-    w_hi = 745.0 + 2.0 * n
-    t_hi = math.asinh(math.log(w_hi) / (0.5 * math.pi))
-    t_lo = math.asinh(math.log(1e-24) / (0.5 * math.pi))
-    k = np.arange(math.floor(t_lo / h), math.ceil(t_hi / h) + 1)
-    tau = h * k
-    w = np.exp(0.5 * np.pi * np.sinh(tau))
+    h, tau, w = _exp_sinh_nodes(theta, 745.0 + 2.0 * n)
     log_dw = math.log(0.5 * np.pi * h) + np.log(np.cosh(tau)) + np.log(w)
 
     h_phi = 0.05

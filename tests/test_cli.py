@@ -498,6 +498,14 @@ def test_plot_data_path_column_override(tmp_path):
     assert code == 0
 
 
+def test_plot_data_path_needs_a_time_column(tmp_path, capsys):
+    (tmp_path / "grid.csv").write_text("t,y\n0,0\n0.5,1.25\n")
+    code = run_cli("plot-data", "--kind", "path", "--input", tmp_path / "grid.csv",
+                   "--column", "y", "--out", tmp_path)
+    assert code == 2
+    assert "has no time column" in capsys.readouterr().err
+
+
 def test_plot_data_qq(tmp_path):
     run_cli("sample", "ml", "--theta", 0.6, "--replicas", 200, "--seed", 1,
             "--out", tmp_path / "x")

@@ -12,17 +12,13 @@ from scipy import stats
 
 from fracq import (
     ClassProbabilities,
-    CoverageError,
     EventCapError,
     EventTimeline,
     FppParams,
     ParameterError,
     RngStream,
-    SubordinatorGrid,
-    class_count_at,
     fpp_pmf_table,
     inverse_subordinator_moments,
-    invert_subordinator,
     renewal_counts,
     sample_inverse_subordinator_at,
     sample_mittag_leffler,
@@ -35,12 +31,7 @@ from fracq import (
 )
 from fracq import limitlab, processes
 from fracq.gof import chi_square_counts
-from fracq.processes import (
-    _covering_levels,
-    _pair_block,
-    _strictly_increasing,
-    default_inverse_clock_step,
-)
+from fracq.processes import DEFAULT_RESOLUTION, _covering_levels, _pair_block, _strictly_increasing
 from fracq.samplers import _mittag_leffler_steps, _stable_steps
 
 
@@ -119,10 +110,6 @@ def test_timeline_and_grid_csv_match_csv_writer(tmp_path):
         EventTimeline(horizon=1e7, times=times, labels=labels).to_csv(str(tmp_path / "tl.csv"))
         rows = [("%.17g" % t, "" if labels is None else int(labels[i])) for i, t in enumerate(times)]
         assert (tmp_path / "tl.csv").read_bytes() == writer_bytes(["time", "class"], rows)
-    grid = simulate_subordinator(0.6, 0.1, 2.0, RngStream(seed=7))
-    grid.to_csv(str(tmp_path / "grid.csv"))
-    rows = [("%.17g" % (k * 0.1), "%.17g" % v) for k, v in enumerate(grid.values)]
-    assert (tmp_path / "grid.csv").read_bytes() == writer_bytes(["t", "y"], rows)
 
 
 def test_csv_writer_memory_does_not_grow_with_the_file(tmp_path):
@@ -255,21 +242,24 @@ def test_strictly_increasing_matches_sequential_nudging():
     assert _strictly_increasing(np.empty(0)).size == 0
 
 
-# subordinator grid and inversion
+# the fixed-range subordinator grid
 
 
 def test_subordinator_grid_shape():
-    grid = simulate_subordinator(0.6, 0.1, 5.0, RngStream(seed=4))
-    assert grid.values[0] == 0.0
-    assert grid.values.size == 51
-    assert np.all(np.diff(grid.values) >= 0)
+    values = simulate_subordinator(0.6, 0.1, 5.0, RngStream(seed=4))
+    assert values[0] == 0.0
+    assert values.size == 51
+    assert np.all(np.diff(values) >= 0)
+    for step, s_max in [(0.0, 1.0), (0.2, 0.1), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)]:
+        with pytest.raises(ParameterError):
+            simulate_subordinator(0.6, step, s_max, RngStream(seed=4))
 
 
 def test_subordinator_increment_law():
     # increments / step^(1/theta) are iid standard positive stable
     theta, step = 0.5, 0.25
-    grid = simulate_subordinator(theta, step, 2500.0, RngStream(seed=5))
-    incs = np.diff(grid.values) / step ** (1.0 / theta)
+    values = simulate_subordinator(theta, step, 2500.0, RngStream(seed=5))
+    incs = np.diff(values) / step ** (1.0 / theta)
     for u in (0.5, 2.0):
         target = math.exp(-(u**theta))
         obs = np.exp(-u * incs)
@@ -277,49 +267,14 @@ def test_subordinator_increment_law():
         assert abs(z) < 4.0
 
 
-def test_invert_subordinator_by_hand():
-    grid = SubordinatorGrid(step=0.5, values=np.array([0.0, 1.0, 1.5, 4.0]))
-    inv = invert_subordinator(grid, np.array([0.0, 0.9, 1.0, 2.0, 3.9]))
-    # first k with L(k step) > t, reported as k step
-    np.testing.assert_allclose(inv.y_values, [0.5, 0.5, 1.0, 1.5, 1.5])
-
-
-def test_invert_subordinator_coverage_error():
-    grid = SubordinatorGrid(step=0.5, values=np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(CoverageError):
-        invert_subordinator(grid, np.array([2.5]))
-    with pytest.raises(ParameterError):
-        invert_subordinator(grid, np.array([-1.0]))
-
-
-def test_inverse_clock_monotone_in_query_time():
-    grid = simulate_subordinator(0.7, 0.01, 50.0, RngStream(seed=6))
-    t_grid = np.linspace(0.0, grid.values[-1] * 0.9, 200)
-    inv = invert_subordinator(grid, t_grid)
-    assert np.all(np.diff(inv.y_values) >= 0)
-
-
 def test_default_inverse_clock_step():
-    assert math.isclose(default_inverse_clock_step(0.5, 4.0), 1e-3 * 2.0)
-    assert math.isclose(default_inverse_clock_step(1.0, 10.0), 1e-2)
-
-
-def test_grid_csv_round_trip(tmp_path):
-    grid = simulate_subordinator(0.6, 0.5, 2.0, RngStream(seed=7))
-    path = tmp_path / "grid.csv"
-    grid.to_csv(str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "y"]
-    assert [float(r[0]) for r in rows[1:]] == [0.0, 0.5, 1.0, 1.5, 2.0]
-    np.testing.assert_array_equal(np.array([float(r[1]) for r in rows[1:]]), grid.values)
-
-    inv = invert_subordinator(grid, np.array([0.1]))
-    inv_path = tmp_path / "inv.csv"
-    inv.to_csv(str(inv_path))
-    with open(inv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "y"]
+    # the default clock step is 1e-3 of the clock's natural scale horizon^theta
+    for seed, (theta, horizon) in enumerate([(0.5, 4.0), (1.0, 10.0), (0.7, 2.5)]):
+        p = FppParams(theta, 10.0)
+        default = simulate_fpp_timechange(p, horizon, RngStream(seed=seed))
+        explicit = simulate_fpp_timechange(p, horizon, RngStream(seed=seed), step=1e-3 * horizon**theta)
+        assert len(default) > 0
+        assert_bitwise_equal(default.times, explicit.times)
 
 
 # time-change construction
@@ -405,20 +360,6 @@ def test_thinning_frequencies():
         freq = float(np.mean(labeled.labels == i))
         z = (freq - pi) / math.sqrt(pi * (1 - pi) / len(tl))
         assert abs(z) < 4.0
-
-
-def test_class_count_consistency():
-    p = FppParams(0.9, 2.0)
-    tl = thin_events(
-        simulate_fpp_renewal(p, 20.0, RngStream(seed=21)),
-        ClassProbabilities(np.array([0.4, 0.6])),
-        RngStream(seed=22),
-    )
-    for t in (0.0, 5.0, 20.0):
-        total = sum(class_count_at(tl, i, t) for i in (1, 2))
-        assert total == tl.count_at(t)
-    with pytest.raises(ParameterError):
-        class_count_at(simulate_fpp_renewal(p, 1.0, RngStream(seed=23)), 1, 0.5)
 
 
 # the walks' pair transforms and blocks, against the whole stream of pairs
@@ -568,7 +509,7 @@ def check_covering_levels(theta, step, horizon, seed):
 
 def test_covering_levels_match_eager_grid():
     for seed, theta, horizon in [(1, 0.6, 10.0), (2, 0.3, 1e4), (3, 0.9, 0.5), (4, 1.0, 7.0)]:
-        check_covering_levels(theta, default_inverse_clock_step(theta, horizon), horizon, seed)
+        check_covering_levels(theta, DEFAULT_RESOLUTION * horizon**theta, horizon, seed)
 
 
 def test_covering_levels_extension_matches_eager_grid(short_blocks):
@@ -582,7 +523,7 @@ def test_timechange_matches_eager_construction():
     for seed, (theta, lam, horizon, step) in enumerate(cases):
         p = FppParams(theta, lam)
         tl = simulate_fpp_timechange(p, horizon, RngStream(seed=seed), step=step)
-        step = default_inverse_clock_step(theta, horizon) if step is None else step
+        step = DEFAULT_RESOLUTION * horizon**theta if step is None else step
         assert_bitwise_equal(tl.times, eager_timechange_times(p, horizon, RngStream(seed=seed), step))
 
 
@@ -809,20 +750,28 @@ def test_one_row_walk_reads_about_a_quarter_past_its_count(monkeypatch):
 # over seeds 0-99
 
 
-def test_arrivals_walk_draws_under_1_8_gaps_per_gap_kept():
-    p, drawn, kept = FppParams(0.9, 1.0), 0, 0
+def test_arrivals_walk_draws_under_1_8_gaps_per_gap_kept(monkeypatch):
+    # the blocks span under 1.8 gaps per gap kept, and the walk draws the
+    # pairs it reads, under 1.3 per gap kept
+    reads = record_walk_reads(monkeypatch)
+    p, spanned, kept = FppParams(0.9, 1.0), 0, 0
     for seed in range(100):
         count, n, _ = processes._renewal_walks(p, 1e5, RngStream(seed=seed), 1)
-        drawn, kept = drawn + n, kept + int(count[0])
-    assert drawn / kept < 1.8
+        spanned, kept = spanned + n, kept + int(count[0])
+    assert spanned / kept < 1.8
+    assert sum(b - a for a, b, _ in reads) / kept < 1.3
 
 
-def test_covering_grid_draws_under_2_6_levels_per_level_kept():
-    drawn = kept = 0
+def test_covering_grid_draws_under_2_6_levels_per_level_kept(monkeypatch):
+    # the blocks span under 2.6 levels per level kept, and the walk draws
+    # the pairs it reads, under 1.5 per level kept
+    reads = record_walk_reads(monkeypatch)
+    spanned = kept = 0
     for seed in range(100):
         values, n_levels = _covering_levels(0.6, 1e-3, 1.0, RngStream(seed=seed))
-        drawn, kept = drawn + n_levels, kept + values.size - 1
-    assert drawn / kept < 2.6
+        spanned, kept = spanned + n_levels, kept + values.size - 1
+    assert spanned / kept < 2.6
+    assert sum(b - a for a, b, _ in reads) / kept < 1.5
 
 
 def test_extension_blocks_grow_geometrically(short_blocks, monkeypatch):
