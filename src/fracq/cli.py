@@ -146,12 +146,12 @@ def _parse_locations(text: str) -> LocationSampler:
     """Location spec: uniform:a,b | exponential:rate | point:locs[@weights] |
     empirical:file.csv (reads the `value` column)."""
     kind, _, rest = text.partition(":")
-    if kind == "uniform":
-        a, b = _parse_float_list(rest, "locations")
-        return LocationSampler.uniform(a, b)
-    if kind == "exponential":
-        (rate,) = _parse_float_list(rest, "locations")
-        return LocationSampler.exponential(rate)
+    if kind in ("uniform", "exponential"):
+        values = _parse_float_list(rest, "locations")
+        arity = 2 if kind == "uniform" else 1
+        if len(values) != arity:
+            raise ParameterError(f"--locations {kind} takes {arity} number(s), got {rest!r}")
+        return getattr(LocationSampler, kind)(*values)
     if kind == "point":
         locs_text, _, w_text = rest.partition("@")
         locs = _parse_float_list(locs_text, "locations")
@@ -170,7 +170,10 @@ def _read_column(path: str, column: str) -> np.ndarray:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise ParameterError(f"{path} has no column {column!r}")
-        return np.array([float(row[column]) for row in reader])
+        try:
+            return np.array([float(row[column]) for row in reader])
+        except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+            raise ParameterError(f"{path}: column {column!r} holds a non-number: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -164,24 +164,23 @@ def _ladder(fn, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: i
 
 def _two_clocks(
     theta_a: float, theta_b: float, t: float, resolution: float, rng: RngStream
-) -> tuple[tuple[float, np.ndarray, int], tuple[float, np.ndarray, int]]:
+) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
     """Two independent inverse clocks Y_a, Y_b (substreams 0 and 1), each
     discretized on levels spaced resolution * t^theta, on the union of their
     level-passage times up to t (t itself included).
 
-    For each clock returns (step, k, n): Y = step * k on the union grid, and
-    the n levels its covering grid's blocks span, beyond t.
+    For each clock returns (step, k): Y = step * k on the union grid.
     """
     step_a = resolution * t**theta_a
     step_b = resolution * t**theta_b
-    la, na = _covering_levels(theta_a, step_a, t, rng.substream(0))
-    lb, nb = _covering_levels(theta_b, step_b, t, rng.substream(1))
+    la = _covering_levels(theta_a, step_a, t, rng.substream(0))
+    lb = _covering_levels(theta_b, step_b, t, rng.substream(1))
     ev = np.union1d(la[:-1], lb[:-1])
     if ev.size == 0 or ev[-1] < t:
         ev = np.append(ev, t)
     ka = np.searchsorted(la, ev, side="right") - 1
     kb = np.searchsorted(lb, ev, side="right") - 1
-    return (step_a, ka, na), (step_b, kb, nb)
+    return (step_a, ka), (step_b, kb)
 
 
 def _clock_difference_path(
@@ -194,7 +193,7 @@ def _clock_difference_path(
     rng: RngStream,
 ) -> np.ndarray:
     """coef_a Y_a(s) - coef_b Y_b(s) on the union of passage grids up to t."""
-    (step_a, ka, _), (step_b, kb, _) = _two_clocks(theta_a, theta_b, t, resolution, rng)
+    (step_a, ka), (step_b, kb) = _two_clocks(theta_a, theta_b, t, resolution, rng)
     return coef_a * step_a * ka - coef_b * step_b * kb
 
 
@@ -208,7 +207,7 @@ def _brownian_difference_path(
     rng: RngStream,
 ) -> np.ndarray:
     """sqrt(var_a) B(Y_a(s)) - sqrt(var_b) B~(Y_b(s)) on the union grid."""
-    (step_a, ka, _), (step_b, kb, _) = _two_clocks(theta_a, theta_b, t, resolution, rng)
+    (step_a, ka), (step_b, kb) = _two_clocks(theta_a, theta_b, t, resolution, rng)
     # normals up to the last level the union grid reads, Y(t)
     ga = rng.substream(2).generator()
     gb = rng.substream(3).generator()
@@ -387,19 +386,14 @@ def _compensated_queue_end(
     the union of the two passage grids, where the path is exactly piecewise
     constant in the discretized model.
     """
-    (step_a, ka, na), (step_b, kb, nb) = _two_clocks(alpha, beta, horizon, resolution, rng)
+    (step_a, ka), (step_b, kb) = _two_clocks(alpha, beta, horizon, resolution, rng)
     ga = rng.substream(2).generator()
     gb = rng.substream(3).generator()
-    y_top_a = step_a * na
-    y_top_b = step_b * nb
-    # the counts over all drawn levels set the law; only positions up to
-    # Y(horizon) are read
+    # each Poisson stream over [0, Y(horizon)], the span the union grid reads
     ya = step_a * ka
     yb = step_b * kb
-    arr_pos = ga.random(ga.poisson(rate_a * y_top_a)) * y_top_a
-    dep_pos = gb.random(gb.poisson(rate_b * y_top_b)) * y_top_b
-    arr_pos = np.sort(arr_pos[arr_pos <= ya[-1]])
-    dep_pos = np.sort(dep_pos[dep_pos <= yb[-1]])
+    arr_pos = np.sort(ga.random(ga.poisson(rate_a * ya[-1])) * ya[-1])
+    dep_pos = np.sort(gb.random(gb.poisson(rate_b * yb[-1])) * yb[-1])
     a_counts = np.searchsorted(arr_pos, ya, side="right")
     c_counts = np.searchsorted(dep_pos, yb, side="right")
     path = (a_counts - rate_a * ya) - (c_counts - rate_b * yb)
@@ -753,7 +747,7 @@ def verify_queue_scaling(
             # per-class oracle: difference of the two reflections driven by
             # one shared pair of clock paths
             def one_per_class(sub: RngStream) -> float:
-                (step_a, ka, _), (step_b, kb, _) = _two_clocks(alpha, beta, t, resolution, sub)
+                (step_a, ka), (step_b, kb) = _two_clocks(alpha, beta, t, resolution, sub)
                 ya = step_a * ka
                 yb = step_b * kb
                 hi = lam**alpha * head * ya - mu**beta * yb

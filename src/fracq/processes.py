@@ -8,16 +8,13 @@ inverse-subordinator time and mapped back through the clock's generalized
 inverse).
 
 Renewal paths, renewal counts and covering clock grids are partial sums up
-to the first one above a level, all built by one loop, _passage, over (rows,
-columns) blocks and sized by one rule: mean + 2 sd, then half the steps
-drawn, in chunks of at most 1M first-block steps.  A walk reads its block a
-chunk of columns at a time and stops at its first sum above the level;
-transforms and sums run on what it reads.  Each step is the transform of a
-pair of uniforms: a trigonometric Mittag-Leffler gap, or Kanter's stable
-level.  A one-row walk draws its pairs from its own stream in the order it
-reads them and only as far as it reads, so its sums do not depend on the
-sizing rule or the reads, which set its speed only; a block of more rows
-draws all its pairs first, so its numbers follow the sizing rule.
+to the first one above a level, all built by one read loop, _passage.  Each
+step is the transform of a pair of uniforms: a trigonometric Mittag-Leffler
+gap, or Kanter's stable level.  A walk draws exactly the pairs it reads, in
+reads of its mean count plus one steps, then a quarter of the steps read so
+far, for the rows still at or below the level.  So a one-row walk's sums are
+the cumsum of its own stream's pairs in order, whatever its reads; many walks
+at once draw their pairs read by read, row by row.
 """
 
 from __future__ import annotations
@@ -70,8 +67,8 @@ class EventTimeline:
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be positive")
+        if not self.horizon > 0:  # also true for nan
+            raise ParameterError(f"horizon must be positive, got {self.horizon}")
         if times.size:
             if not np.all(np.diff(times) > 0):
                 raise ParameterError("event times must be strictly increasing")
@@ -144,116 +141,70 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
 
 
 _MIN_READ = 64  # steps a read takes at least, to spread its fixed cost
-_MIN_BLOCK = 16  # columns a block draws at least
+_ROW_CHUNK = 2**17  # first-read steps a chunk of rows takes at most
 
 
-def _first_passage(steps, shape: tuple[int, int], start, level: float, k: int):
-    """Sums cumsum(x[r]) of a (rows, n) block x = steps(key) up to each row's
-    first above the level, read a chunk of columns at a time on the rows
-    still at or below it: k columns, then a quarter more of the columns read
-    so far each time, a read taking at least _MIN_READ steps over its rows.
-    Each row's start (start None: zeros) is folded into its first step, and
-    its running sum into its next chunk's first step, so the sums continue
-    the whole walk's cumsum to the last bit, whatever the chunks.
-    Returns (count, ends, path): each row's number of sums at or below the
-    level, the last sums of the rows that end the block at or below it (in
-    row order), and for a one-row block its sums per read, up to its first
-    above the level."""
-    rows, n = shape
-    k = min(max(k, math.ceil(_MIN_READ / rows)), n)
-    live, done, path, x = slice(None), 0, [], steps(np.s_[:, :k])
-    if start is not None:
-        x[:, 0] += start
-    count = np.empty(rows, dtype=np.int64)
-    while True:
-        sums = np.cumsum(x, axis=1)
-        above = sums > level
-        # sums are nondecreasing: a row's count is the index of its first above
-        c = np.where(above[:, -1], above.argmax(axis=1), k - done)
-        count[live] = done + c
-        if rows == 1:
-            path.append(sums[0, : c[0] + 1])
-        more = c == k - done
-        if k == n or not more.any():
-            return count, sums[more, -1], path
-        if not more.all():
-            live, sums = np.arange(rows)[live][more], sums[more]
-        done, k = k, min(n, k + max(k // 4, math.ceil(_MIN_READ / sums.shape[0])))
-        x = steps(np.s_[live, done:k])
-        x[:, 0] += sums[:, -1]
-
-
-def _pair_block(transform, rng: RngStream, shape: tuple[int, int]):
-    """A (rows, n) block of steps transform(pairs), pairs[..., 0] and
-    pairs[..., 1] uniforms, returned by numpy index.  A one-row block draws
-    g.random((1, m, 2)) for the m columns each read takes, so its reads must
-    take its columns in order, each once, and give the steps of one stream of
-    pairs however they are chunked.  A block of more rows draws all its pairs
-    first, g.random((rows, n, 2)), and transforms the ones each read takes."""
+def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
+             cap: float = math.inf):
+    """First passage above level of `rows` walks from 0 whose steps are
+    transform(pairs) of pairs of uniforms from rng, pairs[..., 0] and
+    pairs[..., 1], and whose count of sums at or below the level has mean
+    `mean`.  Rows go in chunks of at most _ROW_CHUNK first-read steps.  The
+    one read rule: each read draws g.random((live, k, 2)) for the rows still
+    at or below the level, first int(min(mean, cap)) + 1 columns, then a
+    quarter of the columns read so far, at least _MIN_READ steps over its
+    rows; each row's last sum is folded into its next read's first step, so
+    the sums continue its cumsum to the last bit.  A walk thus draws exactly
+    the pairs its reads take, and a one-row walk's sums are the cumsum of its
+    stream's pairs in order, whatever the reads.  Raises EventCapError for a
+    row still at or below the level past cap steps.
+    Returns (count, path): each row's number of sums at or below the level
+    and, for one walk, its sums per read up to its first above."""
     g = rng.generator()
-    if shape[0] == 1:
-        def read(key):
-            start, stop, _ = key[1].indices(shape[1])
-            return transform(g.random((1, stop - start, 2)))
-        return read
-    pairs = g.random((*shape, 2))
-    return lambda key: transform(pairs[key])
-
-
-def _passage(draw, rows: int, level: float, mean: float, sd: float, cap: float = math.inf):
-    """First passage above level of `rows` walks from 0 with positive steps,
-    whose count of sums at or below it has mean `mean` and sd `sd`, in chunks
-    of rows of at most 1M first-block steps.  draw(shape) draws a block and
-    returns its steps by numpy index.  The one sizing rule: a first block of
-    int(mean + 2 sd) + 1 steps (at most cap + 1), read from int(mean) + 1
-    columns, then blocks of half the steps drawn, read from a quarter, for
-    the rows still short; at least _MIN_BLOCK steps each.  Raises
-    EventCapError past cap steps.
-    Returns (count, drawn, path): each row's number of sums at or below the
-    level and, for one walk, the steps its blocks span (it draws only the
-    ones it reads) and its sums per read to the first above."""
-    first = max(_MIN_BLOCK, int(min(mean + 2.0 * sd, cap)) + 1)
-    count, drawn, path = np.empty(rows, dtype=np.int64), 0, []
-    chunk = max(1, min(rows, 1_000_000 // first))
+    first = int(min(mean, cap)) + 1
+    count, path = np.empty(rows, dtype=np.int64), []
+    chunk = max(1, min(rows, _ROW_CHUNK // first))
     for lo in range(0, rows, chunk):
-        live, size, start, drawn = slice(lo, lo + chunk), min(chunk, rows - lo), None, 0
-        n, k = first, int(mean) + 1
+        live = np.arange(lo, min(lo + chunk, rows))
+        done, k, tail = 0, max(first, math.ceil(_MIN_READ / live.size)), 0.0
         while True:
-            c, ends, reads = _first_passage(draw((size, n)), (size, n), start, level, k)
-            count[live] = c if start is None else count[live] + c
-            drawn += n
+            x = transform(g.random((live.size, k, 2)))
+            x[:, 0] += tail
+            sums = np.cumsum(x, axis=1)
+            above = sums > level
+            # sums are nondecreasing: a row's count is the index of its first above
+            c = np.where(above[:, -1], above.argmax(axis=1), k)
+            count[live] = done + c
             if rows == 1:
-                path += reads
-            if ends.size == 0:
+                path.append(sums[0, : c[0] + 1])
+            more = c == k
+            if not more.any():
                 break
-            if drawn > cap:
+            done += k
+            if done > cap:
                 raise EventCapError(f"simulation exceeded {cap} events before reaching the horizon")
-            start = ends
-            if start.size < size:
-                live, size = np.arange(rows)[live][c == n], start.size
-            n, k = max(_MIN_BLOCK, drawn // 2), drawn // 4
-    return count, drawn, path
+            live, tail = live[more], sums[more, -1]
+            k = max(done // 4, math.ceil(_MIN_READ / live.size))
+    return count, path
 
 
 def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
                    event_cap: float = math.inf):
-    """_passage over horizon of `rows` walks of Mittag-Leffler gaps: blocks of
-    mean + 2 sd of the count N(horizon), then of half the gaps drawn, rows in
-    chunks of at most 1M first-block gaps; EventCapError past event_cap gaps."""
-    mean_y, var_y = inverse_subordinator_moments(p.theta, horizon)
-    rate = p.lam**p.theta
-    sd = math.sqrt(rate**2 * var_y + rate * mean_y)
-    draw = lambda shape: _pair_block(lambda pairs: _mittag_leffler_steps(p, pairs), rng, shape)
-    return _passage(draw, rows, horizon, rate * mean_y, sd, event_cap)
+    """_passage over horizon of `rows` walks of Mittag-Leffler gaps, first
+    reading the mean count N(horizon) plus one; EventCapError past event_cap
+    gaps."""
+    mean = p.lam**p.theta * inverse_subordinator_moments(p.theta, horizon)[0]
+    transform = lambda pairs: _mittag_leffler_steps(p, pairs)
+    return _passage(transform, rng, rows, horizon, mean, event_cap)
 
 
 def _renewal_times(
     p: FppParams, horizon: float, rng: RngStream, event_cap: float = math.inf
 ) -> np.ndarray:
     """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
-    sums, read by _passage's one sizing rule (mean + 2 sd, then half) from
-    rng, which serves this walk alone."""
-    path = _renewal_walks(p, horizon, rng, 1, event_cap)[2]
+    sums, read by _passage's one read rule from rng, which serves this walk
+    alone."""
+    path = _renewal_walks(p, horizon, rng, 1, event_cap)[1]
     times = path[0] if len(path) == 1 else np.concatenate(path)
     # partial sums can collide in float64 after a long wait
     times = _strictly_increasing(times[times <= horizon])
@@ -288,20 +239,16 @@ def simulate_subordinator(theta: float, step: float, s_max: float, rng: RngStrea
     return np.concatenate([[0.0], np.cumsum(incs)])
 
 
-def _covering_levels(
-    theta: float, step: float, horizon: float, rng: RngStream
-) -> tuple[np.ndarray, int]:
+def _covering_levels(theta: float, step: float, horizon: float, rng: RngStream) -> np.ndarray:
     """L on the levels k step, from L(0) = 0 up to its first value above the
-    horizon, and the number of levels its blocks span, in _passage's blocks
-    for the level count Y(horizon) / step: mean + 2 sd, then half the levels
-    spanned.  The walk reads rng in order, so rng serves it alone."""
-    mean_y, var_y = inverse_subordinator_moments(theta, horizon)
+    horizon, read by _passage's one read rule for the level count
+    Y(horizon) / step.  The walk reads rng in order, so rng serves it alone."""
+    mean_y = inverse_subordinator_moments(theta, horizon)[0]
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step}")
     scale = step ** (1.0 / theta)
-    draw = lambda shape: _pair_block(lambda pairs: scale * _stable_steps(theta, pairs), rng, shape)
-    _, n_levels, path = _passage(draw, 1, horizon, mean_y / step, math.sqrt(var_y) / step)
-    return np.concatenate([np.zeros(1), *path]), n_levels
+    transform = lambda pairs: scale * _stable_steps(theta, pairs)
+    return np.concatenate([np.zeros(1), *_passage(transform, rng, 1, horizon, mean_y / step)[1]])
 
 
 def simulate_fpp_timechange(
@@ -324,7 +271,7 @@ def simulate_fpp_timechange(
     if step is None:
         step = DEFAULT_RESOLUTION * horizon**p.theta
     # the clock's walk reads its own stream as far as it needs
-    values, n_levels = _covering_levels(p.theta, step, horizon, rng.substream(0))
+    values = _covering_levels(p.theta, step, horizon, rng.substream(0))
     g = rng.substream(1).generator()
     # Y(horizon) in the over-approximating grid sense
     k_top = values.size - 1
@@ -335,9 +282,8 @@ def simulate_fpp_timechange(
     y_pos = np.sort(g.random(n_events)) * y_top
     # event at clock position y becomes visible when Y first reaches level
     # ceil(y/step); that happens at the passage time of the previous level
-    k_ev = np.clip(np.ceil(y_pos / step).astype(int), 1, n_levels)
-    # levels above k_top are passed after the horizon
-    times = values[k_ev[k_ev <= k_top] - 1]
+    k_ev = np.clip(np.ceil(y_pos / step).astype(int), 1, k_top)
+    times = values[k_ev - 1]
     times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
     times = _strictly_increasing(times)
     keep = times <= horizon

@@ -8,6 +8,7 @@ workers without coordination and still reproduce bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,8 @@ def sample_inverse_subordinator_at(
     theta = 1 returns exactly t.
     """
     _check_theta(theta)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
     n = _n_variates(size)
     if theta == 1.0:
         out = np.full(n, float(t))

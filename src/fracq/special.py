@@ -58,8 +58,8 @@ class FppParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.theta <= 1.0):
             raise ParameterError(f"theta must be in (0, 1], got {self.theta}")
-        if not self.lam > 0.0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterError(f"lam must be positive and finite, got {self.lam}")
 
 
 def _series_vec(theta: float, zeta: float, z: np.ndarray) -> np.ndarray:
@@ -325,8 +325,8 @@ def fpp_pmf(p: FppParams, t: float, n: int) -> float:
         raise ParameterError("n must be an integer")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if not t >= 0:  # also true for nan
+        raise ParameterError(f"t must be nonnegative, got {t}")
     x = p.lam * t
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -368,8 +368,8 @@ def ml_cdf(p: FppParams, x):
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     xf = np.atleast_1d(x_arr).astype(float).ravel()
-    if np.any(xf < 0):
-        raise ParameterError("x must be nonnegative")
+    if not np.all(xf >= 0):  # also true for nan
+        raise ParameterError("x must be nonnegative numbers")
     w = (p.lam * xf) ** p.theta
     vals = 1.0 - _ml_eval(p.theta, 1.0, -w)
     vals = np.clip(vals, 0.0, 1.0)
@@ -383,6 +383,8 @@ def ml_pdf(p: FppParams, x):
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     xf = np.atleast_1d(x_arr).astype(float).ravel()
+    if np.isnan(xf).any():
+        raise ParameterError("x must be numbers, got nan")
     if np.any(xf <= 0):
         raise DomainError("ml_pdf requires x > 0")
     w = (p.lam * xf) ** p.theta
@@ -395,12 +397,12 @@ def ml_pdf(p: FppParams, x):
 
 def fpp_pgf(p: FppParams, s, t: float):
     """Probability generating function E s^N(t) = E_theta((lam t)^theta (s - 1))."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if not t >= 0:  # also true for nan
+        raise ParameterError(f"t must be nonnegative, got {t}")
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     sf = np.atleast_1d(s_arr).astype(float).ravel()
-    if np.any((sf < 0) | (sf > 1)):
+    if not np.all((sf >= 0) & (sf <= 1)):  # also true for nan
         raise ParameterError("s must lie in [0, 1]")
     z = (p.lam * t) ** p.theta * (sf - 1.0)
     vals = _ml_eval(p.theta, 1.0, z)
@@ -418,8 +420,8 @@ def inverse_subordinator_moments(theta: float, t: float) -> tuple[float, float]:
     """
     if not (0.0 < theta <= 1.0):
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
     if theta == 1.0:
         return float(t), 0.0
     g1 = math.gamma(1.0 + theta)

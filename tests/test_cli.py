@@ -342,6 +342,21 @@ def test_bad_replicas_or_horizons_is_usage_error(tmp_path, capsys, args, message
     assert "usage error" in err and message in err
 
 
+@pytest.mark.parametrize("case", ["uniform:1", "exponential:1,2", "empirical", "ecdf", "qq"])
+def test_malformed_locations_or_cells_are_usage_errors(tmp_path, capsys, case):
+    # a location spec of the wrong arity, or a non-numeric cell in a column read
+    bad = tmp_path / "bad.csv"
+    bad.write_text("value\n1.5\nabc\n")
+    if case in ("ecdf", "qq"):
+        args = ["plot-data", "--kind", case, "--input", bad, "--input2", bad]
+    else:
+        spec = f"empirical:{bad}" if case == "empirical" else case
+        args = ["auction", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1,
+                "--locations", spec, "--horizon", 10]
+    assert run_cli(*args, "--out", tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 LLN = ["verify", "lln", "--theta", 0.7, "--lambda", 1, "--p", "0.5,0.5"]
 SCALING = ["verify", "scaling", "--alpha", 0.3, "--beta", 0.9, "--lambda", 1, "--mu", 1]
 BEST_ASK = ["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1,

@@ -22,6 +22,7 @@ from fracq import (
 from fracq import limitlab
 from fracq.gof import ks_two_sample
 from fracq.limitlab import map_replicas
+from fracq.processes import _covering_levels
 from fracq.queueing import _reflect
 from fracq.special import inverse_subordinator_moments
 
@@ -473,8 +474,11 @@ def test_brownian_difference_path_matches_full_draw():
     for seed, (theta_a, theta_b, t) in enumerate(TWO_CLOCK_CASES):
         rng = RngStream(seed=seed)
         got = limitlab._brownian_difference_path(theta_a, 1.5, theta_b, 0.7, t, 1e-2, rng)
-        (step_a, ka, na), (step_b, kb, nb) = limitlab._two_clocks(theta_a, theta_b, t, 1e-2, rng)
-        assert ka[-1] < na and kb[-1] < nb
+        (step_a, ka), (step_b, kb) = limitlab._two_clocks(theta_a, theta_b, t, 1e-2, rng)
+        # the levels of each covering grid, one past Y(t)
+        na = _covering_levels(theta_a, step_a, t, rng.substream(0)).size - 1
+        nb = _covering_levels(theta_b, step_b, t, rng.substream(1)).size - 1
+        assert (ka[-1], kb[-1]) == (na - 1, nb - 1)
         ga = rng.substream(2).generator()
         gb = rng.substream(3).generator()
         ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), na))])
@@ -484,21 +488,24 @@ def test_brownian_difference_path_matches_full_draw():
 
 
 def test_compensated_queue_end_matches_full_sort():
+    # each Poisson stream is drawn over [0, Y(horizon)] on the grid, and every
+    # position is compared with every grid value
+    drawn = 0
     for seed, (alpha, beta, horizon) in enumerate(TWO_CLOCK_CASES):
         rng = RngStream(seed=seed)
         got = limitlab._compensated_queue_end(alpha, beta, 2.0, 1.5, horizon, 1e-2, rng)
-        (step_a, ka, na), (step_b, kb, nb) = limitlab._two_clocks(alpha, beta, horizon, 1e-2, rng)
+        (step_a, ka), (step_b, kb) = limitlab._two_clocks(alpha, beta, horizon, 1e-2, rng)
+        ya, yb = step_a * ka, step_b * kb
         ga = rng.substream(2).generator()
         gb = rng.substream(3).generator()
-        y_top_a, y_top_b = step_a * na, step_b * nb
-        arr_pos = np.sort(ga.random(ga.poisson(2.0 * y_top_a)) * y_top_a)
-        dep_pos = np.sort(gb.random(gb.poisson(1.5 * y_top_b)) * y_top_b)
-        ya, yb = step_a * ka, step_b * kb
-        path = (np.searchsorted(arr_pos, ya, side="right") - 2.0 * ya) - (
-            np.searchsorted(dep_pos, yb, side="right") - 1.5 * yb
+        arr_pos = ga.random(ga.poisson(2.0 * ya[-1])) * ya[-1]
+        dep_pos = gb.random(gb.poisson(1.5 * yb[-1])) * yb[-1]
+        path = ((arr_pos <= ya[:, None]).sum(axis=1) - 2.0 * ya) - (
+            (dep_pos <= yb[:, None]).sum(axis=1) - 1.5 * yb
         )
-        assert arr_pos[-1] > ya[-1] and dep_pos[-1] > yb[-1]
+        drawn += arr_pos.size + dep_pos.size
         assert got == _reflect(path)[-1]
+    assert drawn > 100
 
 
 def test_battery_keys_streams_by_offset_and_scales_replicas():

@@ -5,6 +5,7 @@ import csv
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from fracq import (
     FppParams,
     ParameterError,
     RngStream,
+    fpp_pgf,
+    fpp_pmf,
     fpp_pmf_table,
     inverse_subordinator_moments,
+    ml_cdf,
+    ml_pdf,
     renewal_counts,
     sample_inverse_subordinator_at,
     sample_mittag_leffler,
@@ -31,7 +36,7 @@ from fracq import (
 )
 from fracq import limitlab, processes
 from fracq.gof import chi_square_counts
-from fracq.processes import DEFAULT_RESOLUTION, _covering_levels, _pair_block, _strictly_increasing
+from fracq.processes import DEFAULT_RESOLUTION, _covering_levels, _strictly_increasing
 from fracq.samplers import _mittag_leffler_steps, _stable_steps
 
 
@@ -51,6 +56,29 @@ def test_timeline_validation():
         EventTimeline(horizon=1.0, times=np.array([0.5]), labels=np.array([0]))
     with pytest.raises(ParameterError):
         EventTimeline(horizon=1.0, times=np.array([0.5]), labels=np.array([1, 2]))
+
+
+P07, NAN = FppParams(0.7, 1.0), float("nan")
+NON_FINITE_INPUTS = {
+    "renewal_nan_horizon": lambda: simulate_fpp_renewal(P07, NAN, RngStream(seed=0)),
+    "renewal_inf_horizon": lambda: simulate_fpp_renewal(P07, math.inf, RngStream(seed=0)),
+    "renewal_counts_nan_t": lambda: renewal_counts(P07, NAN, 10, RngStream(seed=0)),
+    "inf_lam": lambda: FppParams(0.7, math.inf),
+    "timeline_nan_horizon": lambda: EventTimeline(horizon=NAN, times=np.array([])),
+    "inverse_clock_nan_t": lambda: sample_inverse_subordinator_at(0.7, NAN, RngStream(seed=0)),
+    "inverse_clock_inf_t": lambda: sample_inverse_subordinator_at(0.7, math.inf, RngStream(seed=0)),
+    "pmf_nan_t": lambda: fpp_pmf(P07, NAN, 2),
+    "pgf_nan_t": lambda: fpp_pgf(P07, 0.5, NAN),
+    "pgf_nan_s": lambda: fpp_pgf(P07, NAN, 1.0),
+    "ml_cdf_nan_x": lambda: ml_cdf(P07, NAN),
+    "ml_pdf_nan_x": lambda: ml_pdf(P07, np.array([1.0, NAN])),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_INPUTS))
+def test_non_finite_input_is_a_parameter_error(case):
+    with pytest.raises(ParameterError):
+        NON_FINITE_INPUTS[case]()
 
 
 def test_timeline_count_at():
@@ -195,7 +223,7 @@ def test_renewal_event_cap():
 
 def raw_renewal_sums(p, horizon, seed):
     """The partial sums of one renewal walk up to the horizon, not nudged."""
-    sums = np.concatenate(processes._renewal_walks(p, horizon, RngStream(seed=seed), 1)[2])
+    sums = np.concatenate(processes._renewal_walks(p, horizon, RngStream(seed=seed), 1)[1])
     return sums[sums <= horizon]
 
 
@@ -362,7 +390,7 @@ def test_thinning_frequencies():
         assert abs(z) < 4.0
 
 
-# the walks' pair transforms and blocks, against the whole stream of pairs
+# the walks' pair transforms, against the whole stream of pairs
 
 
 def assert_bitwise_equal(got, expected):
@@ -420,39 +448,35 @@ def test_kanter_prefix_matches_eager_draws(theta):
         assert_bitwise_equal(np.concatenate(chunks), transform(pairs))
 
 
-@pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
-def test_kanter_block_keys_match_eager_draws(theta):
-    # a (rows, cols) block draws its pairs as one (rows, cols, 2) array, and
-    # gathered rows and column slices read the transforms of the same pairs
-    rows, cols = 40, 25
-    gathered = np.array([0, 3, 17, 39])
-    pairs = stream_pairs(5, rows * cols).reshape(rows, cols, 2)
-    for transform in pair_transforms(theta, 0.7):
-        block = _pair_block(transform, RngStream(seed=5), (rows, cols))
-        for key in (np.s_[:, :], np.s_[:, 7:19], np.s_[gathered, 3:11], np.s_[gathered[1:], :]):
-            assert_bitwise_equal(block(key), transform(pairs)[key])
+# the read loop: a walk draws exactly the pairs its reads take
 
 
-def block_widths(mean, sd):
-    """The one sizing rule: a first block of int(mean + 2 sd) + 1 steps, then
-    blocks of half the steps drawn so far, each at least 16."""
-    drawn, width = 0, max(16, int(mean + 2.0 * sd) + 1)
-    while True:
-        yield width
-        drawn += width
-        width = max(16, drawn // 2)
+def recorded_transform(transform, reads):
+    """transform, appending the (rows, columns) of the pairs of each read."""
+    def read(pairs):
+        reads.append(pairs.shape[:2])
+        return transform(pairs)
+    return read
 
 
-def count_widths(p, horizon):
-    """block_widths for the count N(horizon) of a renewal walk."""
-    mean_y, var_y = processes.inverse_subordinator_moments(p.theta, horizon)
-    rate = p.lam**p.theta
-    return block_widths(rate * mean_y, math.sqrt(rate**2 * var_y + rate * mean_y))
+def record_walk_reads(monkeypatch):
+    """The (rows, columns) of each read of the walks' pair transforms."""
+    reads = []
+    for name in ("_mittag_leffler_steps", "_stable_steps"):
+        def recorded(param, pairs, steps=getattr(processes, name)):
+            reads.append(pairs.shape[:2])
+            return steps(param, pairs)
+        monkeypatch.setattr(processes, name, recorded)
+    return reads
+
+
+def pairs_drawn(reads):
+    return sum(rows * columns for rows, columns in reads)
 
 
 # the stream-order identity: a one-row walk's sums are the cumsum of the
 # transforms of the first pairs of its stream, up to its first above the
-# level, whatever its blocks and reads
+# level, whatever its reads
 
 
 def stream_order_sums(transform, rng, level):
@@ -492,19 +516,16 @@ def no_moments(theta, t):
 
 
 @pytest.fixture
-def short_blocks(monkeypatch):
-    """Size every first block as if the clock never moved, so that blocks
-    fall short of the horizon and the extension loops run."""
+def short_first_reads(monkeypatch):
+    """Size every first read as if the clock never moved, so that first reads
+    fall short of the horizon and later reads run."""
     monkeypatch.setattr(processes, "inverse_subordinator_moments", no_moments)
 
 
 def check_covering_levels(theta, step, horizon, seed):
-    values, n_levels = _covering_levels(theta, step, horizon, RngStream(seed=seed))
+    values = _covering_levels(theta, step, horizon, RngStream(seed=seed))
     assert_bitwise_equal(values, eager_covering_grid(theta, step, horizon, RngStream(seed=seed)))
     assert values[-2] <= horizon < values[-1]
-    # the blocks span every level read
-    assert n_levels >= values.size - 1
-    return n_levels
 
 
 def test_covering_levels_match_eager_grid():
@@ -512,10 +533,12 @@ def test_covering_levels_match_eager_grid():
         check_covering_levels(theta, DEFAULT_RESOLUTION * horizon**theta, horizon, seed)
 
 
-def test_covering_levels_extension_matches_eager_grid(short_blocks):
+def test_covering_levels_extension_matches_eager_grid(short_first_reads, monkeypatch):
+    reads = record_walk_reads(monkeypatch)
     for seed in (5, 6):
-        # a first block of 16 levels, then several extensions
-        assert check_covering_levels(0.7, 0.01, 3.0, seed) > 16 + 16 + 16
+        check_covering_levels(0.7, 0.002, 3.0, seed)
+    # first reads of 64 levels, then several more
+    assert reads[0] == (1, 64) and len(reads) > 6
 
 
 def test_timechange_matches_eager_construction():
@@ -527,7 +550,7 @@ def test_timechange_matches_eager_construction():
         assert_bitwise_equal(tl.times, eager_timechange_times(p, horizon, RngStream(seed=seed), step))
 
 
-def test_timechange_extension_matches_eager_construction(short_blocks):
+def test_timechange_extension_matches_eager_construction(short_first_reads):
     p = FppParams(0.7, 3.0)
     tl = simulate_fpp_timechange(p, 3.0, RngStream(seed=8), step=0.01)
     assert_bitwise_equal(tl.times, eager_timechange_times(p, 3.0, RngStream(seed=8), 0.01))
@@ -549,60 +572,54 @@ def test_renewal_paths_match_eager_blocks():
     check_renewal_paths(0.2, 1.0, 1e6, COLLISION_SEEDS[0])  # float collisions are nudged
 
 
-def test_renewal_paths_with_later_blocks_match_eager_blocks(short_blocks):
+def test_renewal_paths_with_later_blocks_match_eager_blocks(short_first_reads):
     for seed, theta in enumerate((0.6, 0.8, 1.0)):
-        # blocks from 16 gaps up for a few hundred events
+        # reads from 64 gaps up for a few hundred events
         assert check_renewal_paths(theta, 4.0, 2000.0, seed) > 64
-
-
-def recorded_reads(steps, reads):
-    """steps, appending the column range and row count of each read."""
-    def read(key):
-        x = steps(key)
-        reads.append((key[1].start or 0, key[1].stop, x.shape[0]))
-        return x
-    return read
-
-
-def record_walk_reads(monkeypatch):
-    """The reads of the walks' blocks, as recorded_reads lists them."""
-    reads = []
-    monkeypatch.setattr(processes, "_pair_block", lambda *args: recorded_reads(_pair_block(*args), reads))
-    return reads
 
 
 IDENTITY_P = FppParams(0.8, 4.0)
 IDENTITY_WALKS = [
     # (sums of one walk on rng, transform of its steps, level)
-    (lambda rng: np.concatenate(processes._renewal_walks(IDENTITY_P, 1500.0, rng, 1)[2]),
+    (lambda rng: np.concatenate(processes._renewal_walks(IDENTITY_P, 1500.0, rng, 1)[1]),
      lambda x: _mittag_leffler_steps(IDENTITY_P, x), 1500.0),
-    (lambda rng: _covering_levels(0.7, 1e-3, 3.0, rng)[0][1:],
+    (lambda rng: _covering_levels(0.7, 1e-3, 3.0, rng)[1:],
      lambda x: 1e-3 ** (1.0 / 0.7) * _stable_steps(0.7, x), 3.0),
 ]
 
 
-def stream_order_identity_holds():
+def stream_order_identity_holds(stream=RngStream):
+    """Whether each identity walk, on stream(seed=seed), gives the cumsum of
+    the first pairs of RngStream(seed=seed)."""
     for seed, (walk, transform, level) in itertools.product(range(4), IDENTITY_WALKS):
-        got = walk(RngStream(seed=seed))
+        got = walk(stream(seed=seed))
         expected = stream_order_sums(transform, RngStream(seed=seed), level)
         if got.shape != expected.shape or not np.array_equal(got.view(np.int64), expected.view(np.int64)):
             return False
     return True
 
 
-def drop_a_draw_after_each_read(transform, rng, shape):
-    steps = _pair_block(transform, rng, shape)
-    return lambda key: (steps(key), rng.generator().random())[0]
+class DropADrawAfterEachRead(RngStream):
+    """A planted defect: a stream whose generator loses a uniform after each
+    read."""
+
+    def generator(self):
+        g = super().generator()
+        return SimpleNamespace(random=lambda shape: (g.random(shape), g.random())[0])
 
 
-def read_pairs_as_v_u(transform, rng, shape):
-    return _pair_block(lambda x: transform(x[..., ::-1]), rng, shape)
+def read_pairs_as_v_u(monkeypatch):
+    """A planted defect: every walk transforms its pairs (U, V) as (V, U)."""
+    for name in ("_mittag_leffler_steps", "_stable_steps"):
+        steps = getattr(processes, name)
+        monkeypatch.setattr(processes, name,
+                            lambda param, pairs, steps=steps: steps(param, pairs[..., ::-1]))
 
 
 CHUNK_RULES = {
     "sized": {},
     "short_blocks": {"inverse_subordinator_moments": no_moments},
-    "short_reads": {"inverse_subordinator_moments": no_moments, "_MIN_READ": 7, "_MIN_BLOCK": 3},
+    "short_reads": {"inverse_subordinator_moments": no_moments, "_MIN_READ": 7},
 }
 
 
@@ -614,180 +631,181 @@ def test_walk_sums_are_cumsums_of_stream_order_pairs(rule, monkeypatch):
     assert stream_order_identity_holds()
     # the walks read in several chunks, so the planted defects below show
     assert len(reads) > 3 * 2 * len(IDENTITY_WALKS)
-    for defect in (drop_a_draw_after_each_read, read_pairs_as_v_u):
-        monkeypatch.setattr(processes, "_pair_block", defect)
-        assert not stream_order_identity_holds()
+    assert not stream_order_identity_holds(DropADrawAfterEachRead)
+    read_pairs_as_v_u(monkeypatch)
+    assert not stream_order_identity_holds()
 
 
-def test_first_passage_on_gathered_rows_matches_eager_sums():
-    # rows past the level retire after different reads, and the last read
-    # takes the block's last column on the rows left, four of them short
-    rows, n, level = 60, 64, 200.0
-    start = np.linspace(0.0, level, rows, endpoint=False)
-    reads = []
-    stable = pair_transforms(0.7, 1.0)[0]
-    steps = recorded_reads(_pair_block(stable, RngStream(seed=9), (rows, n)), reads)
-    x = stable(stream_pairs(9, rows * n).reshape(rows, n, 2))
-    x[:, 0] += start
-    full = np.cumsum(x, axis=1)
-    count, ends, path = processes._first_passage(steps, (rows, n), start, level, 4)
-    np.testing.assert_array_equal(count, (full <= level).sum(axis=1))
-    # reads cover the block in order, each a quarter more than read so far
-    # and at least 64 steps over its rows
-    assert reads[0] == (0, 4, rows) and reads[-1][1] == n
-    assert all(a == prev_b and b == min(n, a + max(a // 4, math.ceil(64 / r)))
-               for (_, prev_b, _), (a, b, r) in zip(reads, reads[1:]))
-    retired_after = {int(np.searchsorted([b for _, b, _ in reads], c + 1)) for c in count[count < n]}
-    assert len(retired_after) > 5 and (count < 4).any()
-    assert_bitwise_equal(ends, full[count == n, -1])
-    assert (count == n).sum() == 4 and path == []
+# many walks at once: each read draws g.random((live, columns, 2)) for the
+# rows still at or below the level, rows in chunks of at most
+# processes._ROW_CHUNK first-read steps
 
 
-def one_row_passage(level, n=400, k=16, seed=10):
-    """_first_passage of a one-row block from start 3.5: its count, its sums
-    joined across reads, its reads and the eager sums of the whole block."""
-    reads = []
-    stable = pair_transforms(0.7, 1.0)[0]
-    steps = recorded_reads(_pair_block(stable, RngStream(seed=seed), (1, n)), reads)
-    count, ends, path = processes._first_passage(steps, (1, n), np.array([3.5]), level, k)
-    x = stable(stream_pairs(seed, n))
-    x[0] += 3.5
-    return int(count[0]), np.concatenate(path), reads, np.cumsum(x), ends
-
-
-def test_first_passage_of_one_row_matches_eager_sums_at_read_edges():
-    _, _, reads, full, ends = one_row_passage(math.inf)
-    # reads of at least 64 steps from the first on
-    assert reads[:3] == [(0, 64, 1), (64, 128, 1), (128, 192, 1)]
-    assert len(reads) > 4 and ends.size == 1 and ends[0] == full[-1]
-    for j in (0, 1, 3):
-        last = reads[j][1] - 1
-        # first above the level on the last column of read j, then on the
-        # first column of read j + 1
-        for first_above, n_reads in ((last, j + 1), (last + 1, j + 2)):
-            count, sums, got_reads, _, ends = one_row_passage(full[first_above - 1])
-            assert count == first_above and ends.size == 0
-            assert got_reads == reads[:n_reads]
-            assert_bitwise_equal(sums, full[: first_above + 1])
-
-
-def test_one_row_walk_over_two_blocks_matches_eager_sums(short_blocks, monkeypatch):
-    # blocks of at least 1024 gaps, the first read from 64 columns on: 1686 events
-    monkeypatch.setattr(processes, "_MIN_BLOCK", 1024)
-    p, horizon = FppParams(0.8, 4.0), 1500.0
-    reads = record_walk_reads(monkeypatch)
-    count, drawn, path = processes._renewal_walks(p, horizon, RngStream(seed=5), 1)
-    assert count[0] == 1686 and drawn == 2048 and len(reads) > 15
-    # the second block is read from a quarter of the 1024 steps drawn
-    assert reads[0] == (0, 64, 1) and (0, 256, 1) in reads[1:]
-    full = np.cumsum(_mittag_leffler_steps(p, stream_pairs(5, 1687)))
-    assert_bitwise_equal(np.concatenate(path), full)
+def eager_walk_counts(transform, rng, rows, level, first, chunk):
+    """The counts of sums at or below the level of `rows` walks by the read
+    rule, each row's steps gathered across reads and summed whole: in chunks
+    of `chunk` rows, a read of max(first, ceil(64 / rows)) columns, then of
+    max(done // 4, ceil(64 / live)) on the live rows, the rows whose last sum
+    is still at or below the level."""
+    g, counts = rng.generator(), []
+    for lo in range(0, rows, chunk):
+        steps = [np.empty(0) for _ in range(min(chunk, rows - lo))]
+        live, k = list(range(len(steps))), max(first, math.ceil(64 / len(steps)))
+        while live:
+            for r, row in zip(live, transform(g.random((len(live), k, 2)))):
+                steps[r] = np.concatenate([steps[r], row])
+            live = [r for r in live if np.cumsum(steps[r])[-1] <= level]
+            if live:
+                k = max(steps[live[0]].size // 4, math.ceil(64 / len(live)))
+        counts += [int((np.cumsum(x) <= level).sum()) for x in steps]
+    return np.array(counts)
 
 
 def eager_renewal_counts(p, t, n, rng):
-    """renewal_counts from blocks of pairs drawn in full (one chunk of rows:
-    n times the first block below 1M): an (n, block, 2) array, then the next
-    block of count_widths for each row still short, each row's last sum
-    folded into its first gap."""
-    g = rng.generator()
-    gaps = lambda rows, block: _mittag_leffler_steps(p, g.random((rows, block, 2)))
-    widths = count_widths(p, t)
-    sums = np.cumsum(gaps(n, next(widths)), axis=1)
-    counts = (sums <= t).sum(axis=1)
-    short = np.flatnonzero(sums[:, -1] <= t)
-    tails = sums[short, -1]
-    while short.size:
-        x = gaps(short.size, next(widths))
-        x[:, 0] += tails
-        more = np.cumsum(x, axis=1)
-        counts[short] += (more <= t).sum(axis=1)
-        still = more[:, -1] <= t
-        short, tails = short[still], more[still, -1]
-    return counts
+    """renewal_counts by eager_walk_counts: a first read of the mean count
+    plus one, rows in chunks of at most _ROW_CHUNK first-read steps."""
+    first = int(p.lam**p.theta * processes.inverse_subordinator_moments(p.theta, t)[0]) + 1
+    chunk = max(1, min(n, processes._ROW_CHUNK // first))
+    return eager_walk_counts(lambda x: _mittag_leffler_steps(p, x), rng, n, t, first, chunk)
+
+
+def test_passage_on_gathered_rows_matches_eager_sums():
+    # rows past the level retire after different reads, and each read draws
+    # the pairs of the rows left
+    rows, level, reads = 60, 200.0, []
+    stable = pair_transforms(0.7, 1.0)[0]
+    count, path = processes._passage(recorded_transform(stable, reads), RngStream(seed=9),
+                                     rows, level, 4.5)
+    assert_bitwise_equal(count, eager_walk_counts(stable, RngStream(seed=9), rows, level, 5, rows))
+    # a first read of the mean count plus one, then a quarter more than read
+    # so far, at least 64 steps over the rows left
+    assert reads[0] == (rows, 5) and path == []
+    done = np.cumsum([k for _, k in reads])
+    assert all(r <= prev and k == max(d // 4, math.ceil(64 / r))
+               for (prev, _), (r, k), d in zip(reads, reads[1:], done))
+    assert len({r for r, _ in reads}) > 5 and reads[-1][0] <= 5
+
+
+def one_row_passage(level, seed=10):
+    """_passage of one walk of stable steps, with mean count 15: its count,
+    its sums joined across reads, and the (rows, columns) of its reads."""
+    reads = []
+    stable = pair_transforms(0.7, 1.0)[0]
+    count, path = processes._passage(recorded_transform(stable, reads), RngStream(seed=seed),
+                                     1, level, 15.0)
+    return int(count[0]), np.concatenate(path), reads
+
+
+def test_passage_of_one_row_matches_eager_sums_at_read_edges():
+    full = np.cumsum(pair_transforms(0.7, 1.0)[0](stream_pairs(10, 1000)))
+    # reads of at least 64 steps, then a quarter of the steps read so far
+    widths = [64, 64, 64, 64, 64, 80, 100]
+    edges = np.cumsum(widths)
+    for j in (0, 1, 3, 5):
+        last = edges[j] - 1
+        # first above the level on the last column of read j, then on the
+        # first column of read j + 1
+        for first_above, n_reads in ((last, j + 1), (last + 1, j + 2)):
+            count, sums, reads = one_row_passage(full[first_above - 1])
+            assert count == first_above
+            assert reads == [(1, w) for w in widths[:n_reads]]
+            assert_bitwise_equal(sums, full[: first_above + 1])
 
 
 COUNT_CASES = [(0.7, 1.2, 1.0, 400), (0.3, 2.0, 5.0, 300), (0.95, 1.5, 20.0, 200), (1.0, 2.0, 1.5, 100)]
 
 
-def test_count_helpers_match_eager_blocks():
+def test_count_helpers_match_eager_blocks(monkeypatch):
     for seed, (theta, lam, t, n) in enumerate(COUNT_CASES):
         p = FppParams(theta, lam)
         assert_bitwise_equal(
             renewal_counts(p, t, n, RngStream(seed=seed)),
             eager_renewal_counts(p, t, n, RngStream(seed=seed)),
         )
+    # planted defects the oracle must catch
+    p, t, n = FppParams(*COUNT_CASES[0][:2]), *COUNT_CASES[0][2:]
+    eager = eager_renewal_counts(p, t, n, RngStream(seed=0))
+    assert not np.array_equal(renewal_counts(p, t, n, DropADrawAfterEachRead(seed=0)), eager)
+    read_pairs_as_v_u(monkeypatch)
+    assert not np.array_equal(renewal_counts(p, t, n, RngStream(seed=0)), eager)
 
 
-def test_count_helpers_with_tail_blocks_match_eager_blocks(short_blocks):
-    # first blocks of 16 gaps: most rows need tail blocks, some several, and
-    # the first prefixes of 2 gaps double
+def test_count_helpers_with_tail_blocks_match_eager_blocks(short_first_reads, monkeypatch):
+    # first reads of one gap: most rows need later reads, some several
     ren = {}
+    reads = record_walk_reads(monkeypatch)
     for seed, (theta, lam, t, n) in enumerate(COUNT_CASES):
         p = FppParams(theta, lam)
         ren[theta] = renewal_counts(p, t, n, RngStream(seed=seed))
         assert_bitwise_equal(ren[theta], eager_renewal_counts(p, t, n, RngStream(seed=seed)))
-    assert (ren[0.95] > 16).sum() > 100 and (ren[0.95] > 32).sum() > 10
+    assert (ren[0.95] > 1).sum() > 100 and (ren[0.95] > 32).sum() > 10
+    assert reads[0] == (400, 1) and len(reads) > 4 * len(COUNT_CASES)
+
+
+def test_count_helpers_match_eager_blocks_across_row_chunks(monkeypatch):
+    # chunks of 150, 150 and 100 rows, each a first read of 2 gaps
+    monkeypatch.setattr(processes, "_ROW_CHUNK", 300)
+    reads = record_walk_reads(monkeypatch)
+    p, t, n = FppParams(0.7, 1.2), 1.0, 400
+    counts = renewal_counts(p, t, n, RngStream(seed=0))
+    assert_bitwise_equal(counts, eager_renewal_counts(p, t, n, RngStream(seed=0)))
+    # a chunk's first read is the first on more rows than the read before
+    firsts = [reads[0]] + [b for a, b in zip(reads, reads[1:]) if b[0] > a[0]]
+    assert firsts == [(150, 2), (150, 2), (100, 2)]
+    # the chunks change the draws, so the oracle's chunks are checked
+    monkeypatch.undo()
+    assert not np.array_equal(counts, renewal_counts(p, t, n, RngStream(seed=0)))
 
 
 def test_one_row_walk_reads_about_a_quarter_past_its_count(monkeypatch):
     # the queue-scaling arrivals point: a first read of the mean count plus
-    # one, 32880 gaps, of a first block of mean + 2 sd, 54038
+    # one, 32880 gaps
     p, horizon = FppParams(0.9, 1.0), 1e5
-    assert next(count_widths(p, horizon)) == 54_038
     reads = record_walk_reads(monkeypatch)
     for seed in range(4):
         reads.clear()
         rng = RngStream(seed=seed)
-        count, drawn, _ = processes._renewal_walks(p, horizon, rng, 1)
-        transformed = sum(b - a for a, b, _ in reads)
-        assert drawn == 54_038 and reads[0] == (0, 32_880, 1)
-        assert transformed <= max(32_880, 1.25 * (count[0] + 1))
+        count, _ = processes._renewal_walks(p, horizon, rng, 1)
+        drawn = pairs_drawn(reads)
+        assert reads[0] == (1, 32_880)
+        assert drawn <= max(32_880, 1.25 * (count[0] + 1))
         # the walk drew the pairs it transformed and no more
-        assert_bitwise_equal(rng.generator().random(2), stream_pairs(seed, transformed + 1)[-1])
+        assert_bitwise_equal(rng.generator().random(2), stream_pairs(seed, drawn + 1)[-1])
 
 
-# the sizing rule by its ratio of variates drawn to variates kept, summed
-# over seeds 0-99
+# the read rule by its ratio of variates drawn to variates kept, summed over
+# seeds 0-99
 
 
 def test_arrivals_walk_draws_under_1_8_gaps_per_gap_kept(monkeypatch):
-    # the blocks span under 1.8 gaps per gap kept, and the walk draws the
-    # pairs it reads, under 1.3 per gap kept
+    # the walk draws the pairs it reads, under 1.3 per gap kept
     reads = record_walk_reads(monkeypatch)
-    p, spanned, kept = FppParams(0.9, 1.0), 0, 0
-    for seed in range(100):
-        count, n, _ = processes._renewal_walks(p, 1e5, RngStream(seed=seed), 1)
-        spanned, kept = spanned + n, kept + int(count[0])
-    assert spanned / kept < 1.8
-    assert sum(b - a for a, b, _ in reads) / kept < 1.3
+    p = FppParams(0.9, 1.0)
+    kept = sum(int(processes._renewal_walks(p, 1e5, RngStream(seed=seed), 1)[0][0])
+               for seed in range(100))
+    assert pairs_drawn(reads) / kept < 1.3
 
 
 def test_covering_grid_draws_under_2_6_levels_per_level_kept(monkeypatch):
-    # the blocks span under 2.6 levels per level kept, and the walk draws
-    # the pairs it reads, under 1.5 per level kept
+    # the walk draws the pairs it reads, under 1.5 per level kept
     reads = record_walk_reads(monkeypatch)
-    spanned = kept = 0
-    for seed in range(100):
-        values, n_levels = _covering_levels(0.6, 1e-3, 1.0, RngStream(seed=seed))
-        spanned, kept = spanned + n_levels, kept + values.size - 1
-    assert spanned / kept < 2.6
-    assert sum(b - a for a, b, _ in reads) / kept < 1.5
+    kept = sum(_covering_levels(0.6, 1e-3, 1.0, RngStream(seed=seed)).size - 1
+               for seed in range(100))
+    assert pairs_drawn(reads) / kept < 1.5
 
 
-def test_extension_blocks_grow_geometrically(short_blocks, monkeypatch):
-    # from a first block of 16, each block adds half the steps drawn, so a
-    # walk needing N steps takes at most 2 + log_1.5(N / 16) blocks; blocks
-    # of one fixed width would take N / 16
-    blocks = []
-    monkeypatch.setattr(processes, "_pair_block",
-                        lambda *args: blocks.append(args[-1]) or _pair_block(*args))
+def test_extension_blocks_grow_geometrically(short_first_reads, monkeypatch):
+    # from a first read of 64 steps, each read adds a quarter of the steps
+    # read so far, so a walk needing N steps takes at most
+    # 5 + log_1.25(N / 256) reads; reads of one fixed width would take N / 64
+    reads = record_walk_reads(monkeypatch)
     walks = [lambda: processes._renewal_walks(FppParams(0.8, 4.0), 1500.0, RngStream(seed=5), 1)[0][0] + 1,
-             lambda: _covering_levels(0.7, 1e-3, 3.0, RngStream(seed=6))[0].size - 1]
+             lambda: _covering_levels(0.7, 1e-3, 3.0, RngStream(seed=6)).size - 1]
     for walk in walks:
-        blocks.clear()
+        reads.clear()
         needed = walk()
-        assert needed > 1000 and blocks[0] == (1, 16)
-        assert len(blocks) <= 2 + math.log(needed / 16, 1.5)
+        assert needed > 1000 and reads[0] == (1, 64)
+        assert len(reads) <= 5 + math.log(needed / 256, 1.25) < needed / 64
 
 
 # exact law of the covering grid: a driftless stable subordinator passes
@@ -812,7 +830,7 @@ EXACT_LAW_CASES = [(0.7, 1.0, 0.05, 31), (0.5, 3.0, 0.2, 32)]
 def test_covering_grid_first_level_above_t_has_exact_law(theta, t, step, seed):
     n = 10_000
     rng = RngStream(seed=seed)
-    k_top = np.array([_covering_levels(theta, step, t, rng.substream(r))[0].size - 1
+    k_top = np.array([_covering_levels(theta, step, t, rng.substream(r)).size - 1
                       for r in range(n)])
     y = sample_inverse_subordinator_at(theta, t, RngStream(seed=seed + 100), size=n)
     assert chi_square_two_samples(k_top, np.ceil(y / step).astype(int)) > 1e-3
