@@ -6,6 +6,12 @@ comparison to one binding statistic with a pass direction.  Limit processes
 built from inverse stable clocks are sampled either exactly at a single time
 (via the stable subordinator identity) or pathwise on first-passage grids
 whose resolution bounds the reflection bias.
+
+Every functional of two independent inverse clocks is drawn for a chunk of
+replicas at once, as the rows of one level walk per clock (_clock_pair), and
+read at the clocks' level passages only.  map_replicas runs every replica
+loop: replica r, or chunk c of _pair_rows replicas, draws from substream r or
+c, so no result depends on jobs.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -25,13 +32,13 @@ from .gof import chi_square_counts, ecdf, ks_two_sample
 from .processes import (
     DEFAULT_RESOLUTION,
     ClassProbabilities,
-    _covering_levels,
+    _level_walks,
     _renewal_times,
     _write_csv,
     renewal_counts,
     timechange_counts,
 )
-from .queueing import LocationSampler, _reflect, reflected_path_stats
+from .queueing import LocationSampler, reflected_path_stats
 from .samplers import RngStream, sample_inverse_subordinator_at
 from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
 
@@ -130,90 +137,163 @@ def _ecdf_artifact(out_dir: str | None, name: str, sample) -> list[str]:
     return [path]
 
 
-def map_replicas(fn, rng: RngStream, n: int, jobs: int = 1) -> np.ndarray:
-    """fn(rng.substream(r)) for r in range(n), stacked into one array, on a
-    thread pool of `jobs` workers when jobs > 1.
+def map_replicas(fn, rng: RngStream, n: int, jobs: int = 1, chunk: int | None = None) -> np.ndarray:
+    """fn(rng.substream(r)) for r in range(n), stacked into one array; or,
+    given chunk, fn(rng.substream(c), m) for the chunks c of m = chunk
+    replicas (the last may hold fewer), each returning m results, joined.  On
+    a thread pool of `jobs` workers when jobs > 1.
 
-    Replica r draws only from its own substream, so the result does not depend
-    on jobs.
+    A replica or chunk draws only from its own substream, so the result does
+    not depend on jobs.
     """
     if n < 1:
         raise ParameterError("need at least one replica")
-    streams = map(rng.substream, range(n))
+    if chunk is None:
+        args, join = (map(rng.substream, range(n)),), np.array
+    else:
+        starts = range(0, n, chunk)
+        args = (map(rng.substream, range(len(starts))), [min(chunk, n - lo) for lo in starts])
+        join = np.concatenate
     if jobs <= 1:
-        return np.array(list(map(fn, streams)))
+        return join(list(map(fn, *args)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return np.array(list(pool.map(fn, streams)))
+        return join(list(pool.map(fn, *args)))
 
 
-def _ladder(fn, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: int):
+def _ladder(fn, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: int,
+            chunk=None):
     """(horizons, results): results[hi] stacks fn(horizon, stream) over the
-    replicas of rung hi, which draw from rng.substream(hi)."""
+    replicas of rung hi, or, given chunk, fn(horizon, stream, m) over its
+    chunks of chunk(horizon) replicas; rung hi draws from rng.substream(hi)."""
     horizons = [float(h) for h in horizons]
     # one chained comparison: positive, strictly increasing, and no NaN
     if len(horizons) < min_rungs or not all(a < b for a, b in zip([0.0, *horizons], horizons)):
         raise ParameterError(f"need at least {min_rungs} positive, strictly increasing horizons")
     return horizons, [
-        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs)
+        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs,
+                     chunk(h) if chunk else None)
         for hi, h in enumerate(horizons)
     ]
 
 
 # ---------------------------------------------------------------------------
-# limit-law sampling
-
-def _two_clocks(
-    theta_a: float, theta_b: float, t: float, resolution: float, rng: RngStream
-) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """Two independent inverse clocks Y_a, Y_b (substreams 0 and 1), each
-    discretized on levels spaced resolution * t^theta, on the union of their
-    level-passage times up to t (t itself included).
-
-    For each clock returns (step, k): Y = step * k on the union grid.
-    """
-    step_a = resolution * t**theta_a
-    step_b = resolution * t**theta_b
-    la = _covering_levels(theta_a, step_a, t, rng.substream(0))
-    lb = _covering_levels(theta_b, step_b, t, rng.substream(1))
-    ev = np.union1d(la[:-1], lb[:-1])
-    if ev.size == 0 or ev[-1] < t:
-        ev = np.append(ev, t)
-    ka = np.searchsorted(la, ev, side="right") - 1
-    kb = np.searchsorted(lb, ev, side="right") - 1
-    return (step_a, ka), (step_b, kb)
+# two inverse clocks, many pairs at once
 
 
-def _clock_difference_path(
-    theta_a: float,
-    coef_a: float,
-    theta_b: float,
-    coef_b: float,
-    t: float,
-    resolution: float,
-    rng: RngStream,
-) -> np.ndarray:
-    """coef_a Y_a(s) - coef_b Y_b(s) on the union of passage grids up to t."""
-    (step_a, ka), (step_b, kb) = _two_clocks(theta_a, theta_b, t, resolution, rng)
-    return coef_a * step_a * ka - coef_b * step_b * kb
+class _Clock(NamedTuple):
+    """Rows of one inverse clock, Y = step k on levels spaced step.  Row r owns
+    the slots off[r] .. off[r + 1] - 1, one per count k = 0 .. floor(Y(t) /
+    step); a slot below the row's last is also the passage of level k + 1,
+    where other[slot] is the other clock's slot (its row offset plus its
+    count there).  The last slot, the first level past t, stands for s = 0."""
+
+    step: float
+    off: np.ndarray
+    k: np.ndarray
+    other: np.ndarray | None
 
 
-def _brownian_difference_path(
-    theta_a: float,
-    var_a: float,
-    theta_b: float,
-    var_b: float,
-    t: float,
-    resolution: float,
-    rng: RngStream,
-) -> np.ndarray:
-    """sqrt(var_a) B(Y_a(s)) - sqrt(var_b) B~(Y_b(s)) on the union grid."""
-    (step_a, ka), (step_b, kb) = _two_clocks(theta_a, theta_b, t, resolution, rng)
-    # normals up to the last level the union grid reads, Y(t)
-    ga = rng.substream(2).generator()
-    gb = rng.substream(3).generator()
-    ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), ka[-1]))])
-    bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), kb[-1]))])
-    return math.sqrt(var_a) * ba[ka] - math.sqrt(var_b) * bb[kb]
+# first-read steps of the clock with more levels in one chunk of clock pairs:
+# an eighth of a _passage chunk, so a chunk's arrays stay in cache and add
+# little to peak memory
+_PAIR_STEPS = 2**14
+
+
+def _pair_rows(theta_a: float, theta_b: float, t: float, resolution: float) -> int:
+    """Replicas per chunk of a two-clock functional: at most _PAIR_STEPS
+    first-read steps for either clock."""
+    mean = max(inverse_subordinator_moments(th, t)[0] / (resolution * t**th)
+               for th in (theta_a, theta_b))
+    return max(1, _PAIR_STEPS // (int(mean) + 1))
+
+
+def _clock_pair(theta_a: float, theta_b: float, t: float, resolution: float,
+                rng: RngStream, rows: int, ask_a: bool = True) -> tuple[_Clock, _Clock]:
+    """`rows` pairs of independent inverse clocks Y_a, Y_b on levels spaced
+    resolution * t^theta, each clock the rows of one level walk (substreams 0
+    and 1).  At each passage of one clock, one searchsorted over row-offset
+    keys finds the other's count: keys row * C + level, with C a power of two
+    at least 4t, order like (row, level) up to float rounding, which can only
+    merge a level with a passage just below it; those are stepped back.  Y_a's
+    passages ask only if ask_a (else a.other is None)."""
+    walks = []
+    for j, theta in enumerate((theta_a, theta_b)):
+        step = resolution * t**theta
+        count, levels = _level_walks(theta, step, t, rng.substream(j), rows)
+        off = np.concatenate([[0], np.cumsum(count + 1)])
+        row = np.repeat(np.arange(rows), count + 1)
+        walks.append((step, levels, off, row, np.arange(levels.size) - off[row]))
+    scale = math.ldexp(1.0, math.frexp(t)[1] + 2)
+    clocks = []
+    for (step, levels, off, row, k), (_, levels_y, off_y, row_y, _), ask in zip(
+            walks, walks[::-1], (ask_a, True)):
+        q = None
+        if ask:
+            s = levels.copy()
+            s[off[1:] - 1] = -t  # a row's last slot asks at s < 0
+            keys_y = row_y * scale + np.minimum(levels_y, 2.0 * t)
+            q = np.searchsorted(keys_y, row * scale + s, side="right")
+            lo = off_y[row]
+            while (over := (q > lo) & (levels_y[q - 1] > s)).any():
+                q -= over
+        clocks.append(_Clock(step, off, k, q))
+    return clocks[0], clocks[1]
+
+
+def _passage_values(a: _Clock, wa: np.ndarray, b: _Clock, wb: np.ndarray):
+    """The path wa(Y_a) - wb(Y_b), w(k) given at slot k: its values just
+    after each passage of Y_a (None unless a.other is set) and of Y_b, and at
+    t.  A row's last slot gives the path at s = 0, which is 0: it reads the
+    next row's w(0) = 0 (or the 0 appended) and the other clock's w(0)."""
+    after_a = None if a.other is None else np.append(wa[1:], 0.0) - wb[a.other]
+    after_b = wa[b.other] - np.append(wb[1:], 0.0)
+    return after_a, after_b, wa[a.off[1:] - 1] - wb[b.off[1:] - 1]
+
+
+def _row_min(x: np.ndarray, clock: _Clock) -> np.ndarray:
+    return np.minimum.reduceat(x, clock.off[:-1])
+
+
+def _reflected_ends(theta_a: float, coefs_a, theta_b: float, coef_b: float, t: float,
+                    resolution: float, rng: RngStream, rows: int) -> list[np.ndarray]:
+    """Phi(c Y_a - coef_b Y_b)(t) for each c in coefs_a, over the same `rows`
+    clock pairs.  The path rises only at Y_a's passages, so its running
+    minimum is 0 or its value just after one of Y_b's."""
+    a, b = _clock_pair(theta_a, theta_b, t, resolution, rng, rows, ask_a=False)
+    ends = []
+    for c in coefs_a:
+        _, after_b, end = _passage_values(a, c * (a.step * a.k), b, coef_b * (b.step * b.k))
+        ends.append(end - _row_min(after_b, b))
+    return ends
+
+
+def _clock_extremes(theta: float, c: float, resolution: float, horizon: float,
+                    rng: RngStream, rows: int) -> np.ndarray:
+    """(min, max) over s <= horizon of Y(s) - c Y~(s), one row per clock pair:
+    the path falls only at Y~'s passages and rises only at Y's."""
+    a, b = _clock_pair(theta, theta, horizon, resolution, rng, rows)
+    after_a, after_b, _ = _passage_values(a, a.step * a.k, b, c * (b.step * b.k))
+    return np.column_stack([_row_min(after_b, b), np.maximum.reduceat(after_a, a.off[:-1])])
+
+
+def _walk_ends(theta_a: float, coef_a: float, theta_b: float, coef_b: float, t: float,
+               resolution: float, rng: RngStream, rows: int, poisson: bool = False) -> np.ndarray:
+    """Phi(W_a(Y_a) - W_b(Y_b))(t) over `rows` clock pairs, each W drawn level
+    by level from substreams 2 and 3, row after row: sqrt(coef) B with B a
+    Brownian motion, or, if poisson, the compensated N - coef Y with N a
+    Poisson process of rate coef.  The path moves both ways at both clocks'
+    passages, so its minimum is taken over both."""
+    a, b = _clock_pair(theta_a, theta_b, t, resolution, rng, rows)
+    w = []
+    for j, clock, coef in ((2, a, coef_a), (3, b, coef_b)):
+        g, step, m = rng.substream(j).generator(), clock.step, clock.k.size - rows
+        x = np.zeros(clock.k.size)  # the increments, 0 at each row's k = 0
+        x[clock.k > 0] = g.poisson(coef * step, m) if poisson else g.normal(0.0, math.sqrt(step), m)
+        bounds = zip(clock.off[:-1], clock.off[1:])
+        sums = np.concatenate([np.cumsum(x[lo:hi]) for lo, hi in bounds])
+        w.append(sums - coef * (step * clock.k) if poisson else math.sqrt(coef) * sums)
+    after_a, after_b, end = _passage_values(a, w[0], b, w[1])
+    return end - np.minimum(_row_min(after_a, a), _row_min(after_b, b))
 
 
 _KINDS = (
@@ -306,7 +386,10 @@ class LimitLawSampler:
             resolution=resolution,
         )
 
-    def sample(self, rng: RngStream, size: int) -> np.ndarray:
+    def sample(self, rng: RngStream, size: int, jobs: int = 1) -> np.ndarray:
+        """size draws; a two-sided reflection draws them in chunks of clock
+        pairs (_pair_rows), chunk c from rng.substream(c), on a thread pool of
+        `jobs` workers when jobs > 1, with the same result for any jobs."""
         if size < 1:
             raise ParameterError("size must be positive")
         kind = self.kind
@@ -323,9 +406,13 @@ class LimitLawSampler:
             z = rng.substream(1).generator().standard_normal(size)
             x = np.sqrt(self.coef_a * y) * z
             return np.abs(x) if self.kind == "reflected_brownian_difference" else x
-        path = _clock_difference_path if kind == "reflected_difference" else _brownian_difference_path
-        args = (self.theta_a, self.coef_a, self.theta_b, self.coef_b, self.t, self.resolution)
-        return map_replicas(lambda sub: _reflect(path(*args, sub))[-1], rng, size)
+        th_a, th_b, t, res = self.theta_a, self.theta_b, self.t, self.resolution
+        if kind == "reflected_difference":
+            ends = partial(_reflected_ends, th_a, (self.coef_a,), th_b, self.coef_b, t, res)
+            fn = lambda sub, rows: ends(sub, rows)[0]
+        else:
+            fn = partial(_walk_ends, th_a, self.coef_a, th_b, self.coef_b, t, res)
+        return map_replicas(fn, rng, size, jobs, _pair_rows(th_a, th_b, t, res))
 
     def closed_form_quantile(self, q) -> np.ndarray | float:
         """Quantile function when every active clock index equals 1."""
@@ -367,37 +454,6 @@ def _scaled_queue_end(
     thin = min(heads) < 1.0
     unif = rng.substream(1).generator().random(arr.size) if thin else np.zeros(arr.size)
     return [reflected_path_stats(arr[unif < head], dep) for head in heads]
-
-
-def _compensated_queue_end(
-    alpha: float,
-    beta: float,
-    rate_a: float,
-    rate_b: float,
-    horizon: float,
-    resolution: float,
-    rng: RngStream,
-) -> float:
-    """Reflected end value of the compensated netflow
-
-        [A(s) - rate_a Y_a(s)] - [C(s) - rate_b Y_b(s)],  s <= horizon,
-
-    with A, C Poisson streams run in the clocks' internal times.  Evaluated on
-    the union of the two passage grids, where the path is exactly piecewise
-    constant in the discretized model.
-    """
-    (step_a, ka), (step_b, kb) = _two_clocks(alpha, beta, horizon, resolution, rng)
-    ga = rng.substream(2).generator()
-    gb = rng.substream(3).generator()
-    # each Poisson stream over [0, Y(horizon)], the span the union grid reads
-    ya = step_a * ka
-    yb = step_b * kb
-    arr_pos = np.sort(ga.random(ga.poisson(rate_a * ya[-1])) * ya[-1])
-    dep_pos = np.sort(gb.random(gb.poisson(rate_b * yb[-1])) * yb[-1])
-    a_counts = np.searchsorted(arr_pos, ya, side="right")
-    c_counts = np.searchsorted(dep_pos, yb, side="right")
-    path = (a_counts - rate_a * ya) - (c_counts - rate_b * yb)
-    return float(_reflect(path)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +792,7 @@ def verify_queue_scaling(
         oracle_sampler = LimitLawSampler.reflected_difference(
             alpha, lam**alpha * head, beta, coef_b, t, resolution
         )
-        oracle = oracle_sampler.sample(rng.substream(1), replicas)
+        oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
         d, p = ks_two_sample(observable, oracle)
         details["ks"] = {"D": d, "p": p}
         artifacts += _ecdf_artifact(out_dir, "queue_scaling_oracle_ecdf", oracle)
@@ -746,15 +802,11 @@ def verify_queue_scaling(
 
             # per-class oracle: difference of the two reflections driven by
             # one shared pair of clock paths
-            def one_per_class(sub: RngStream) -> float:
-                (step_a, ka), (step_b, kb) = _two_clocks(alpha, beta, t, resolution, sub)
-                ya = step_a * ka
-                yb = step_b * kb
-                hi = lam**alpha * head * ya - mu**beta * yb
-                lo = lam**alpha * probs.head_sum(i - 1) * ya - mu**beta * yb
-                return _reflect(hi)[-1] - _reflect(lo)[-1]
-
-            oracle_pc = map_replicas(one_per_class, rng.substream(2), replicas, jobs)
+            coefs = (lam**alpha * head, lam**alpha * probs.head_sum(i - 1))
+            ends = partial(_reflected_ends, alpha, coefs, beta, mu**beta, t, resolution)
+            oracle_pc = map_replicas(lambda sub, rows: np.subtract(*ends(sub, rows)),
+                                     rng.substream(2), replicas, jobs,
+                                     _pair_rows(alpha, beta, t, resolution))
             d_pc, p_pc = ks_two_sample(per_class, oracle_pc)
             details["ks_per_class"] = {"D": d_pc, "p": p_pc, "class": i}
             artifacts += _ecdf_artifact(out_dir, "queue_scaling_per_class_ecdf", per_class)
@@ -811,10 +863,11 @@ def verify_centered_queue_clt(
     rate_a = lam**alpha * head
     rate_b = mu**beta
 
-    def one(sub: RngStream) -> float:
-        return _compensated_queue_end(alpha, beta, rate_a, rate_b, horizon, resolution, sub)
-
-    observable = map_replicas(one, rng.substream(2), replicas, jobs) / u ** (gamma / 2.0)
+    # the reflected compensated netflow [A - rate_a Y_a] - [C - rate_b Y_b],
+    # A and C Poisson streams run in the clocks' internal times
+    ends = partial(_walk_ends, alpha, rate_a, beta, rate_b, horizon, resolution, poisson=True)
+    chunk = _pair_rows(alpha, beta, horizon, resolution)
+    observable = map_replicas(ends, rng.substream(2), replicas, jobs, chunk) / u ** (gamma / 2.0)
 
     if alpha > beta:
         oracle_sampler = LimitLawSampler.reflected_brownian_difference(
@@ -828,7 +881,7 @@ def verify_centered_queue_clt(
         oracle_sampler = LimitLawSampler.reflected_brownian_difference(
             alpha, rate_a, beta, rate_b, t=t, resolution=resolution
         )
-    oracle = oracle_sampler.sample(rng.substream(1), replicas)
+    oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
     d, p = ks_two_sample(observable, oracle)
     artifacts = _ecdf_artifact(out_dir, "centered_clt_observable_ecdf", observable)
     artifacts += _ecdf_artifact(out_dir, "centered_clt_oracle_ecdf", oracle)
@@ -927,11 +980,9 @@ def verify_oscillation(
         raise ParameterError("oscillation requires theta in (0, 1); at 1 the difference is degenerate")
     _require_positive(c=c)
 
-    def one(horizon: float, sub: RngStream) -> tuple[float, float]:
-        path = _clock_difference_path(theta, 1.0, theta, c, horizon, resolution, sub)
-        return float(path.min()), float(path.max())
-
-    horizons, rungs = _ladder(one, horizons, 2, rng, replicas, jobs)
+    extremes = partial(_clock_extremes, theta, c, resolution)
+    chunk = lambda h: _pair_rows(theta, theta, h, resolution)
+    horizons, rungs = _ladder(extremes, horizons, 2, rng, replicas, jobs, chunk)
     med_min = [float(np.median(pairs[:, 0])) for pairs in rungs]
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
     margins = [a - b for a, b in zip(med_min, med_min[1:])]

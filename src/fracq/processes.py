@@ -14,7 +14,8 @@ gap, or Kanter's stable level.  A walk draws exactly the pairs it reads, in
 reads of its mean count plus one steps, then a quarter of the steps read so
 far, for the rows still at or below the level.  So a one-row walk's sums are
 the cumsum of its own stream's pairs in order, whatever its reads; many walks
-at once draw their pairs read by read, row by row.
+at once draw their pairs read by read, row by row.  Walks that are read, not
+only counted, hand back every row's sums flat, row after row.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ _ROW_CHUNK = 2**17  # first-read steps a chunk of rows takes at most
 
 
 def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
-             cap: float = math.inf):
+             cap: float = math.inf, keep: bool = False):
     """First passage above level of `rows` walks from 0 whose steps are
     transform(pairs) of pairs of uniforms from rng, pairs[..., 0] and
     pairs[..., 1], and whose count of sums at or below the level has mean
@@ -158,11 +159,12 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
     the pairs its reads take, and a one-row walk's sums are the cumsum of its
     stream's pairs in order, whatever the reads.  Raises EventCapError for a
     row still at or below the level past cap steps.
-    Returns (count, path): each row's number of sums at or below the level
-    and, for one walk, its sums per read up to its first above."""
+    Returns (count, sums): each row's number of sums at or below the level
+    and, if keep, every row's sums up to its first above, row after row (row r
+    holds sums[off[r]:off[r + 1]], off the cumsum of count + 1 from 0)."""
     g = rng.generator()
     first = int(min(mean, cap)) + 1
-    count, path = np.empty(rows, dtype=np.int64), []
+    count, reads = np.empty(rows, dtype=np.int64), []
     chunk = max(1, min(rows, _ROW_CHUNK // first))
     for lo in range(0, rows, chunk):
         live = np.arange(lo, min(lo + chunk, rows))
@@ -175,8 +177,8 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
             # sums are nondecreasing: a row's count is the index of its first above
             c = np.where(above[:, -1], above.argmax(axis=1), k)
             count[live] = done + c
-            if rows == 1:
-                path.append(sums[0, : c[0] + 1])
+            if keep:
+                reads.append((live, done, sums))
             more = c == k
             if not more.any():
                 break
@@ -185,17 +187,26 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
                 raise EventCapError(f"simulation exceeded {cap} events before reaching the horizon")
             live, tail = live[more], sums[more, -1]
             k = max(done // 4, math.ceil(_MIN_READ / live.size))
-    return count, path
+    if not keep:
+        return count, None
+    off = np.concatenate([[0], np.cumsum(count + 1)]).tolist()
+    out = np.empty(off[-1])
+    for live, done, s in reads:
+        for r, row in zip(live.tolist(), s):
+            lo = off[r] + done
+            hi = min(lo + row.size, off[r + 1])
+            out[lo:hi] = row[: hi - lo]
+    return count, out
 
 
 def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
-                   event_cap: float = math.inf):
+                   event_cap: float = math.inf, keep: bool = False):
     """_passage over horizon of `rows` walks of Mittag-Leffler gaps, first
     reading the mean count N(horizon) plus one; EventCapError past event_cap
     gaps."""
     mean = p.lam**p.theta * inverse_subordinator_moments(p.theta, horizon)[0]
     transform = lambda pairs: _mittag_leffler_steps(p, pairs)
-    return _passage(transform, rng, rows, horizon, mean, event_cap)
+    return _passage(transform, rng, rows, horizon, mean, event_cap, keep)
 
 
 def _renewal_times(
@@ -204,8 +215,7 @@ def _renewal_times(
     """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
     sums, read by _passage's one read rule from rng, which serves this walk
     alone."""
-    path = _renewal_walks(p, horizon, rng, 1, event_cap)[1]
-    times = path[0] if len(path) == 1 else np.concatenate(path)
+    times = _renewal_walks(p, horizon, rng, 1, event_cap, keep=True)[1]
     # partial sums can collide in float64 after a long wait
     times = _strictly_increasing(times[times <= horizon])
     times = times[times <= horizon]
@@ -239,16 +249,24 @@ def simulate_subordinator(theta: float, step: float, s_max: float, rng: RngStrea
     return np.concatenate([[0.0], np.cumsum(incs)])
 
 
-def _covering_levels(theta: float, step: float, horizon: float, rng: RngStream) -> np.ndarray:
-    """L on the levels k step, from L(0) = 0 up to its first value above the
-    horizon, read by _passage's one read rule for the level count
-    Y(horizon) / step.  The walk reads rng in order, so rng serves it alone."""
+def _level_walks(theta: float, step: float, horizon: float, rng: RngStream, rows: int):
+    """_passage over horizon of `rows` walks of L's increments over levels
+    spaced step, first reading the level count Y(horizon) / step plus one:
+    (count, levels), each row's L(step), L(2 step), ... up to its first value
+    above the horizon, row after row."""
     mean_y = inverse_subordinator_moments(theta, horizon)[0]
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step}")
     scale = step ** (1.0 / theta)
     transform = lambda pairs: scale * _stable_steps(theta, pairs)
-    return np.concatenate([np.zeros(1), *_passage(transform, rng, 1, horizon, mean_y / step)[1]])
+    return _passage(transform, rng, rows, horizon, mean_y / step, keep=True)
+
+
+def _covering_levels(theta: float, step: float, horizon: float, rng: RngStream) -> np.ndarray:
+    """L on the levels k step, from L(0) = 0 up to its first value above the
+    horizon: one _level_walks row.  The walk reads rng in order, so rng serves
+    it alone."""
+    return np.concatenate([np.zeros(1), _level_walks(theta, step, horizon, rng, 1)[1]])
 
 
 def simulate_fpp_timechange(

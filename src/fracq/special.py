@@ -325,8 +325,8 @@ def fpp_pmf(p: FppParams, t: float, n: int) -> float:
         raise ParameterError("n must be an integer")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if not t >= 0:  # also true for nan
-        raise ParameterError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # also true for nan
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
     x = p.lam * t
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -347,7 +347,14 @@ def fpp_pmf_table(p: FppParams, t: float, cum_tol: float = 1e-10, n_cap: int = 1
     """pmf values for n = 0, 1, ... until the unassigned mass drops below cum_tol.
 
     The returned array's length is the adaptive truncation point N* + 1.
+    Raises SeriesConvergenceError at once when the mean count
+    lam^theta E Y(t) already exceeds n_cap.
     """
+    if not 0 <= t < math.inf:  # also true for nan
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    mean = (p.lam * t) ** p.theta / math.gamma(1.0 + p.theta)  # lam^theta E Y(t)
+    if mean > n_cap:
+        raise SeriesConvergenceError(f"fpp_pmf_table: mean count {mean:.6g} exceeds n_cap = {n_cap}")
     vals = []
     cum = 0.0
     n = 0
@@ -397,8 +404,8 @@ def ml_pdf(p: FppParams, x):
 
 def fpp_pgf(p: FppParams, s, t: float):
     """Probability generating function E s^N(t) = E_theta((lam t)^theta (s - 1))."""
-    if not t >= 0:  # also true for nan
-        raise ParameterError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # also true for nan
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     sf = np.atleast_1d(s_arr).astype(float).ravel()

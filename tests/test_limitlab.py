@@ -19,14 +19,19 @@ from fracq import (
     ParameterError,
     RngStream,
 )
-from fracq import limitlab
+from fracq import limitlab, processes
 from fracq.gof import ks_two_sample
 from fracq.limitlab import map_replicas
-from fracq.processes import _covering_levels
+from fracq.processes import DEFAULT_RESOLUTION, _covering_levels
 from fracq.queueing import _reflect
 from fracq.special import inverse_subordinator_moments
 
 PROBS2 = ClassProbabilities(np.array([0.6, 0.4]))
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # report plumbing
@@ -89,6 +94,16 @@ def test_map_replicas_parallel_matches_serial():
     np.testing.assert_array_equal(serial[7], RngStream(seed=4).substream(7).generator().random(3))
     with pytest.raises(ParameterError):
         map_replicas(fn, RngStream(seed=4), 0)
+
+
+def test_map_replicas_draws_chunk_c_from_substream_c():
+    def fn(sub, m):
+        return np.column_stack([np.full(m, sub._path[-1]), sub.generator().random(m)])
+
+    got = map_replicas(fn, RngStream(seed=4), 7, chunk=3)
+    assert got[:, 0].tolist() == [0, 0, 0, 1, 1, 1, 2]
+    np.testing.assert_array_equal(got[6:, 1], RngStream(seed=4).substream(2).generator().random(1))
+    np.testing.assert_array_equal(got, map_replicas(fn, RngStream(seed=4), 7, jobs=2, chunk=3))
 
 
 # limit-law samplers: validation
@@ -463,49 +478,165 @@ def test_experiments_independent_of_jobs(tmp_path, monkeypatch, name):
     assert len(files[0]) == 1 + len(reports[0]["artifacts"])
 
 
-# limit-law paths that draw only what the union grid reads, against the
-# versions that draw over every level of the covering grids
+# two-clock functionals, evaluated at clock passages over rows of one level
+# walk per clock, against the reflection on each row's union grid of passage
+# times built from the same levels and the same per-level draws
 
 
 TWO_CLOCK_CASES = [(0.7, 0.6, 50.0), (0.5, 0.9, 3.0), (0.8, 0.8, 200.0)]
+RES = 1e-2
+
+
+def clock_rows(theta, t, rng, rows):
+    """step and each row's levels L(step), L(2 step), ... through the first
+    above t, from one level walk of `rows` rows."""
+    step = RES * t**theta
+    count, levels = processes._level_walks(theta, step, t, rng, rows)
+    return step, np.split(levels, np.cumsum(count + 1)[:-1])
+
+
+def union_grid_paths(theta_a, theta_b, t, rng, rows, walk_a, walk_b):
+    """Each row's path walk_a(k_a) - walk_b(k_b) on the union of its passage
+    times up to t (t included), the clocks' levels from substreams 0 and 1 of
+    rng.  walk_x(step, counts) gives each row's values at k = 0 .. n, the
+    rows' level counts n listed in `counts`."""
+    (step_a, la), (step_b, lb) = (clock_rows(th, t, rng.substream(j), rows)
+                                  for j, th in enumerate((theta_a, theta_b)))
+    wa = walk_a(step_a, [x.size - 1 for x in la])
+    wb = walk_b(step_b, [x.size - 1 for x in lb])
+    paths = []
+    for ra, rb, va, vb in zip(la, lb, wa, wb):
+        ra, rb = np.concatenate([[0.0], ra]), np.concatenate([[0.0], rb])
+        ev = np.union1d(ra[:-1], rb[:-1])
+        if ev[-1] < t:
+            ev = np.append(ev, t)
+        paths.append(va[np.searchsorted(ra, ev, side="right") - 1]
+                     - vb[np.searchsorted(rb, ev, side="right") - 1])
+    return paths
+
+
+def linear(coef):
+    return lambda step, counts: [coef * (step * np.arange(n + 1)) for n in counts]
+
+
+def level_walk(rng, draw):
+    """Per row, 0 then the cumsum of draw(g, step, m) taken row after row."""
+    def walk(step, counts):
+        x = np.split(draw(rng.generator(), step, sum(counts)), np.cumsum(counts)[:-1])
+        return [np.concatenate([[0.0], np.cumsum(row)]) for row in x]
+    return walk
+
+
+def reflected_ends(paths):
+    return np.array([_reflect(path)[-1] for path in paths])
+
+
+def test_reflected_ends_match_union_grid_reflection():
+    for seed, (theta_a, theta_b, t) in enumerate(TWO_CLOCK_CASES):
+        rng = RngStream(seed=seed)
+        got = limitlab._reflected_ends(theta_a, (1.5, 0.4), theta_b, 0.7, t, RES, rng, 40)
+        for coef, ends in zip((1.5, 0.4), got):
+            paths = union_grid_paths(theta_a, theta_b, t, rng, 40, linear(coef), linear(0.7))
+            assert_bitwise_equal(ends, reflected_ends(paths))
+        # both kinds of end: reflected to 0, and above a running minimum
+        assert (got[1] == 0).any() and (got[1] > 0).any()
 
 
 def test_brownian_difference_path_matches_full_draw():
+    normal = lambda g, step, m: g.normal(0.0, math.sqrt(step), m)
     for seed, (theta_a, theta_b, t) in enumerate(TWO_CLOCK_CASES):
         rng = RngStream(seed=seed)
-        got = limitlab._brownian_difference_path(theta_a, 1.5, theta_b, 0.7, t, 1e-2, rng)
-        (step_a, ka), (step_b, kb) = limitlab._two_clocks(theta_a, theta_b, t, 1e-2, rng)
-        # the levels of each covering grid, one past Y(t)
-        na = _covering_levels(theta_a, step_a, t, rng.substream(0)).size - 1
-        nb = _covering_levels(theta_b, step_b, t, rng.substream(1)).size - 1
-        assert (ka[-1], kb[-1]) == (na - 1, nb - 1)
-        ga = rng.substream(2).generator()
-        gb = rng.substream(3).generator()
-        ba = np.concatenate([[0.0], np.cumsum(ga.normal(0.0, math.sqrt(step_a), na))])
-        bb = np.concatenate([[0.0], np.cumsum(gb.normal(0.0, math.sqrt(step_b), nb))])
-        expected = math.sqrt(1.5) * ba[ka] - math.sqrt(0.7) * bb[kb]
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        got = limitlab._walk_ends(theta_a, 1.5, theta_b, 0.7, t, RES, rng, 40)
+        walk_a, walk_b = level_walk(rng.substream(2), normal), level_walk(rng.substream(3), normal)
+        paths = union_grid_paths(
+            theta_a, theta_b, t, rng, 40,
+            lambda step, counts: [math.sqrt(1.5) * w for w in walk_a(step, counts)],
+            lambda step, counts: [math.sqrt(0.7) * w for w in walk_b(step, counts)])
+        assert_bitwise_equal(got, reflected_ends(paths))
+
+
+def one_pair_union_counts(theta_a, theta_b, t, resolution, rng):
+    """One pair of one-row covering grids (substreams 0 and 1) read on the
+    union of their passage times up to t: (step, k) for each clock."""
+    out = []
+    for j, theta in enumerate((theta_a, theta_b)):
+        step = resolution * t**theta
+        out.append((step, _covering_levels(theta, step, t, rng.substream(j))))
+    ev = np.union1d(out[0][1][:-1], out[1][1][:-1])
+    if ev[-1] < t:
+        ev = np.append(ev, t)
+    return [(step, np.searchsorted(levels, ev, side="right") - 1) for step, levels in out]
 
 
 def test_compensated_queue_end_matches_full_sort():
-    # each Poisson stream is drawn over [0, Y(horizon)] on the grid, and every
-    # position is compared with every grid value
-    drawn = 0
+    # bit for bit against the union grid, with Poisson(rate step) counts per
+    # level; then in law against each stream's positions over [0, Y(horizon)]
+    # on one-row grids, counted by comparing every position with every grid
+    # value
+    def compensated(rng, rate):
+        walk = level_walk(rng, lambda g, step, m: g.poisson(rate * step, m))
+        return lambda step, counts: [w - rate * (step * np.arange(w.size))
+                                     for w in walk(step, counts)]
+
     for seed, (alpha, beta, horizon) in enumerate(TWO_CLOCK_CASES):
         rng = RngStream(seed=seed)
-        got = limitlab._compensated_queue_end(alpha, beta, 2.0, 1.5, horizon, 1e-2, rng)
-        (step_a, ka), (step_b, kb) = limitlab._two_clocks(alpha, beta, horizon, 1e-2, rng)
+        got = limitlab._walk_ends(alpha, 2.0, beta, 1.5, horizon, RES, rng, 40, poisson=True)
+        paths = union_grid_paths(alpha, beta, horizon, rng, 40,
+                                 compensated(rng.substream(2), 2.0),
+                                 compensated(rng.substream(3), 1.5))
+        assert_bitwise_equal(got, reflected_ends(paths))
+    alpha, beta, horizon = TWO_CLOCK_CASES[1]
+    n = 3000
+    got = limitlab._walk_ends(alpha, 2.0, beta, 1.5, horizon, 0.1, RngStream(seed=7), n,
+                             poisson=True)
+    ref = []
+    for r in range(n):
+        sub = RngStream(seed=8).substream(r)
+        (step_a, ka), (step_b, kb) = one_pair_union_counts(alpha, beta, horizon, 0.1, sub)
         ya, yb = step_a * ka, step_b * kb
-        ga = rng.substream(2).generator()
-        gb = rng.substream(3).generator()
+        ga, gb = sub.substream(2).generator(), sub.substream(3).generator()
         arr_pos = ga.random(ga.poisson(2.0 * ya[-1])) * ya[-1]
         dep_pos = gb.random(gb.poisson(1.5 * yb[-1])) * yb[-1]
         path = ((arr_pos <= ya[:, None]).sum(axis=1) - 2.0 * ya) - (
-            (dep_pos <= yb[:, None]).sum(axis=1) - 1.5 * yb
-        )
-        drawn += arr_pos.size + dep_pos.size
-        assert got == _reflect(path)[-1]
-    assert drawn > 100
+            (dep_pos <= yb[:, None]).sum(axis=1) - 1.5 * yb)
+        ref.append(_reflect(path)[-1])
+    assert ks_two_sample(got, np.array(ref))[1] > 1e-3
+
+
+def test_clock_extremes_match_union_grid_min_and_max():
+    for seed, (theta, _, t) in enumerate(TWO_CLOCK_CASES):
+        rng = RngStream(seed=seed)
+        got = limitlab._clock_extremes(theta, 2.5, RES, t, rng, 40)
+        paths = union_grid_paths(theta, theta, t, rng, 40, linear(1.0), linear(2.5))
+        assert_bitwise_equal(got[:, 0], np.array([path.min() for path in paths]))
+        assert_bitwise_equal(got[:, 1], np.array([path.max() for path in paths]))
+
+
+# the two-sided oracles draw their clock pairs in chunks of _pair_rows
+# replicas, chunk c from substream c, whatever jobs is
+
+
+ORACLE_CHUNK_CASES = [
+    (LimitLawSampler.reflected_difference(0.6, 1.2, 0.7, 1.0, t=2.0),
+     lambda rng, m: limitlab._reflected_ends(0.6, (1.2,), 0.7, 1.0, 2.0, DEFAULT_RESOLUTION,
+                                             rng, m)[0]),
+    (LimitLawSampler.reflected_brownian_difference(0.6, 1.2, 0.7, 1.0, t=2.0),
+     lambda rng, m: limitlab._walk_ends(0.6, 1.2, 0.7, 1.0, 2.0, DEFAULT_RESOLUTION, rng, m)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CHUNK_CASES)))
+def test_two_clock_oracles_draw_chunk_by_chunk(case):
+    sampler, ends = ORACLE_CHUNK_CASES[case]
+    chunk = limitlab._pair_rows(0.6, 0.7, 2.0, DEFAULT_RESOLUTION)
+    assert chunk == limitlab._PAIR_STEPS // (int(1.0 / (DEFAULT_RESOLUTION * math.gamma(1.6))) + 1)
+    rng = RngStream(seed=3)
+    # fewer replicas than a chunk, then a chunk and one more
+    assert_bitwise_equal(sampler.sample(rng, chunk - 3), ends(rng.substream(0), chunk - 3))
+    got = sampler.sample(rng, chunk + 1)
+    assert_bitwise_equal(got, np.concatenate([ends(rng.substream(0), chunk),
+                                              ends(rng.substream(1), 1)]))
+    assert_bitwise_equal(sampler.sample(rng, chunk + 1, jobs=2), got)
 
 
 def test_battery_keys_streams_by_offset_and_scales_replicas():

@@ -223,7 +223,7 @@ def test_renewal_event_cap():
 
 def raw_renewal_sums(p, horizon, seed):
     """The partial sums of one renewal walk up to the horizon, not nudged."""
-    sums = np.concatenate(processes._renewal_walks(p, horizon, RngStream(seed=seed), 1)[1])
+    sums = processes._renewal_walks(p, horizon, RngStream(seed=seed), 1, keep=True)[1]
     return sums[sums <= horizon]
 
 
@@ -581,7 +581,7 @@ def test_renewal_paths_with_later_blocks_match_eager_blocks(short_first_reads):
 IDENTITY_P = FppParams(0.8, 4.0)
 IDENTITY_WALKS = [
     # (sums of one walk on rng, transform of its steps, level)
-    (lambda rng: np.concatenate(processes._renewal_walks(IDENTITY_P, 1500.0, rng, 1)[1]),
+    (lambda rng: processes._renewal_walks(IDENTITY_P, 1500.0, rng, 1, keep=True)[1],
      lambda x: _mittag_leffler_steps(IDENTITY_P, x), 1500.0),
     (lambda rng: _covering_levels(0.7, 1e-3, 3.0, rng)[1:],
      lambda x: 1e-3 ** (1.0 / 0.7) * _stable_steps(0.7, x), 3.0),
@@ -641,13 +641,13 @@ def test_walk_sums_are_cumsums_of_stream_order_pairs(rule, monkeypatch):
 # processes._ROW_CHUNK first-read steps
 
 
-def eager_walk_counts(transform, rng, rows, level, first, chunk):
-    """The counts of sums at or below the level of `rows` walks by the read
-    rule, each row's steps gathered across reads and summed whole: in chunks
-    of `chunk` rows, a read of max(first, ceil(64 / rows)) columns, then of
+def eager_walk_sums(transform, rng, rows, level, first, chunk):
+    """The sums of `rows` walks by the read rule, each row's steps gathered
+    across reads and summed whole, every step it drew: in chunks of `chunk`
+    rows, a read of max(first, ceil(64 / rows)) columns, then of
     max(done // 4, ceil(64 / live)) on the live rows, the rows whose last sum
     is still at or below the level."""
-    g, counts = rng.generator(), []
+    g, sums = rng.generator(), []
     for lo in range(0, rows, chunk):
         steps = [np.empty(0) for _ in range(min(chunk, rows - lo))]
         live, k = list(range(len(steps))), max(first, math.ceil(64 / len(steps)))
@@ -657,8 +657,14 @@ def eager_walk_counts(transform, rng, rows, level, first, chunk):
             live = [r for r in live if np.cumsum(steps[r])[-1] <= level]
             if live:
                 k = max(steps[live[0]].size // 4, math.ceil(64 / len(live)))
-        counts += [int((np.cumsum(x) <= level).sum()) for x in steps]
-    return np.array(counts)
+        sums += [np.cumsum(x) for x in steps]
+    return sums
+
+
+def eager_walk_counts(transform, rng, rows, level, first, chunk):
+    """The counts of sums at or below the level of eager_walk_sums' rows."""
+    return np.array([int((x <= level).sum())
+                     for x in eager_walk_sums(transform, rng, rows, level, first, chunk)])
 
 
 def eager_renewal_counts(p, t, n, rng):
@@ -679,7 +685,7 @@ def test_passage_on_gathered_rows_matches_eager_sums():
     assert_bitwise_equal(count, eager_walk_counts(stable, RngStream(seed=9), rows, level, 5, rows))
     # a first read of the mean count plus one, then a quarter more than read
     # so far, at least 64 steps over the rows left
-    assert reads[0] == (rows, 5) and path == []
+    assert reads[0] == (rows, 5) and path is None
     done = np.cumsum([k for _, k in reads])
     assert all(r <= prev and k == max(d // 4, math.ceil(64 / r))
                for (prev, _), (r, k), d in zip(reads, reads[1:], done))
@@ -691,9 +697,9 @@ def one_row_passage(level, seed=10):
     its sums joined across reads, and the (rows, columns) of its reads."""
     reads = []
     stable = pair_transforms(0.7, 1.0)[0]
-    count, path = processes._passage(recorded_transform(stable, reads), RngStream(seed=seed),
-                                     1, level, 15.0)
-    return int(count[0]), np.concatenate(path), reads
+    count, sums = processes._passage(recorded_transform(stable, reads), RngStream(seed=seed),
+                                     1, level, 15.0, keep=True)
+    return int(count[0]), sums, reads
 
 
 def test_passage_of_one_row_matches_eager_sums_at_read_edges():
@@ -713,6 +719,57 @@ def test_passage_of_one_row_matches_eager_sums_at_read_edges():
 
 
 COUNT_CASES = [(0.7, 1.2, 1.0, 400), (0.3, 2.0, 5.0, 300), (0.95, 1.5, 20.0, 200), (1.0, 2.0, 1.5, 100)]
+
+
+# many level walks kept whole: row r's sums are sums[off[r]:off[r + 1]], off
+# the cumsum of count + 1 from 0, each the cumsum of the pairs its row drew
+# up to its first sum above the level
+
+
+def rows_match_eager(count, sums, eager, level):
+    """Whether the flat sums, cut at the offsets of count + 1, are the eager
+    rows up to their first sum above the level, bit for bit."""
+    rows = np.split(sums, np.cumsum(count + 1)[:-1])
+    expected = [x[: int((x <= level).sum()) + 1] for x in eager]
+    return len(rows) == len(expected) and all(
+        a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(rows, expected))
+
+
+LEVEL_WALK_CASES = [(0.7, 0.01, 3.0, 300), (0.4, 0.05, 1.0, 200), (1.0, 0.02, 2.0, 50)]
+
+
+def eager_level_walks(theta, step, horizon, rng, rows):
+    mean = processes.inverse_subordinator_moments(theta, horizon)[0] / step
+    transform = lambda x: step ** (1.0 / theta) * _stable_steps(theta, x)
+    first = int(mean) + 1
+    chunk = max(1, processes._ROW_CHUNK // first)
+    return eager_walk_sums(transform, rng, rows, horizon, first, chunk)
+
+
+@pytest.mark.parametrize("rule", ["sized", "short_reads", "row_chunks"])
+def test_level_walk_rows_match_eager_sums(rule, monkeypatch):
+    if rule == "short_reads":  # a first read of one level, most rows read again
+        monkeypatch.setattr(processes, "inverse_subordinator_moments", no_moments)
+    if rule == "row_chunks":  # chunks of 8 to 86 rows
+        monkeypatch.setattr(processes, "_ROW_CHUNK", 2_000)
+    for seed, (theta, step, horizon, rows) in enumerate(LEVEL_WALK_CASES):
+        count, sums = processes._level_walks(theta, step, horizon, RngStream(seed=seed), rows)
+        eager = eager_level_walks(theta, step, horizon, RngStream(seed=seed), rows)
+        assert rows_match_eager(count, sums, eager, horizon)
+        if theta == 1.0:
+            continue
+        # planted defects the oracle must catch: row offsets shifted by one
+        # (each row handed its successor's first sum), and rows kept one sum
+        # past their first above the level, where they drew one
+        shifted = count.copy()
+        shifted[:-1] += 1
+        shifted[-1] -= rows - 1
+        assert not rows_match_eager(shifted, sums, eager, horizon)
+        longer = [x.size > c + 2 for x, c in zip(eager, count)]
+        assert sum(longer) > rows // 4
+        kept = np.concatenate([x[: c + 2 + extra] for x, c, extra in zip(eager, count, longer)])
+        assert not rows_match_eager(count + longer, kept, eager, horizon)
 
 
 def test_count_helpers_match_eager_blocks(monkeypatch):
@@ -853,20 +910,18 @@ def test_timechange_path_count_has_exact_law(theta, t, step, seed):
     assert chi_square_two_samples(counts, exact) > 1e-3
 
 
-# each clock of the two-clock grid reads, at t, the last level it passed by
-# t: k[-1] = floor(Y(t) / step)
+# each clock of a two-clock row reads, at t, the last level it passed by t:
+# k = floor(Y(t) / step) at the row's last slot
 
 
 @pytest.mark.parametrize("theta_a, theta_b, t, resolution, seed",
                          [(0.6, 0.9, 2.0, 0.05, 41), (0.5, 0.5, 1.0, 0.1, 42)])
 def test_two_clocks_read_exact_clock_law_at_t(theta_a, theta_b, t, resolution, seed):
     n = 10_000
-    rng = RngStream(seed=seed)
-    clocks = [limitlab._two_clocks(theta_a, theta_b, t, resolution, rng.substream(r))
-              for r in range(n)]
+    clocks = limitlab._clock_pair(theta_a, theta_b, t, resolution, RngStream(seed=seed), n)
     ref = RngStream(seed=seed + 100)
-    for j, theta in enumerate((theta_a, theta_b)):
-        k_end = np.array([pair[j][1][-1] for pair in clocks])
+    for j, (theta, clock) in enumerate(zip((theta_a, theta_b), clocks)):
+        k_end = clock.k[clock.off[1:] - 1]
         y = sample_inverse_subordinator_at(theta, t, ref.substream(j), size=n)
         exact = np.floor(y / (resolution * t**theta)).astype(int)
         assert chi_square_two_samples(k_end, exact) > 1e-3

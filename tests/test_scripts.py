@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,29 @@ def test_verification_suite_lists_the_battery_in_table_order(capsys):
     suite = load_script("run_verification_suite")
     assert suite.main(["--list"]) == 0
     assert capsys.readouterr().out.split() == list(limitlab.BATTERY)
+
+
+def test_calibrate_writes_pass_rates_and_uniform_ks_per_experiment(tmp_path, capsys):
+    calibrate = load_script("calibrate")
+    out = tmp_path / "cal"
+    only = "pmf_theta_0.7,queue_scaling_balanced,oscillation_c_1"
+    argv = ["--only", only, "--seeds", "2", "--scale", "0.01", "--out", str(out)]
+    assert calibrate.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3  # one line per experiment
+    names = only.split(",")
+    assert sorted(p.stem for p in out.iterdir()) == sorted(names)
+    runners = dict(limitlab.battery(1, 0.01))
+    for name in names:
+        summary = json.loads((out / f"{name}.json").read_text())
+        assert summary["runs"] == 2 and summary["passes"] == sum(
+            s > summary["threshold"] for s in summary["statistics"])
+        assert summary["pass_rate"] == summary["passes"] / 2
+        # seed 1 is the battery's run at base seed 1
+        assert summary["statistics"][1] == runners[name](None).statistic
+    pmf = json.loads((out / "pmf_theta_0.7.json").read_text())["p_values"]
+    assert sorted(pmf) == ["chi2_renewal.p", "chi2_timechange.p", "ks_cross_p"]
+    assert all(len(v["values"]) == 2 and 0 <= v["ks_p"] <= 1 for v in pmf.values())
+    balanced = json.loads((out / "queue_scaling_balanced.json").read_text())["p_values"]
+    assert sorted(balanced) == ["ks.p", "ks_per_class.p"]
+    assert json.loads((out / "oscillation_c_1.json").read_text())["p_values"] == {}
+    assert calibrate.main(["--only", "nothing", "--out", str(out)]) == 2

@@ -6,6 +6,7 @@ and frozen here, so the suite never depends on mpmath at run time.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fracq import (
     FppParams,
     MlIndex,
     ParameterError,
+    SeriesConvergenceError,
     fpp_pgf,
     fpp_pmf,
     fpp_pmf_table,
@@ -323,6 +325,23 @@ def test_fpp_pgf_boundaries():
 
 
 # inverse-clock moments
+
+
+def test_infinite_or_huge_t_fails_within_a_second():
+    # an infinite t made fpp_pmf 0.0, so the table ran its n_cap evaluations
+    p = FppParams(0.7, 1.0)
+    calls = [
+        (ParameterError, lambda: fpp_pmf(p, math.inf, 3)),
+        (ParameterError, lambda: fpp_pgf(p, 0.5, math.inf)),
+        (ParameterError, lambda: fpp_pmf_table(p, math.inf)),
+        (SeriesConvergenceError, lambda: fpp_pmf_table(p, 1e300)),
+        (SeriesConvergenceError, lambda: fpp_pmf_table(FppParams(1.0, 2.0), 1e5, n_cap=1000)),
+    ]
+    for error, call in calls:
+        start = time.perf_counter()
+        with pytest.raises(error):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_inverse_clock_moments_closed_form():
