@@ -81,15 +81,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=20, help="run seeds 0 .. K-1")
     ap.add_argument("--scale", type=float, default=1.0,
                     help="multiply every replica count by this factor")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="thread pool size for path-level experiments")
     ap.add_argument("--only", default=None,
                     help="comma-separated experiment names (substring match)")
     args = ap.parse_args(argv)
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
 
-    names = [name for name, _ in battery(0, args.scale, args.jobs)]
+    names = [name for name, _ in battery(0, args.scale)]
     if args.only is not None:
         wanted = [w.strip() for w in args.only.split(",") if w.strip()]
         names = [name for name in names if any(w in name for w in wanted)]
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         reports = []
         for seed in range(args.seeds):
-            run = dict(battery(seed, args.scale, args.jobs))[name]
+            run = dict(battery(seed, args.scale))[name]
             with contextlib.redirect_stdout(io.StringIO()):  # the one-line verdicts
                 reports.append(run(None).to_dict())
         summary = summarize(reports, time.perf_counter() - start)

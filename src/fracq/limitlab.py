@@ -10,8 +10,8 @@ whose resolution bounds the reflection bias.
 Every functional of two independent inverse clocks is drawn for a chunk of
 replicas at once, as the rows of one level walk per clock (_clock_pair), and
 read at the clocks' level passages only.  map_replicas runs every replica
-loop: replica r, or chunk c of _pair_rows replicas, draws from substream r or
-c, so no result depends on jobs.
+loop as chunks, chunk c from substream c: one replica each, or _pair_rows
+replicas for a two-clock functional, so no result depends on jobs.
 """
 
 from __future__ import annotations
@@ -138,42 +138,44 @@ def _ecdf_artifact(out_dir: str | None, name: str, sample) -> list[str]:
 
 
 def map_replicas(fn, rng: RngStream, n: int, jobs: int = 1, chunk: int | None = None) -> np.ndarray:
-    """fn(rng.substream(r)) for r in range(n), stacked into one array; or,
-    given chunk, fn(rng.substream(c), m) for the chunks c of m = chunk
-    replicas (the last may hold fewer), each returning m results, joined.  On
-    a thread pool of `jobs` workers when jobs > 1.
+    """fn(rng.substream(c), m) for the chunks c of m = chunk replicas (the
+    last may hold fewer), each returning m results, joined into one array; or,
+    without chunk, fn(rng.substream(r)) for r in range(n), each replica a chunk
+    of one.  On a thread pool of `jobs` workers when jobs > 1.
 
     A replica or chunk draws only from its own substream, so the result does
     not depend on jobs.
     """
     if n < 1:
         raise ParameterError("need at least one replica")
-    if chunk is None:
-        args, join = (map(rng.substream, range(n)),), np.array
-    else:
-        starts = range(0, n, chunk)
-        args = (map(rng.substream, range(len(starts))), [min(chunk, n - lo) for lo in starts])
-        join = np.concatenate
+    if chunk is None:  # replica r is chunk r, of one
+        fn, chunk = (lambda sub, m, one=fn: [one(sub)]), 1
+    sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+    streams = map(rng.substream, range(len(sizes)))
     if jobs <= 1:
-        return join(list(map(fn, *args)))
+        return np.concatenate(list(map(fn, streams, sizes)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return join(list(pool.map(fn, *args)))
+        return np.concatenate(list(pool.map(fn, streams, sizes)))
 
 
-def _ladder(fn, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: int,
-            chunk=None):
+def _ladder(fn, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: int):
     """(horizons, results): results[hi] stacks fn(horizon, stream) over the
-    replicas of rung hi, or, given chunk, fn(horizon, stream, m) over its
-    chunks of chunk(horizon) replicas; rung hi draws from rng.substream(hi)."""
+    replicas of rung hi, which draw from rng.substream(hi)."""
+    horizons = _rungs(horizons, min_rungs)
+    return horizons, [
+        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs)
+        for hi, h in enumerate(horizons)
+    ]
+
+
+def _rungs(horizons, min_rungs: int) -> list[float]:
+    """The horizons as floats, at least min_rungs of them, positive and
+    strictly increasing."""
     horizons = [float(h) for h in horizons]
     # one chained comparison: positive, strictly increasing, and no NaN
     if len(horizons) < min_rungs or not all(a < b for a, b in zip([0.0, *horizons], horizons)):
         raise ParameterError(f"need at least {min_rungs} positive, strictly increasing horizons")
-    return horizons, [
-        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs,
-                     chunk(h) if chunk else None)
-        for hi, h in enumerate(horizons)
-    ]
+    return horizons
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ class _Clock(NamedTuple):
     step: float
     off: np.ndarray
     k: np.ndarray
-    other: np.ndarray | None
+    other: np.ndarray
 
 
 # first-read steps of the clock with more levels in one chunk of clock pairs:
@@ -208,44 +210,39 @@ def _pair_rows(theta_a: float, theta_b: float, t: float, resolution: float) -> i
 
 
 def _clock_pair(theta_a: float, theta_b: float, t: float, resolution: float,
-                rng: RngStream, rows: int, ask_a: bool = True) -> tuple[_Clock, _Clock]:
+                rng: RngStream, rows: int) -> tuple[_Clock, _Clock]:
     """`rows` pairs of independent inverse clocks Y_a, Y_b on levels spaced
     resolution * t^theta, each clock the rows of one level walk (substreams 0
     and 1).  At each passage of one clock, one searchsorted over row-offset
     keys finds the other's count: keys row * C + level, with C a power of two
     at least 4t, order like (row, level) up to float rounding, which can only
-    merge a level with a passage just below it; those are stepped back.  Y_a's
-    passages ask only if ask_a (else a.other is None)."""
+    merge a level with a passage just below it; those are stepped back."""
     walks = []
     for j, theta in enumerate((theta_a, theta_b)):
         step = resolution * t**theta
         count, levels = _level_walks(theta, step, t, rng.substream(j), rows)
         off = np.concatenate([[0], np.cumsum(count + 1)])
-        row = np.repeat(np.arange(rows), count + 1)
-        walks.append((step, levels, off, row, np.arange(levels.size) - off[row]))
+        walks.append((step, levels, off, np.repeat(np.arange(rows), count + 1)))
     scale = math.ldexp(1.0, math.frexp(t)[1] + 2)
     clocks = []
-    for (step, levels, off, row, k), (_, levels_y, off_y, row_y, _), ask in zip(
-            walks, walks[::-1], (ask_a, True)):
-        q = None
-        if ask:
-            s = levels.copy()
-            s[off[1:] - 1] = -t  # a row's last slot asks at s < 0
-            keys_y = row_y * scale + np.minimum(levels_y, 2.0 * t)
-            q = np.searchsorted(keys_y, row * scale + s, side="right")
-            lo = off_y[row]
-            while (over := (q > lo) & (levels_y[q - 1] > s)).any():
-                q -= over
-        clocks.append(_Clock(step, off, k, q))
+    for (step, levels, off, row), (_, levels_y, off_y, row_y) in zip(walks, walks[::-1]):
+        s = levels.copy()
+        s[off[1:] - 1] = -t  # a row's last slot asks at s < 0
+        keys_y = row_y * scale + np.minimum(levels_y, 2.0 * t)
+        q = np.searchsorted(keys_y, row * scale + s, side="right")
+        lo = off_y[row]
+        while (over := (q > lo) & (levels_y[q - 1] > s)).any():
+            q -= over
+        clocks.append(_Clock(step, off, np.arange(levels.size) - off[row], q))
     return clocks[0], clocks[1]
 
 
 def _passage_values(a: _Clock, wa: np.ndarray, b: _Clock, wb: np.ndarray):
     """The path wa(Y_a) - wb(Y_b), w(k) given at slot k: its values just
-    after each passage of Y_a (None unless a.other is set) and of Y_b, and at
-    t.  A row's last slot gives the path at s = 0, which is 0: it reads the
-    next row's w(0) = 0 (or the 0 appended) and the other clock's w(0)."""
-    after_a = None if a.other is None else np.append(wa[1:], 0.0) - wb[a.other]
+    after each passage of Y_a and of Y_b, and at t.  A row's last slot gives
+    the path at s = 0, which is 0: it reads the next row's w(0) = 0 (or the 0
+    appended) and the other clock's w(0)."""
+    after_a = np.append(wa[1:], 0.0) - wb[a.other]
     after_b = wa[b.other] - np.append(wb[1:], 0.0)
     return after_a, after_b, wa[a.off[1:] - 1] - wb[b.off[1:] - 1]
 
@@ -259,7 +256,7 @@ def _reflected_ends(theta_a: float, coefs_a, theta_b: float, coef_b: float, t: f
     """Phi(c Y_a - coef_b Y_b)(t) for each c in coefs_a, over the same `rows`
     clock pairs.  The path rises only at Y_a's passages, so its running
     minimum is 0 or its value just after one of Y_b's."""
-    a, b = _clock_pair(theta_a, theta_b, t, resolution, rng, rows, ask_a=False)
+    a, b = _clock_pair(theta_a, theta_b, t, resolution, rng, rows)
     ends = []
     for c in coefs_a:
         _, after_b, end = _passage_values(a, c * (a.step * a.k), b, coef_b * (b.step * b.k))
@@ -869,18 +866,11 @@ def verify_centered_queue_clt(
     chunk = _pair_rows(alpha, beta, horizon, resolution)
     observable = map_replicas(ends, rng.substream(2), replicas, jobs, chunk) / u ** (gamma / 2.0)
 
-    if alpha > beta:
-        oracle_sampler = LimitLawSampler.reflected_brownian_difference(
-            alpha, rate_a, t=t, resolution=resolution
-        )
-    elif beta > alpha:
-        oracle_sampler = LimitLawSampler.reflected_brownian_difference(
-            beta, rate_b, t=t, resolution=resolution
-        )
+    if alpha != beta:  # the dominated side drops out of the limit
+        sides = (alpha, rate_a) if alpha > beta else (beta, rate_b)
     else:
-        oracle_sampler = LimitLawSampler.reflected_brownian_difference(
-            alpha, rate_a, beta, rate_b, t=t, resolution=resolution
-        )
+        sides = (alpha, rate_a, beta, rate_b)
+    oracle_sampler = LimitLawSampler.reflected_brownian_difference(*sides, t=t, resolution=resolution)
     oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
     d, p = ks_two_sample(observable, oracle)
     artifacts = _ecdf_artifact(out_dir, "centered_clt_observable_ecdf", observable)
@@ -980,9 +970,10 @@ def verify_oscillation(
         raise ParameterError("oscillation requires theta in (0, 1); at 1 the difference is degenerate")
     _require_positive(c=c)
 
-    extremes = partial(_clock_extremes, theta, c, resolution)
-    chunk = lambda h: _pair_rows(theta, theta, h, resolution)
-    horizons, rungs = _ladder(extremes, horizons, 2, rng, replicas, jobs, chunk)
+    horizons = _rungs(horizons, 2)
+    rungs = [map_replicas(partial(_clock_extremes, theta, c, resolution, h), rng.substream(hi),
+                          replicas, jobs, _pair_rows(theta, theta, h, resolution))
+             for hi, h in enumerate(horizons)]
     med_min = [float(np.median(pairs[:, 0])) for pairs in rungs]
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
     margins = [a - b for a, b in zip(med_min, med_min[1:])]

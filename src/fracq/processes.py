@@ -164,7 +164,8 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
     holds sums[off[r]:off[r + 1]], off the cumsum of count + 1 from 0)."""
     g = rng.generator()
     first = int(min(mean, cap)) + 1
-    count, reads = np.empty(rows, dtype=np.int64), []
+    count = np.empty(rows, dtype=np.int64)
+    kept = [[] for _ in range(rows)] if keep else None
     chunk = max(1, min(rows, _ROW_CHUNK // first))
     for lo in range(0, rows, chunk):
         live = np.arange(lo, min(lo + chunk, rows))
@@ -178,7 +179,8 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
             c = np.where(above[:, -1], above.argmax(axis=1), k)
             count[live] = done + c
             if keep:
-                reads.append((live, done, sums))
+                for r, row, n in zip(live.tolist(), sums, c.tolist()):
+                    kept[r].append(row[: n + 1])
             more = c == k
             if not more.any():
                 break
@@ -187,16 +189,7 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
                 raise EventCapError(f"simulation exceeded {cap} events before reaching the horizon")
             live, tail = live[more], sums[more, -1]
             k = max(done // 4, math.ceil(_MIN_READ / live.size))
-    if not keep:
-        return count, None
-    off = np.concatenate([[0], np.cumsum(count + 1)]).tolist()
-    out = np.empty(off[-1])
-    for live, done, s in reads:
-        for r, row in zip(live.tolist(), s):
-            lo = off[r] + done
-            hi = min(lo + row.size, off[r + 1])
-            out[lo:hi] = row[: hi - lo]
-    return count, out
+    return count, np.concatenate(list(chain.from_iterable(kept))) if keep else None
 
 
 def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
@@ -262,13 +255,6 @@ def _level_walks(theta: float, step: float, horizon: float, rng: RngStream, rows
     return _passage(transform, rng, rows, horizon, mean_y / step, keep=True)
 
 
-def _covering_levels(theta: float, step: float, horizon: float, rng: RngStream) -> np.ndarray:
-    """L on the levels k step, from L(0) = 0 up to its first value above the
-    horizon: one _level_walks row.  The walk reads rng in order, so rng serves
-    it alone."""
-    return np.concatenate([np.zeros(1), _level_walks(theta, step, horizon, rng, 1)[1]])
-
-
 def simulate_fpp_timechange(
     p: FppParams,
     horizon: float,
@@ -288,8 +274,9 @@ def simulate_fpp_timechange(
         raise ParameterError("horizon must be positive")
     if step is None:
         step = DEFAULT_RESOLUTION * horizon**p.theta
-    # the clock's walk reads its own stream as far as it needs
-    values = _covering_levels(p.theta, step, horizon, rng.substream(0))
+    # L on the levels k step, from L(0) = 0 to its first value above the
+    # horizon: one walk, which reads its own stream as far as it needs
+    values = np.append(0.0, _level_walks(p.theta, step, horizon, rng.substream(0), 1)[1])
     g = rng.substream(1).generator()
     # Y(horizon) in the over-approximating grid sense
     k_top = values.size - 1

@@ -22,7 +22,7 @@ from fracq import (
 from fracq import limitlab, processes
 from fracq.gof import ks_two_sample
 from fracq.limitlab import map_replicas
-from fracq.processes import DEFAULT_RESOLUTION, _covering_levels
+from fracq.processes import DEFAULT_RESOLUTION
 from fracq.queueing import _reflect
 from fracq.special import inverse_subordinator_moments
 
@@ -561,7 +561,7 @@ def one_pair_union_counts(theta_a, theta_b, t, resolution, rng):
     out = []
     for j, theta in enumerate((theta_a, theta_b)):
         step = resolution * t**theta
-        out.append((step, _covering_levels(theta, step, t, rng.substream(j))))
+        out.append((step, np.append(0.0, processes._level_walks(theta, step, t, rng.substream(j), 1)[1])))
     ev = np.union1d(out[0][1][:-1], out[1][1][:-1])
     if ev[-1] < t:
         ev = np.append(ev, t)

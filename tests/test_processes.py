@@ -36,7 +36,7 @@ from fracq import (
 )
 from fracq import limitlab, processes
 from fracq.gof import chi_square_counts
-from fracq.processes import DEFAULT_RESOLUTION, _covering_levels, _strictly_increasing
+from fracq.processes import DEFAULT_RESOLUTION, _strictly_increasing
 from fracq.samplers import _mittag_leffler_steps, _stable_steps
 
 
@@ -522,8 +522,14 @@ def short_first_reads(monkeypatch):
     monkeypatch.setattr(processes, "inverse_subordinator_moments", no_moments)
 
 
+def covering_levels(theta, step, horizon, rng):
+    """L on the levels k step, from L(0) = 0 up to its first value above the
+    horizon: one level walk, the clock simulate_fpp_timechange draws."""
+    return np.append(0.0, processes._level_walks(theta, step, horizon, rng, 1)[1])
+
+
 def check_covering_levels(theta, step, horizon, seed):
-    values = _covering_levels(theta, step, horizon, RngStream(seed=seed))
+    values = covering_levels(theta, step, horizon, RngStream(seed=seed))
     assert_bitwise_equal(values, eager_covering_grid(theta, step, horizon, RngStream(seed=seed)))
     assert values[-2] <= horizon < values[-1]
 
@@ -583,7 +589,7 @@ IDENTITY_WALKS = [
     # (sums of one walk on rng, transform of its steps, level)
     (lambda rng: processes._renewal_walks(IDENTITY_P, 1500.0, rng, 1, keep=True)[1],
      lambda x: _mittag_leffler_steps(IDENTITY_P, x), 1500.0),
-    (lambda rng: _covering_levels(0.7, 1e-3, 3.0, rng)[1:],
+    (lambda rng: covering_levels(0.7, 1e-3, 3.0, rng)[1:],
      lambda x: 1e-3 ** (1.0 / 0.7) * _stable_steps(0.7, x), 3.0),
 ]
 
@@ -846,7 +852,7 @@ def test_arrivals_walk_draws_under_1_8_gaps_per_gap_kept(monkeypatch):
 def test_covering_grid_draws_under_2_6_levels_per_level_kept(monkeypatch):
     # the walk draws the pairs it reads, under 1.5 per level kept
     reads = record_walk_reads(monkeypatch)
-    kept = sum(_covering_levels(0.6, 1e-3, 1.0, RngStream(seed=seed)).size - 1
+    kept = sum(covering_levels(0.6, 1e-3, 1.0, RngStream(seed=seed)).size - 1
                for seed in range(100))
     assert pairs_drawn(reads) / kept < 1.5
 
@@ -857,7 +863,7 @@ def test_extension_blocks_grow_geometrically(short_first_reads, monkeypatch):
     # 5 + log_1.25(N / 256) reads; reads of one fixed width would take N / 64
     reads = record_walk_reads(monkeypatch)
     walks = [lambda: processes._renewal_walks(FppParams(0.8, 4.0), 1500.0, RngStream(seed=5), 1)[0][0] + 1,
-             lambda: _covering_levels(0.7, 1e-3, 3.0, RngStream(seed=6)).size - 1]
+             lambda: covering_levels(0.7, 1e-3, 3.0, RngStream(seed=6)).size - 1]
     for walk in walks:
         reads.clear()
         needed = walk()
@@ -887,7 +893,7 @@ EXACT_LAW_CASES = [(0.7, 1.0, 0.05, 31), (0.5, 3.0, 0.2, 32)]
 def test_covering_grid_first_level_above_t_has_exact_law(theta, t, step, seed):
     n = 10_000
     rng = RngStream(seed=seed)
-    k_top = np.array([_covering_levels(theta, step, t, rng.substream(r)).size - 1
+    k_top = np.array([covering_levels(theta, step, t, rng.substream(r)).size - 1
                       for r in range(n)])
     y = sample_inverse_subordinator_at(theta, t, RngStream(seed=seed + 100), size=n)
     assert chi_square_two_samples(k_top, np.ceil(y / step).astype(int)) > 1e-3
