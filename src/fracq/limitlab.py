@@ -7,11 +7,14 @@ built from inverse stable clocks are sampled either exactly at a single time
 (via the stable subordinator identity) or pathwise on first-passage grids
 whose resolution bounds the reflection bias.
 
-Every functional of two independent inverse clocks is drawn for a chunk of
-replicas at once, as the rows of one level walk per clock (_clock_pair), and
-read at the clocks' level passages only.  map_replicas runs every replica
-loop as chunks, chunk c from substream c: one replica each, or _pair_rows
-replicas for a two-clock functional, so no result depends on jobs.
+Every path-level observable and oracle is drawn for a chunk of replicas at
+once and read only where its path can turn.  A functional of two independent
+inverse clocks takes the rows of one level walk per clock (_clock_pair) and
+is read at the clocks' level passages; an event-level queue takes the rows of
+one renewal walk per side (_queue_ends) and is read at its services.
+map_replicas runs every replica loop as chunks, chunk c from substream c, of
+a size set by the parameters alone (_chunk_rows), so no result depends on
+jobs.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from .processes import (
     DEFAULT_RESOLUTION,
     ClassProbabilities,
     _level_walks,
-    _renewal_times,
+    _mean_count,
+    _renewal_rows,
     _write_csv,
     renewal_counts,
     timechange_counts,
 )
-from .queueing import LocationSampler, reflected_path_stats
+from .queueing import LocationSampler
 from .samplers import RngStream, sample_inverse_subordinator_at
 from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
 
@@ -158,24 +162,19 @@ def map_replicas(fn, rng: RngStream, n: int, jobs: int = 1, chunk: int | None = 
         return np.concatenate(list(pool.map(fn, streams, sizes)))
 
 
-def _ladder(fn, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: int):
-    """(horizons, results): results[hi] stacks fn(horizon, stream) over the
-    replicas of rung hi, which draw from rng.substream(hi)."""
-    horizons = _rungs(horizons, min_rungs)
-    return horizons, [
-        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs)
-        for hi, h in enumerate(horizons)
-    ]
-
-
-def _rungs(horizons, min_rungs: int) -> list[float]:
-    """The horizons as floats, at least min_rungs of them, positive and
-    strictly increasing."""
+def _ladder(fn, chunk, horizons, min_rungs: int, rng: RngStream, replicas: int, jobs: int):
+    """(horizons, results): results[hi] stacks fn(horizon, stream, m) over the
+    chunks of chunk(horizon) replicas of rung hi, which draw from
+    rng.substream(hi); the horizons must be at least min_rungs positive,
+    strictly increasing floats."""
     horizons = [float(h) for h in horizons]
     # one chained comparison: positive, strictly increasing, and no NaN
     if len(horizons) < min_rungs or not all(a < b for a, b in zip([0.0, *horizons], horizons)):
         raise ParameterError(f"need at least {min_rungs} positive, strictly increasing horizons")
-    return horizons
+    return horizons, [
+        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs, chunk(h))
+        for hi, h in enumerate(horizons)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +194,22 @@ class _Clock(NamedTuple):
     other: np.ndarray
 
 
-# first-read steps of the clock with more levels in one chunk of clock pairs:
-# an eighth of a _passage chunk, so a chunk's arrays stay in cache and add
-# little to peak memory
+# first-read steps of the walk with more steps in one chunk of replicas: an
+# eighth of a _passage chunk, so a chunk's arrays stay in cache and add little
+# to peak memory
 _PAIR_STEPS = 2**14
 
 
+def _chunk_rows(*means: float) -> int:
+    """Replicas per chunk of walks whose counts have these means: at most
+    _PAIR_STEPS first-read steps, int(mean) + 1 a row, for any of them."""
+    return max(1, _PAIR_STEPS // (int(max(means)) + 1))
+
+
 def _pair_rows(theta_a: float, theta_b: float, t: float, resolution: float) -> int:
-    """Replicas per chunk of a two-clock functional: at most _PAIR_STEPS
-    first-read steps for either clock."""
-    mean = max(inverse_subordinator_moments(th, t)[0] / (resolution * t**th)
-               for th in (theta_a, theta_b))
-    return max(1, _PAIR_STEPS // (int(mean) + 1))
+    """Replicas per chunk of a two-clock functional, from its level counts."""
+    return _chunk_rows(*(inverse_subordinator_moments(th, t)[0] / (resolution * t**th)
+                         for th in (theta_a, theta_b)))
 
 
 def _clock_pair(theta_a: float, theta_b: float, t: float, resolution: float,
@@ -434,23 +437,71 @@ class LimitLawSampler:
 # ---------------------------------------------------------------------------
 # event-level observables
 
-def _scaled_queue_end(
-    alpha: float,
-    beta: float,
-    lam: float,
-    mu: float,
-    heads: tuple[float, ...],
-    horizon: float,
-    rng: RngStream,
-) -> list[tuple[int, int, int]]:
-    """(Q_{<=i}(T), emptyings, running max) of one replica of the queue fed by
-    class-(<=i) arrivals and all services, for each head probability P_i in
-    heads, all thinning the same arrivals by uniforms drawn if some P_i < 1."""
-    arr = _renewal_times(FppParams(alpha, lam), horizon, rng.substream(0))
-    dep = _renewal_times(FppParams(beta, mu), horizon, rng.substream(2))
-    thin = min(heads) < 1.0
-    unif = rng.substream(1).generator().random(arr.size) if thin else np.zeros(arr.size)
-    return [reflected_path_stats(arr[unif < head], dep) for head in heads]
+def _row_cummin(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Running minimum along axis 0 of integer x, restarted at each row: row
+    r, its entries numbered r in the nondecreasing `row`, is shifted below
+    every earlier row's entries, so they never reach its minimum."""
+    shift = (row * (int(x.max(initial=0)) - int(x.min(initial=0)) + 1))[:, None]
+    return np.minimum.accumulate(x - shift) + shift
+
+
+def _row_sums(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums along axis 0 of x over rows of `counts` entries each, row after
+    row, and the running sums before each entry: (sums, before)."""
+    before = np.concatenate([np.zeros((1, x.shape[1]), np.int64), np.cumsum(x, axis=0)])
+    ends = np.cumsum(counts)
+    return before[ends] - before[ends - counts], before
+
+
+def _queue_ends(arrivals: FppParams, services: FppParams, horizon: float, kept,
+                rng: RngStream, rows: int) -> np.ndarray:
+    """(Q(T), emptyings, running max) at T = horizon of `rows` reflected
+    queues for each column of kept, shape (rows, columns, 3).  The rows'
+    arrivals and services are the rows of one renewal walk each (substreams
+    0 and 2), and kept(rng.substream(1), n) marks the chunk's n arrivals in
+    row order at once: an (n, columns) array, true where the column's queue
+    takes the arrival.
+
+    The netflow only rises between services, so the queue is read at
+    services: service j of a row (from 1) follows the a_j kept arrivals at or
+    before it (arrivals first at ties), f_j = a_j - j, and m_j = min(0, f_1
+    .. f_j).  Then Q(T) = A - D - m_D, service j empties the queue when f_j =
+    m_{j-1}, and the running max is the largest of Q(T) and the queue f_j + 1
+    - m_{j-1} that each service finds.  All of it is integer arithmetic."""
+    n_arr, arr = _renewal_rows(arrivals, horizon, rng.substream(0), rows)
+    n_dep, dep = _renewal_rows(services, horizon, rng.substream(2), rows)
+    total, kept_before = _row_sums(kept(rng.substream(1), arr.size), n_arr)
+    row_a, row_d = (np.repeat(np.arange(rows), n) for n in (n_arr, n_dep))
+    first_a, first_d = np.cumsum(n_arr) - n_arr, np.cumsum(n_dep) - n_dep
+    # complex keys order by (row, time), exactly: one search counts the
+    # arrivals in earlier rows, and in the service's row at or before it
+    q = np.searchsorted(row_a + 1j * arr, row_d + 1j * dep, side="right")
+    j = np.arange(1, dep.size + 1) - first_d[row_d]
+    f = kept_before[q] - kept_before[first_a[row_d]] - j[:, None]
+    m = np.minimum(_row_cummin(f, row_d), 0)
+    served = n_dep > 0
+    m_prev = np.roll(m, 1, axis=0)
+    m_prev[first_d[served]] = 0
+    emptyings = _row_sums(f == m_prev, n_dep)[0]
+    # per row with services: the minimum after its last, and the largest
+    # queue a service finds
+    m_end, found = np.zeros((2, rows, f.shape[1]), np.int64)
+    if served.any():
+        m_end[served] = m[first_d[served] + n_dep[served] - 1]
+        found[served] = np.maximum.reduceat(f + 1 - m_prev, first_d[served])
+    end = total - n_dep[:, None] - m_end
+    return np.stack([end, emptyings, np.maximum(end, found)], axis=-1)
+
+
+def _queue_rows(arrivals: FppParams, services: FppParams, horizon: float) -> int:
+    """Replicas per chunk of _queue_ends, from its renewal counts."""
+    return _chunk_rows(_mean_count(arrivals, horizon), _mean_count(services, horizon))
+
+
+def _thinned(heads):
+    """Marks uniform on [0, 1): column i keeps the arrivals marked below
+    heads[i], the share P_i of classes 1 .. i."""
+    return lambda rng, n: rng.generator().random(n)[:, None] < np.asarray(heads)
 
 
 # ---------------------------------------------------------------------------
@@ -768,13 +819,11 @@ def verify_queue_scaling(
     # balanced, i >= 2: also the same arrivals thinned one class shorter
     heads = (head, probs.head_sum(i - 1)) if regime == "balanced" and i >= 2 else (head,)
 
-    def one(sub: RngStream) -> tuple[int, int]:
-        ends = _scaled_queue_end(alpha, beta, lam, mu, heads, horizon, sub)
-        return ends[0][0], ends[0][0] - ends[-1][0]
-
+    walks = (FppParams(alpha, lam), FppParams(beta, mu), horizon)
     # the replicas draw from substream(4); keep 0-3 for oracles
-    pairs = map_replicas(one, rng.substream(4), replicas, jobs)
-    observable = pairs[:, 0] / u**gamma
+    ends = map_replicas(partial(_queue_ends, *walks, _thinned(heads)), rng.substream(4),
+                        replicas, jobs, _queue_rows(*walks))[:, :, 0]
+    observable = ends[:, 0] / u**gamma
     details: dict = {"regime": regime}
     artifacts = _ecdf_artifact(out_dir, "queue_scaling_observable_ecdf", observable)
 
@@ -795,7 +844,7 @@ def verify_queue_scaling(
         artifacts += _ecdf_artifact(out_dir, "queue_scaling_oracle_ecdf", oracle)
         p_all = [p]
         if len(heads) == 2:
-            per_class = pairs[:, 1] / u**gamma
+            per_class = (ends[:, 0] - ends[:, 1]) / u**gamma
 
             # per-class oracle: difference of the two reflections driven by
             # one shared pair of clock paths
@@ -921,14 +970,10 @@ def verify_recurrence(
     thinning probabilities are recorded but the statistics live on the total
     queue, whose law they do not affect.
     """
-
-    def one(horizon: float, sub: RngStream) -> tuple[int, int]:
-        ((_, emptyings, running_max),) = _scaled_queue_end(
-            alpha, alpha, lam, mu, (1.0,), horizon, sub
-        )
-        return emptyings, running_max
-
-    horizons, rungs = _ladder(one, horizons, 3, rng, replicas, jobs)
+    walks = (FppParams(alpha, lam), FppParams(alpha, mu))
+    # every arrival feeds the total queue: (emptyings, running max)
+    ends = lambda h, sub, m: _queue_ends(*walks, h, _thinned((1.0,)), sub, m)[:, 0, 1:]
+    horizons, rungs = _ladder(ends, partial(_queue_rows, *walks), horizons, 3, rng, replicas, jobs)
     med_empty = [float(np.median(pairs[:, 0])) for pairs in rungs]
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
     margins = [b - a for a, b in zip(med_empty, med_empty[1:])]
@@ -970,10 +1015,9 @@ def verify_oscillation(
         raise ParameterError("oscillation requires theta in (0, 1); at 1 the difference is degenerate")
     _require_positive(c=c)
 
-    horizons = _rungs(horizons, 2)
-    rungs = [map_replicas(partial(_clock_extremes, theta, c, resolution, h), rng.substream(hi),
-                          replicas, jobs, _pair_rows(theta, theta, h, resolution))
-             for hi, h in enumerate(horizons)]
+    horizons, rungs = _ladder(partial(_clock_extremes, theta, c, resolution),
+                              partial(_pair_rows, theta, theta, resolution=resolution),
+                              horizons, 2, rng, replicas, jobs)
     med_min = [float(np.median(pairs[:, 0])) for pairs in rungs]
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
     margins = [a - b for a, b in zip(med_min, med_min[1:])]
@@ -1015,17 +1059,14 @@ def verify_best_ask(
     a = locations.support_infimum()
     eps_main = max(eps_values)
 
-    def one(horizon: float, sub: RngStream) -> list[int]:
-        # serving the lowest location is static priority by location: the
-        # customers at locations <= x form their own queue, Phi(A_{<=x} - S)
-        arr = _renewal_times(FppParams(alpha, lam), horizon, sub.substream(0))
-        dep = _renewal_times(FppParams(beta, mu), horizon, sub.substream(1))
-        marks = locations.sample(sub.substream(2), arr.size)
-        return [reflected_path_stats(arr[marks <= a + eps], dep)[0] for eps in eps_values]
-
-    # column j counts the queue within a + eps_j; the best ask exceeds
+    # serving the lowest location is static priority by location: the
+    # customers at locations <= x form their own queue, Phi(A_{<=x} - S).
+    # Column j counts the queue within a + eps_j; the best ask exceeds
     # a + eps_j exactly when that count is 0
-    t_values, rungs = _ladder(one, t_values, 2, rng, replicas, jobs)
+    walks = (FppParams(alpha, lam), FppParams(beta, mu))
+    within = lambda sub, n: locations.sample(sub, n)[:, None] <= a + np.asarray(eps_values)
+    ends = lambda h, sub, m: _queue_ends(*walks, h, within, sub, m)[:, :, 0]
+    t_values, rungs = _ladder(ends, partial(_queue_rows, *walks), t_values, 2, rng, replicas, jobs)
     exceed, mass_freq = {}, {}
     for j, eps in enumerate(eps_values):
         exceed[eps] = [float((res[:, j] == 0).mean()) for res in rungs]
@@ -1129,7 +1170,7 @@ BATTERY = {
         t_values=(10.0, 1e2, 1e3, 1e4), replicas=200)),
 }
 
-# the experiments that simulate paths replica by replica, and so take `jobs`
+# the experiments that simulate paths chunk by chunk, and so take `jobs`
 _PATH_LEVEL = (verify_queue_scaling, verify_centered_queue_clt, verify_recurrence,
                verify_oscillation, verify_best_ask)
 

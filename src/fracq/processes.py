@@ -192,29 +192,41 @@ def _passage(transform, rng: RngStream, rows: int, level: float, mean: float,
     return count, np.concatenate(list(chain.from_iterable(kept))) if keep else None
 
 
+def _mean_count(p: FppParams, horizon: float) -> float:
+    """E N(horizon) of the fractional Poisson process p."""
+    return p.lam**p.theta * inverse_subordinator_moments(p.theta, horizon)[0]
+
+
 def _renewal_walks(p: FppParams, horizon: float, rng: RngStream, rows: int,
                    event_cap: float = math.inf, keep: bool = False):
     """_passage over horizon of `rows` walks of Mittag-Leffler gaps, first
     reading the mean count N(horizon) plus one; EventCapError past event_cap
     gaps."""
-    mean = p.lam**p.theta * inverse_subordinator_moments(p.theta, horizon)[0]
     transform = lambda pairs: _mittag_leffler_steps(p, pairs)
-    return _passage(transform, rng, rows, horizon, mean, event_cap, keep)
+    return _passage(transform, rng, rows, horizon, _mean_count(p, horizon), event_cap, keep)
 
 
-def _renewal_times(
-    p: FppParams, horizon: float, rng: RngStream, event_cap: float = math.inf
-) -> np.ndarray:
-    """Event times on (0, horizon] of one renewal path: Mittag-Leffler partial
-    sums, read by _passage's one read rule from rng, which serves this walk
-    alone."""
-    times = _renewal_walks(p, horizon, rng, 1, event_cap, keep=True)[1]
-    # partial sums can collide in float64 after a long wait
-    times = _strictly_increasing(times[times <= horizon])
-    times = times[times <= horizon]
-    if times.size > event_cap:
+def _renewal_rows(p: FppParams, horizon: float, rng: RngStream, rows: int,
+                  event_cap: float = math.inf):
+    """Event times on (0, horizon] of `rows` renewal paths, the rows of one
+    _renewal_walks walk from rng: (count, times), row r's strictly increasing
+    times at times[off[r]:off[r + 1]], off the cumsum of count from 0.
+    Partial sums can collide in float64 after a long wait; only a row with
+    such a tie is nudged, by _strictly_increasing, and a nudge past the
+    horizon drops the event."""
+    count, sums = _renewal_walks(p, horizon, rng, rows, event_cap, keep=True)
+    times = sums[sums <= horizon]  # each row's first n, without its first above
+    row = np.repeat(np.arange(rows), count)
+    tie = (times[1:] <= times[:-1]) & (row[1:] == row[:-1])
+    if tie.any():
+        off = np.concatenate([[0], np.cumsum(count)])
+        for r in np.unique(row[1:][tie]).tolist():
+            times[off[r] : off[r + 1]] = _strictly_increasing(times[off[r] : off[r + 1]])
+        inside = times <= horizon
+        times, count = times[inside], np.bincount(row[inside], minlength=rows)
+    if count.max(initial=0) > event_cap:
         raise EventCapError(f"simulation produced more than {event_cap} events")
-    return times
+    return count, times
 
 
 def simulate_fpp_renewal(
@@ -226,7 +238,7 @@ def simulate_fpp_renewal(
     """Fractional Poisson events on (0, horizon] as Mittag-Leffler partial sums."""
     if horizon <= 0:
         raise ParameterError("horizon must be positive")
-    return EventTimeline(horizon=horizon, times=_renewal_times(p, horizon, rng, event_cap))
+    return EventTimeline(horizon=horizon, times=_renewal_rows(p, horizon, rng, 1, event_cap)[1])
 
 
 def simulate_subordinator(theta: float, step: float, s_max: float, rng: RngStream) -> np.ndarray:

@@ -23,8 +23,8 @@ from fracq import limitlab, processes
 from fracq.gof import ks_two_sample
 from fracq.limitlab import map_replicas
 from fracq.processes import DEFAULT_RESOLUTION
-from fracq.queueing import _reflect
-from fracq.special import inverse_subordinator_moments
+from fracq.queueing import _reflect, reflected_path_stats
+from fracq.special import FppParams, inverse_subordinator_moments
 
 PROBS2 = ClassProbabilities(np.array([0.6, 0.4]))
 
@@ -359,17 +359,6 @@ def test_verify_oscillation_smoke():
     assert mins[1] < mins[0] and maxs[1] > maxs[0]
 
 
-def test_verify_best_ask_survives_renewal_float_collisions():
-    # a replica of this battery point draws two renewal partial sums that
-    # collide in float64
-    rep = limitlab.verify_best_ask(
-        0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0),
-        t_values=(10.0, 1e2, 1e3, 1e4), replicas=200,
-        rng=RngStream(seed=40300), verbose=False,
-    )
-    assert len(rep.details["exceedance"]["0.1"]) == 4
-
-
 def test_verify_validation_errors():
     with pytest.raises(ParameterError):
         limitlab.verify_recurrence(
@@ -476,6 +465,167 @@ def test_experiments_independent_of_jobs(tmp_path, monkeypatch, name):
     assert reports[0] == reports[1]
     assert files[0] == files[1]
     assert len(files[0]) == 1 + len(reports[0]["artifacts"])
+
+
+# event-level queues: a chunk of rows of one renewal walk per side, read at
+# services, against reflected_path_stats on each row's own paths
+
+
+def split_rows(count, values):
+    return np.split(values, np.cumsum(count)[:-1])
+
+
+def queue_rows_oracle(arrivals, services, horizon, kept, rng, rows):
+    """Each row's (Q(T), emptyings, running max) per column of kept, from
+    reflected_path_stats on the row's own paths and marks, drawn as the
+    kernel draws them."""
+    n_arr, arr = processes._renewal_rows(arrivals, horizon, rng.substream(0), rows)
+    n_dep, dep = processes._renewal_rows(services, horizon, rng.substream(2), rows)
+    keep = kept(rng.substream(1), arr.size)
+    out = [[reflected_path_stats(a[k[:, c]], d) for c in range(keep.shape[1])]
+           for a, d, k in zip(split_rows(n_arr, arr), split_rows(n_dep, dep), split_rows(n_arr, keep))]
+    return np.array(out, dtype=np.int64), n_arr, n_dep
+
+
+def location_marks(locations, cuts):
+    return lambda rng, n: locations.sample(rng, n)[:, None] <= np.asarray(cuts)
+
+
+# (arrivals, services, horizon, kept, rows): balanced and services-dominate
+# heads, best-ask location cuts (point masses sit on a cut), and horizons so
+# short that many rows have no arrivals or no services
+QUEUE_CASES = [
+    (FppParams(0.6, 1.1), FppParams(0.6, 1.0), 1e3, limitlab._thinned((1.0, 0.5)), 40),
+    (FppParams(0.3, 1.0), FppParams(0.9, 1.0), 1e3, limitlab._thinned((0.3,)), 25),
+    (FppParams(0.9, 1.0), FppParams(0.5, 1.0), 50.0,
+     location_marks(LocationSampler.point_masses([1.0, 1.05, 1.1, 2.0], [0.1, 0.2, 0.3, 0.4]),
+                    [1.05, 1.1]), 60),
+    (FppParams(0.7, 1.0), FppParams(0.5, 1.0), 0.3, limitlab._thinned((1.0, 0.4)), 143),
+    (FppParams(0.9, 2.0), FppParams(0.3, 1.0), 0.5, limitlab._thinned((1.0,)), 150),
+]
+
+
+def test_queue_ends_rows_match_reflected_path_stats():
+    empty = {"arrivals": set(), "services": set()}
+    for seed, (arrivals, services, horizon, kept, rows) in enumerate(QUEUE_CASES):
+        rng = RngStream(seed=seed)
+        got = limitlab._queue_ends(arrivals, services, horizon, kept, rng, rows)
+        expected, n_arr, n_dep = queue_rows_oracle(arrivals, services, horizon, kept, rng, rows)
+        np.testing.assert_array_equal(got, expected)
+        for side, n in (("arrivals", n_arr), ("services", n_dep)):
+            zero = np.flatnonzero(n == 0)
+            empty[side] |= {"leading" if r == 0 else "trailing" if r == rows - 1 else "middle"
+                            for r in zero.tolist()}
+    # rows with no arrivals and rows with no services, at each end of a
+    # chunk and inside it
+    assert empty["arrivals"] == empty["services"] == {"leading", "middle", "trailing"}
+
+
+def lattice_rows():
+    """30 rows of arrivals (keyed by their rate 1.1) and of services (rate
+    1.0) on a lattice of step 0.5, so that the two often share an instant."""
+    g = np.random.default_rng(3)
+    paths = {}
+    for lam in (1.1, 1.0):
+        rows = [np.unique(g.integers(1, 40, g.integers(0, 30))) * 0.5 for _ in range(30)]
+        paths[lam] = (np.array([r.size for r in rows]), np.concatenate(rows))
+    return paths
+
+
+def rows_match_oracle_on_lattice(monkeypatch, services_first=False):
+    arrivals, services, kept = FppParams(0.6, 1.1), FppParams(0.6, 1.0), limitlab._thinned((1.0, 0.5))
+    paths = lattice_rows()
+    (n_arr, arr), (n_dep, dep) = paths[1.1], paths[1.0]
+    ties = sum(np.isin(d, a).sum() for a, d in zip(split_rows(n_arr, arr), split_rows(n_dep, dep)))
+    assert ties > 100
+    fed = dict(paths)
+    if services_first:  # every service one ulp earlier
+        fed[1.0] = (n_dep, np.nextafter(dep, -np.inf))
+    monkeypatch.setattr(limitlab, "_renewal_rows", lambda p, horizon, rng, rows: fed[p.lam])
+    rng = RngStream(seed=0)
+    got = limitlab._queue_ends(arrivals, services, 20.0, kept, rng, 30)
+    keep = kept(rng.substream(1), arr.size)
+    expected = [[reflected_path_stats(a[k[:, c]], d) for c in range(2)]
+                for a, d, k in zip(split_rows(n_arr, arr), split_rows(n_dep, dep), split_rows(n_arr, keep))]
+    return np.array_equal(got, np.array(expected))
+
+
+def test_queue_ends_count_an_arrival_before_a_service_at_the_same_instant(monkeypatch):
+    assert rows_match_oracle_on_lattice(monkeypatch)
+    # planted defect the oracle must catch: services first at ties
+    assert not rows_match_oracle_on_lattice(monkeypatch, services_first=True)
+
+
+def test_queue_ends_restart_the_running_minimum_at_each_row(monkeypatch):
+    arrivals, services, horizon, kept, rows = QUEUE_CASES[0]
+    expected = queue_rows_oracle(arrivals, services, horizon, kept, RngStream(seed=0), rows)[0]
+    # planted defect the oracle must catch: the minimum carried across rows
+    monkeypatch.setattr(limitlab, "_row_cummin", lambda x, row: np.minimum.accumulate(x))
+    got = limitlab._queue_ends(arrivals, services, horizon, kept, RngStream(seed=0), rows)
+    assert not np.array_equal(got, expected)
+    assert np.array_equal(got[0], expected[0])  # the first row has nothing to carry
+
+
+def test_one_row_chunk_matches_the_per_replica_queue():
+    # one replica as it was built alone: a renewal timeline per side and
+    # one uniform mark per arrival, the queue merged event by event
+    arrivals, services, heads = FppParams(0.9, 1.0), FppParams(0.3, 1.0), (1.0, 0.3)
+    for r in range(3):
+        sub = RngStream(seed=8).substream(r)
+        arr = processes.simulate_fpp_renewal(arrivals, 2e3, sub.substream(0)).times
+        dep = processes.simulate_fpp_renewal(services, 2e3, sub.substream(2)).times
+        u = sub.substream(1).generator().random(arr.size)
+        expected = [reflected_path_stats(arr[u < head], dep) for head in heads]
+        got = limitlab._queue_ends(arrivals, services, 2e3, limitlab._thinned(heads), sub, 1)
+        np.testing.assert_array_equal(got[0], np.array(expected))
+
+
+def test_queue_observables_draw_chunk_by_chunk():
+    arrivals, services, horizon, kept, _ = QUEUE_CASES[0]
+    chunk = limitlab._queue_rows(arrivals, services, horizon)
+    mean = 1.1**0.6 * 1e3**0.6 / math.gamma(1.6)
+    assert chunk == limitlab._PAIR_STEPS // (int(mean) + 1) == 218
+    # the queue-scaling arrivals point reads about 32.9k arrivals a row: one
+    # row a chunk
+    assert limitlab._queue_rows(FppParams(0.9, 1.0), FppParams(0.3, 1.0), 1e5) == 1
+    ends = lambda sub, m: limitlab._queue_ends(arrivals, services, horizon, kept, sub, m)
+    rng = RngStream(seed=5)
+    # fewer replicas than a chunk, then a chunk and one more
+    np.testing.assert_array_equal(map_replicas(ends, rng, 7, chunk=chunk), ends(rng.substream(0), 7))
+    got = map_replicas(ends, rng, chunk + 1, chunk=chunk)
+    np.testing.assert_array_equal(got, np.concatenate([ends(rng.substream(0), chunk),
+                                                       ends(rng.substream(1), 1)]))
+    np.testing.assert_array_equal(map_replicas(ends, rng, chunk + 1, jobs=2, chunk=chunk), got)
+
+
+def test_renewal_rows_nudge_only_the_row_with_a_float_collision(monkeypatch):
+    # a tie planted in one row of a chunk: that row alone is nudged, exactly
+    # as _strictly_increasing nudges it, and the queue reads the nudged row
+    arrivals, services, horizon, kept, rows = QUEUE_CASES[0]
+    clean = processes._renewal_rows(arrivals, horizon, RngStream(seed=0).substream(0), rows)
+    walks = processes._renewal_walks
+    planted = {}
+
+    def colliding_walks(p, horizon, rng, rows, event_cap=math.inf, keep=False):
+        count, sums = walks(p, horizon, rng, rows, event_cap, keep)
+        if p is arrivals:
+            at = int(np.cumsum(count + 1)[6]) + count[7] // 2  # inside row 7
+            sums[at : at + 3] = sums[at]  # three arrivals at one instant
+            planted["row"] = sums[np.cumsum(count + 1)[6] : np.cumsum(count + 1)[7]][: count[7]]
+        return count, sums
+
+    monkeypatch.setattr(processes, "_renewal_walks", colliding_walks)
+    count, times = processes._renewal_rows(arrivals, horizon, RngStream(seed=0).substream(0), rows)
+    assert count.tolist() == clean[0].tolist()
+    got, before = split_rows(count, times), split_rows(*clean)
+    nudged = processes._strictly_increasing(planted["row"])
+    assert_bitwise_equal(got[7], nudged)
+    assert not np.array_equal(nudged, planted["row"]) and np.all(np.diff(got[7]) > 0)
+    for r in set(range(rows)) - {7}:
+        assert_bitwise_equal(got[r], before[r])
+    np.testing.assert_array_equal(
+        limitlab._queue_ends(arrivals, services, horizon, kept, RngStream(seed=0), rows),
+        queue_rows_oracle(arrivals, services, horizon, kept, RngStream(seed=0), rows)[0])
 
 
 # two-clock functionals, evaluated at clock passages over rows of one level

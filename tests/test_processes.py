@@ -567,8 +567,10 @@ def check_renewal_paths(theta, lam, horizon, seed):
     times = simulate_fpp_renewal(p, horizon, RngStream(seed=seed)).times
     eager = eager_renewal_times(p, horizon, RngStream(seed=seed))
     assert_bitwise_equal(times, eager)
-    # the limit-law observables' renewal paths
-    assert_bitwise_equal(processes._renewal_times(p, horizon, RngStream(seed=seed)), eager)
+    # the limit-law observables' renewal paths, as a chunk of one row
+    count, rows = processes._renewal_rows(p, horizon, RngStream(seed=seed), 1)
+    assert count.tolist() == [eager.size]
+    assert_bitwise_equal(rows, eager)
     return times.size
 
 
