@@ -141,19 +141,16 @@ def _ecdf_artifact(out_dir: str | None, name: str, sample) -> list[str]:
     return [path]
 
 
-def map_replicas(fn, rng: RngStream, n: int, jobs: int = 1, chunk: int | None = None) -> np.ndarray:
+def map_replicas(fn, rng: RngStream, n: int, chunk: int, jobs: int = 1) -> np.ndarray:
     """fn(rng.substream(c), m) for the chunks c of m = chunk replicas (the
-    last may hold fewer), each returning m results, joined into one array; or,
-    without chunk, fn(rng.substream(r)) for r in range(n), each replica a chunk
-    of one.  On a thread pool of `jobs` workers when jobs > 1.
+    last may hold fewer), each returning m results, joined into one array.
+    On a thread pool of `jobs` workers when jobs > 1.
 
-    A replica or chunk draws only from its own substream, so the result does
-    not depend on jobs.
+    A chunk draws only from its own substream, so the result does not depend
+    on jobs.
     """
     if n < 1:
         raise ParameterError("need at least one replica")
-    if chunk is None:  # replica r is chunk r, of one
-        fn, chunk = (lambda sub, m, one=fn: [one(sub)]), 1
     sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
     streams = map(rng.substream, range(len(sizes)))
     if jobs <= 1:
@@ -172,7 +169,7 @@ def _ladder(fn, chunk, horizons, min_rungs: int, rng: RngStream, replicas: int, 
     if len(horizons) < min_rungs or not all(a < b for a, b in zip([0.0, *horizons], horizons)):
         raise ParameterError(f"need at least {min_rungs} positive, strictly increasing horizons")
     return horizons, [
-        map_replicas(partial(fn, h), rng.substream(hi), replicas, jobs, chunk(h))
+        map_replicas(partial(fn, h), rng.substream(hi), replicas, chunk(h), jobs)
         for hi, h in enumerate(horizons)
     ]
 
@@ -412,7 +409,7 @@ class LimitLawSampler:
             fn = lambda sub, rows: ends(sub, rows)[0]
         else:
             fn = partial(_walk_ends, th_a, self.coef_a, th_b, self.coef_b, t, res)
-        return map_replicas(fn, rng, size, jobs, _pair_rows(th_a, th_b, t, res))
+        return map_replicas(fn, rng, size, _pair_rows(th_a, th_b, t, res), jobs)
 
     def closed_form_quantile(self, q) -> np.ndarray | float:
         """Quantile function when every active clock index equals 1."""
@@ -822,7 +819,7 @@ def verify_queue_scaling(
     walks = (FppParams(alpha, lam), FppParams(beta, mu), horizon)
     # the replicas draw from substream(4); keep 0-3 for oracles
     ends = map_replicas(partial(_queue_ends, *walks, _thinned(heads)), rng.substream(4),
-                        replicas, jobs, _queue_rows(*walks))[:, :, 0]
+                        replicas, _queue_rows(*walks), jobs)[:, :, 0]
     observable = ends[:, 0] / u**gamma
     details: dict = {"regime": regime}
     artifacts = _ecdf_artifact(out_dir, "queue_scaling_observable_ecdf", observable)
@@ -851,8 +848,8 @@ def verify_queue_scaling(
             coefs = (lam**alpha * head, lam**alpha * probs.head_sum(i - 1))
             ends = partial(_reflected_ends, alpha, coefs, beta, mu**beta, t, resolution)
             oracle_pc = map_replicas(lambda sub, rows: np.subtract(*ends(sub, rows)),
-                                     rng.substream(2), replicas, jobs,
-                                     _pair_rows(alpha, beta, t, resolution))
+                                     rng.substream(2), replicas,
+                                     _pair_rows(alpha, beta, t, resolution), jobs)
             d_pc, p_pc = ks_two_sample(per_class, oracle_pc)
             details["ks_per_class"] = {"D": d_pc, "p": p_pc, "class": i}
             artifacts += _ecdf_artifact(out_dir, "queue_scaling_per_class_ecdf", per_class)
@@ -913,7 +910,7 @@ def verify_centered_queue_clt(
     # A and C Poisson streams run in the clocks' internal times
     ends = partial(_walk_ends, alpha, rate_a, beta, rate_b, horizon, resolution, poisson=True)
     chunk = _pair_rows(alpha, beta, horizon, resolution)
-    observable = map_replicas(ends, rng.substream(2), replicas, jobs, chunk) / u ** (gamma / 2.0)
+    observable = map_replicas(ends, rng.substream(2), replicas, chunk, jobs) / u ** (gamma / 2.0)
 
     if alpha != beta:  # the dominated side drops out of the limit
         sides = (alpha, rate_a) if alpha > beta else (beta, rate_b)
@@ -971,8 +968,10 @@ def verify_recurrence(
     queue, whose law they do not affect.
     """
     walks = (FppParams(alpha, lam), FppParams(alpha, mu))
-    # every arrival feeds the total queue: (emptyings, running max)
-    ends = lambda h, sub, m: _queue_ends(*walks, h, _thinned((1.0,)), sub, m)[:, 0, 1:]
+    # every arrival feeds the total queue, so no mark is drawn: (emptyings,
+    # running max)
+    every = lambda sub, n: np.ones((n, 1), bool)
+    ends = lambda h, sub, m: _queue_ends(*walks, h, every, sub, m)[:, 0, 1:]
     horizons, rungs = _ladder(ends, partial(_queue_rows, *walks), horizons, 3, rng, replicas, jobs)
     med_empty = [float(np.median(pairs[:, 0])) for pairs in rungs]
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]

@@ -84,16 +84,16 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_map_replicas_parallel_matches_serial():
-    def fn(sub):
-        return sub.generator().random(3)
+    def fn(sub, m):
+        return sub.generator().random((m, 3))
 
-    serial = map_replicas(fn, RngStream(seed=4), 50, jobs=1)
+    serial = map_replicas(fn, RngStream(seed=4), 50, chunk=1, jobs=1)
     assert serial.shape == (50, 3)
-    np.testing.assert_array_equal(serial, map_replicas(fn, RngStream(seed=4), 50, jobs=8))
-    # replica r draws from substream r
+    np.testing.assert_array_equal(serial, map_replicas(fn, RngStream(seed=4), 50, chunk=1, jobs=8))
+    # in chunks of one, replica r draws from substream r
     np.testing.assert_array_equal(serial[7], RngStream(seed=4).substream(7).generator().random(3))
     with pytest.raises(ParameterError):
-        map_replicas(fn, RngStream(seed=4), 0)
+        map_replicas(fn, RngStream(seed=4), 0, chunk=1)
 
 
 def test_map_replicas_draws_chunk_c_from_substream_c():
