@@ -19,6 +19,7 @@ jobs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -28,7 +29,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, ParameterError
 from .gof import chi_square_counts, ecdf, ks_two_sample
@@ -411,25 +411,6 @@ class LimitLawSampler:
             fn = partial(_walk_ends, th_a, self.coef_a, th_b, self.coef_b, t, res)
         return map_replicas(fn, rng, size, _pair_rows(th_a, th_b, t, res), jobs)
 
-    def closed_form_quantile(self, q) -> np.ndarray | float:
-        """Quantile function when every active clock index equals 1."""
-        q_arr = np.asarray(q, dtype=float)
-        if np.any((q_arr <= 0) | (q_arr >= 1)):
-            raise ParameterError("quantile levels must lie in (0, 1)")
-        active_b = self.coef_b != 0.0
-        if self.theta_a != 1.0 or (active_b and self.theta_b != 1.0):
-            raise DomainError("closed form requires all clock indices equal to 1")
-        if self.kind == "inverse_clock":
-            out = np.full_like(q_arr, self.coef_a * self.t)
-        elif self.kind == "reflected_difference":
-            out = np.full_like(q_arr, max(self.coef_a - self.coef_b, 0.0) * self.t)
-        elif self.kind == "brownian_time_changed":
-            out = ndtri(q_arr) * math.sqrt(self.coef_a * self.t)
-        else:
-            scale = math.sqrt((self.coef_a + self.coef_b) * self.t)
-            out = scale * ndtri((1.0 + q_arr) / 2.0)
-        return float(out) if np.isscalar(q) else out
-
 
 # ---------------------------------------------------------------------------
 # event-level observables
@@ -592,6 +573,8 @@ def verify_covariance(
     covariance p_i p_j lam^(2 alpha) Var Y_alpha(t) (and the matching
     per-class variances)."""
     _require_positive(t=t, z_max=z_max)
+    if replicas < 1:
+        raise ParameterError("need at least one replica")
     total = renewal_counts(FppParams(alpha, lam), t, replicas, rng.substream(0))
     split = rng.substream(1).generator().multinomial(total, probs.p).astype(float)
     mean_y, var_y = inverse_subordinator_moments(alpha, t)
@@ -642,6 +625,8 @@ def verify_lln(
     """Scaled class counts N_i(ut)/u^theta against the law lam^theta p_i Y(t);
     at theta = 1 the limit is deterministic and the check is an RMS window."""
     _require_positive(t=t, u=u, concentration_tol=concentration_tol)
+    if replicas < 1:  # the theta = 1 branch has no KS floor to catch it
+        raise ParameterError("need at least one replica")
     if theta != 1.0:
         _require_ks_can_reject(replicas, p_min)
     total = renewal_counts(FppParams(theta, lam), u * t, replicas, rng.substream(0))
@@ -806,7 +791,7 @@ def verify_queue_scaling(
     balanced (limit Phi(lam^alpha P_i Y - mu^beta Y~)(t), KS); the balanced
     regime also checks the per-class difference Q_i when i >= 2.
     """
-    _require_positive(t=t, u=u, degenerate_tol=degenerate_tol)
+    _require_positive(t=t, u=u, degenerate_tol=degenerate_tol, resolution=resolution)
     gamma = max(alpha, beta)
     head = probs.head_sum(i)
     horizon = u * t
@@ -898,7 +883,7 @@ def verify_centered_queue_clt(
 ) -> ExperimentReport:
     """Reflected compensated netflow, scaled by u^(gamma/2), against the
     reflected difference of Brownian motions on independent inverse clocks."""
-    _require_positive(t=t, u=u)
+    _require_positive(t=t, u=u, resolution=resolution)
     _require_ks_can_reject(replicas, p_min)
     gamma = max(alpha, beta)
     head = probs.head_sum(i)
@@ -1012,7 +997,7 @@ def verify_oscillation(
     running max strictly increases along growing horizons."""
     if not (0.0 < theta < 1.0):
         raise ParameterError("oscillation requires theta in (0, 1); at 1 the difference is degenerate")
-    _require_positive(c=c)
+    _require_positive(c=c, resolution=resolution)
 
     horizons, rungs = _ladder(partial(_clock_extremes, theta, c, resolution),
                               partial(_pair_rows, theta, theta, resolution=resolution),
@@ -1169,19 +1154,16 @@ BATTERY = {
         t_values=(10.0, 1e2, 1e3, 1e4), replicas=200)),
 }
 
-# the experiments that simulate paths chunk by chunk, and so take `jobs`
-_PATH_LEVEL = (verify_queue_scaling, verify_centered_queue_clt, verify_recurrence,
-               verify_oscillation, verify_best_ask)
-
 
 def battery(seed: int, scale: float = 1.0, jobs: int = 1):
     """The battery as (name, runner) pairs in table order; runner(out_dir)
     runs one experiment on RngStream(seed + offset) with every replica count
-    scaled by `scale` (at least 20) and returns its report."""
+    scaled by `scale` (at least 20) and returns its report; an experiment
+    that takes `jobs` runs on that many workers."""
 
     def runner(offset, verify, kw):
         kw = dict(kw, replicas=max(20, int(round(kw["replicas"] * scale))))
-        if verify in _PATH_LEVEL:
+        if "jobs" in inspect.signature(verify).parameters:
             kw["jobs"] = jobs
         return lambda out_dir: verify(rng=RngStream(seed=seed + offset), out_dir=out_dir, **kw)
 

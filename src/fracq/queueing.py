@@ -78,25 +78,6 @@ def _merge_order(arrival_times: np.ndarray, departure_times: np.ndarray) -> np.n
     return np.lexsort((is_departure, times))
 
 
-def reflected_path_stats(
-    arrival_times: np.ndarray, departure_times: np.ndarray
-) -> tuple[int, int, int]:
-    """(final length, number of emptyings, running maximum) of the reflected
-    total queue driven by the two event streams.
-
-    An emptying is a service that takes the queue from one to zero.
-    """
-    arrival_times = np.asarray(arrival_times, dtype=float)
-    order = _merge_order(arrival_times, np.asarray(departure_times, dtype=float))
-    if order.size == 0:
-        return 0, 0, 0
-    signs = np.where(order < arrival_times.size, 1, -1)
-    q = _reflect(np.cumsum(signs))
-    prev = np.concatenate([[0], q[:-1]])
-    emptyings = int(np.count_nonzero((signs == -1) & (q == 0) & (prev == 1)))
-    return int(q[-1]), emptyings, int(q.max(initial=0))
-
-
 @dataclass(frozen=True)
 class QueueTrajectory:
     """Event-by-event state of the multiclass priority queue."""

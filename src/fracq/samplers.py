@@ -84,14 +84,14 @@ def _mittag_leffler_steps(p: FppParams, pairs: np.ndarray) -> np.ndarray:
     return gap * ratio ** (1.0 / p.theta)
 
 
-def _n_variates(size: int | None) -> int:
-    n = 1 if size is None else int(size)
+def _n_variates(size: int) -> int:
+    n = int(size)
     if n < 0:
         raise ParameterError("size must be nonnegative")
     return n
 
 
-def sample_positive_stable(theta: float, rng: RngStream, size: int | None = None):
+def sample_positive_stable(theta: float, rng: RngStream, size: int) -> np.ndarray:
     """One-sided positive stable variates S with E exp(-s S) = exp(-s^theta).
 
     Uses Kanter's exact representation
@@ -100,16 +100,15 @@ def sample_positive_stable(theta: float, rng: RngStream, size: int | None = None
             / (sin(pi U)^(1/theta) E^((1-theta)/theta)),
 
     with U uniform on (0,1) and E unit exponential.  At theta = 1 the law
-    degenerates to the point mass at 1 and exactly 1.0 is returned.
+    degenerates to the point mass at 1 and every draw is exactly 1.0.
     """
     _check_theta(theta)
     n = _n_variates(size)
     g = rng.generator()
-    out = np.ones(n) if theta == 1.0 else _kanter(theta, g.random(n), g.standard_exponential(n))
-    return float(out[0]) if size is None else out
+    return np.ones(n) if theta == 1.0 else _kanter(theta, g.random(n), g.standard_exponential(n))
 
 
-def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int | None = None):
+def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int) -> np.ndarray:
     """Mittag-Leffler waiting times via the product form X = E^(1/theta) S / lam.
 
     E is unit exponential and S positive stable; the Laplace transform of the
@@ -120,11 +119,10 @@ def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int | None = None)
     if p.theta < 1.0:
         # S first, so that E^(1/theta) is not held while the transform runs
         e = sample_positive_stable(p.theta, rng, n) * e ** (1.0 / p.theta)
-    out = e / p.lam
-    return float(out[0]) if size is None else out
+    return e / p.lam
 
 
-def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int | None = None):
+def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int) -> np.ndarray:
     """Mittag-Leffler waiting times via the trigonometric inversion form
 
         X = -ln(U) (sin(theta pi)/tan(theta pi V) - cos(theta pi))^(1/theta) / lam,
@@ -135,8 +133,7 @@ def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int | None = 
     n = _n_variates(size)
     g = rng.generator()
     if p.theta == 1.0:
-        out = g.standard_exponential(n) / p.lam
-        return float(out[0]) if size is None else out
+        return g.standard_exponential(n) / p.lam
     u = g.random(n)
     v = g.random(n)
     # guard the measure-zero endpoints of the open interval
@@ -144,13 +141,12 @@ def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int | None = 
     v = np.where(v == 0.0, np.nextafter(0.0, 1.0), v)
     tp = p.theta * np.pi
     bracket = np.sin(tp) / np.tan(tp * v) - np.cos(tp)
-    out = -np.log(u) * bracket ** (1.0 / p.theta) / p.lam
-    return float(out[0]) if size is None else out
+    return -np.log(u) * bracket ** (1.0 / p.theta) / p.lam
 
 
 def sample_inverse_subordinator_at(
-    theta: float, t: float, rng: RngStream, size: int | None = None
-):
+    theta: float, t: float, rng: RngStream, size: int
+) -> np.ndarray:
     """Y_theta(t), the inverse stable subordinator at a single fixed time.
 
     Uses the identity Y_theta(t) =d (t / S)^theta with S positive stable,
@@ -162,8 +158,6 @@ def sample_inverse_subordinator_at(
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
     n = _n_variates(size)
     if theta == 1.0:
-        out = np.full(n, float(t))
-        return float(out[0]) if size is None else out
+        return np.full(n, float(t))
     s = sample_positive_stable(theta, rng, size=n)
-    out = (t / s) ** theta
-    return float(out[0]) if size is None else out
+    return (t / s) ** theta

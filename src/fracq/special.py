@@ -385,39 +385,6 @@ def ml_cdf(p: FppParams, x):
     return vals.reshape(x_arr.shape)
 
 
-def ml_pdf(p: FppParams, x):
-    """Mittag-Leffler waiting-time density lam^theta x^(theta-1) E_{theta,theta}(-(lam x)^theta)."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xf = np.atleast_1d(x_arr).astype(float).ravel()
-    if np.isnan(xf).any():
-        raise ParameterError("x must be numbers, got nan")
-    if np.any(xf <= 0):
-        raise DomainError("ml_pdf requires x > 0")
-    w = (p.lam * xf) ** p.theta
-    e2 = _ml_eval(p.theta, p.theta, -w)
-    vals = p.lam**p.theta * xf ** (p.theta - 1.0) * e2
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(x_arr.shape)
-
-
-def fpp_pgf(p: FppParams, s, t: float):
-    """Probability generating function E s^N(t) = E_theta((lam t)^theta (s - 1))."""
-    if not 0 <= t < math.inf:  # also true for nan
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    sf = np.atleast_1d(s_arr).astype(float).ravel()
-    if not np.all((sf >= 0) & (sf <= 1)):  # also true for nan
-        raise ParameterError("s must lie in [0, 1]")
-    z = (p.lam * t) ** p.theta * (sf - 1.0)
-    vals = _ml_eval(p.theta, 1.0, z)
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(s_arr.shape)
-
-
 def inverse_subordinator_moments(theta: float, t: float) -> tuple[float, float]:
     """Mean and variance of the inverse stable subordinator Y_theta(t).
 

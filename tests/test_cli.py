@@ -334,6 +334,10 @@ def test_non_finite_list_entry_is_usage_error(tmp_path, capsys, args, flag):
           "--locations", "uniform:1,2", "--replicas", 0], "one replica"),
         (["verify", "oscillation", "--theta", 0.5, "--horizons", "0,10,100"], "increasing horizons"),
         (["verify", "oscillation", "--theta", 0.5, "--horizons", "100,100"], "increasing horizons"),
+        (["verify", "covariance", "--alpha", 0.7, "--lambda", 1, "--p", "0.5,0.5",
+          "--replicas", 0], "one replica"),
+        (["verify", "lln", "--theta", 1, "--lambda", 1, "--p", "0.5,0.5", "--replicas", 0],
+         "one replica"),
     ],
 )
 def test_bad_replicas_or_horizons_is_usage_error(tmp_path, capsys, args, message):
@@ -380,6 +384,12 @@ BEST_ASK = ["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, 
         ([*BEST_ASK, "--eps", ","], "eps in (0, inf), got []"),
         ([*BEST_ASK, "--eps", 0], "eps in (0, inf)"),
         ([*BEST_ASK, "--eps", "0.1,-0.5"], "eps in (0, inf)"),
+        # services dominate: the resolution applies to no oracle, yet is rejected
+        ([*SCALING, "--resolution", 0], "resolution must be positive"),
+        (["verify", "centered-clt", "--alpha", 0.6, "--beta", 0.6, "--lambda", 1, "--mu", 1,
+          "--resolution", 0], "resolution must be positive"),
+        (["verify", "oscillation", "--theta", 0.5, "--horizons", "1,2", "--replicas", 10,
+          "--resolution", 0], "resolution must be positive"),
     ],
 )
 def test_nonpositive_time_scale_or_window_is_usage_error(tmp_path, capsys, args, message):

@@ -12,18 +12,19 @@ from scipy import stats
 
 from fracq import (
     ClassProbabilities,
-    DomainError,
+    EventTimeline,
     ExperimentReport,
     LimitLawSampler,
     LocationSampler,
     ParameterError,
     RngStream,
+    simulate_multiclass_queue,
 )
 from fracq import limitlab, processes
 from fracq.gof import ks_two_sample
 from fracq.limitlab import map_replicas
 from fracq.processes import DEFAULT_RESOLUTION
-from fracq.queueing import _reflect, reflected_path_stats
+from fracq.queueing import _reflect
 from fracq.special import FppParams, inverse_subordinator_moments
 
 PROBS2 = ClassProbabilities(np.array([0.6, 0.4]))
@@ -138,17 +139,6 @@ def test_limit_law_sampler_validation():
             bad()
 
 
-def test_closed_form_quantile_domain():
-    s = LimitLawSampler.inverse_clock(0.5, 1.0, t=1.0)
-    with pytest.raises(DomainError):
-        s.closed_form_quantile(0.5)
-    s1 = LimitLawSampler.inverse_clock(1.0, 2.0, t=3.0)
-    with pytest.raises(ParameterError):
-        s1.closed_form_quantile(0.0)
-    with pytest.raises(ParameterError):
-        s1.closed_form_quantile(1.0)
-
-
 # limit-law samplers: degenerate clocks (theta = 1)
 
 
@@ -156,8 +146,6 @@ def test_inverse_clock_at_one_is_deterministic():
     s = LimitLawSampler.inverse_clock(1.0, 2.5, t=3.0)
     draws = s.sample(RngStream(seed=1), 100)
     np.testing.assert_array_equal(draws, np.full(100, 7.5))
-    assert s.closed_form_quantile(0.3) == 7.5
-    np.testing.assert_allclose(s.closed_form_quantile(np.array([0.1, 0.9])), [7.5, 7.5])
 
 
 def test_reflected_difference_at_one_matches_drift():
@@ -167,7 +155,6 @@ def test_reflected_difference_at_one_matches_drift():
         s = LimitLawSampler.reflected_difference(1.0, ca, 1.0, cb, t=2.0, resolution=1e-3)
         draws = s.sample(RngStream(seed=2), 4)
         target = max(ca - cb, 0.0) * 2.0
-        assert s.closed_form_quantile(0.5) == target
         np.testing.assert_allclose(draws, target, atol=3.0 * 1e-3 * 2.0 * (ca + cb))
 
 
@@ -177,8 +164,6 @@ def test_brownian_time_changed_at_one_is_gaussian():
     draws = s.sample(RngStream(seed=3), 20_000)
     res = stats.kstest(draws, stats.norm(scale=math.sqrt(v * t)).cdf)
     assert res.pvalue > 1e-3
-    q = s.closed_form_quantile(np.array([0.1, 0.5, 0.975]))
-    np.testing.assert_allclose(q, stats.norm.ppf([0.1, 0.5, 0.975], scale=math.sqrt(v * t)))
 
 
 def test_reflected_brownian_difference_at_one_is_folded_gaussian():
@@ -188,24 +173,6 @@ def test_reflected_brownian_difference_at_one_is_folded_gaussian():
     scale = math.sqrt((va + vb) * t)
     res = stats.kstest(draws, lambda x: 2.0 * stats.norm.cdf(x / scale) - 1.0)
     assert res.pvalue > 1e-3
-    med = s.closed_form_quantile(0.5)
-    assert math.isclose(med, scale * stats.norm.ppf(0.75))
-
-
-def test_closed_form_gaussian_quantiles_match_scipy_norm_bitwise():
-    q = np.concatenate([[1e-300, 1e-16, 1e-10, 1.0 - 1e-10, 1.0 - 1e-16],
-                        np.linspace(0.0, 1.0, 1001)[1:-1]])
-    for va, vb, t in ((1.7, 0.0, 2.0), (1.0, 0.5, 1.0), (0.3, 2.2, 7.0)):
-        s = LimitLawSampler.brownian_time_changed(1.0, va, t)
-        ref = stats.norm.ppf(q, scale=math.sqrt(va * t))
-        np.testing.assert_array_equal(s.closed_form_quantile(q).view(np.uint64),
-                                      ref.view(np.uint64))
-        assert [s.closed_form_quantile(float(q[k])) for k in (0, 4, 505)] == list(ref[[0, 4, 505]])
-        s = LimitLawSampler.reflected_brownian_difference(1.0, va, 1.0, vb, t=t)
-        scale = math.sqrt((va + vb) * t)
-        ref = scale * stats.norm.ppf((1.0 + q) / 2.0)
-        np.testing.assert_array_equal(s.closed_form_quantile(q).view(np.uint64),
-                                      ref.view(np.uint64))
 
 
 # limit-law samplers: fractional clocks
@@ -468,23 +435,37 @@ def test_experiments_independent_of_jobs(tmp_path, monkeypatch, name):
 
 
 # event-level queues: a chunk of rows of one renewal walk per side, read at
-# services, against reflected_path_stats on each row's own paths
+# services, against the event-by-event queue on each row's own paths
 
 
 def split_rows(count, values):
     return np.split(values, np.cumsum(count)[:-1])
 
 
+def one_class_queue(arrival_times, departure_times, horizon):
+    """(final length, emptyings, running max) of the one-class queue that
+    simulate_multiclass_queue runs over these arrivals and services."""
+    arrivals = EventTimeline(horizon, arrival_times, np.ones(arrival_times.size, int))
+    traj = simulate_multiclass_queue(arrivals, EventTimeline(horizon, departure_times), 1)
+    return traj.final_lengths()[0], traj.emptying_times.size, traj.total_lengths.max(initial=0)
+
+
+def rows_oracle(n_arr, arr, n_dep, dep, keep, horizon):
+    """one_class_queue of each row, for each column of keep (true where that
+    column's queue takes the arrival)."""
+    out = [[one_class_queue(a[k[:, c]], d, horizon) for c in range(keep.shape[1])]
+           for a, d, k in zip(split_rows(n_arr, arr), split_rows(n_dep, dep), split_rows(n_arr, keep))]
+    return np.array(out, dtype=np.int64)
+
+
 def queue_rows_oracle(arrivals, services, horizon, kept, rng, rows):
     """Each row's (Q(T), emptyings, running max) per column of kept, from
-    reflected_path_stats on the row's own paths and marks, drawn as the
+    the one-class queue on the row's own paths and marks, drawn as the
     kernel draws them."""
     n_arr, arr = processes._renewal_rows(arrivals, horizon, rng.substream(0), rows)
     n_dep, dep = processes._renewal_rows(services, horizon, rng.substream(2), rows)
     keep = kept(rng.substream(1), arr.size)
-    out = [[reflected_path_stats(a[k[:, c]], d) for c in range(keep.shape[1])]
-           for a, d, k in zip(split_rows(n_arr, arr), split_rows(n_dep, dep), split_rows(n_arr, keep))]
-    return np.array(out, dtype=np.int64), n_arr, n_dep
+    return rows_oracle(n_arr, arr, n_dep, dep, keep, horizon), n_arr, n_dep
 
 
 def location_marks(locations, cuts):
@@ -505,7 +486,7 @@ QUEUE_CASES = [
 ]
 
 
-def test_queue_ends_rows_match_reflected_path_stats():
+def test_queue_ends_rows_match_the_one_class_queue():
     empty = {"arrivals": set(), "services": set()}
     for seed, (arrivals, services, horizon, kept, rows) in enumerate(QUEUE_CASES):
         rng = RngStream(seed=seed)
@@ -544,10 +525,8 @@ def rows_match_oracle_on_lattice(monkeypatch, services_first=False):
     monkeypatch.setattr(limitlab, "_renewal_rows", lambda p, horizon, rng, rows: fed[p.lam])
     rng = RngStream(seed=0)
     got = limitlab._queue_ends(arrivals, services, 20.0, kept, rng, 30)
-    keep = kept(rng.substream(1), arr.size)
-    expected = [[reflected_path_stats(a[k[:, c]], d) for c in range(2)]
-                for a, d, k in zip(split_rows(n_arr, arr), split_rows(n_dep, dep), split_rows(n_arr, keep))]
-    return np.array_equal(got, np.array(expected))
+    expected = rows_oracle(n_arr, arr, n_dep, dep, kept(rng.substream(1), arr.size), 20.0)
+    return np.array_equal(got, expected)
 
 
 def test_queue_ends_count_an_arrival_before_a_service_at_the_same_instant(monkeypatch):
@@ -575,7 +554,7 @@ def test_one_row_chunk_matches_the_per_replica_queue():
         arr = processes.simulate_fpp_renewal(arrivals, 2e3, sub.substream(0)).times
         dep = processes.simulate_fpp_renewal(services, 2e3, sub.substream(2)).times
         u = sub.substream(1).generator().random(arr.size)
-        expected = [reflected_path_stats(arr[u < head], dep) for head in heads]
+        expected = [one_class_queue(arr[u < head], dep, 2e3) for head in heads]
         got = limitlab._queue_ends(arrivals, services, 2e3, limitlab._thinned(heads), sub, 1)
         np.testing.assert_array_equal(got[0], np.array(expected))
 

@@ -18,12 +18,10 @@ from fracq import (
     FppParams,
     ParameterError,
     RngStream,
-    fpp_pgf,
     fpp_pmf,
     fpp_pmf_table,
     inverse_subordinator_moments,
     ml_cdf,
-    ml_pdf,
     renewal_counts,
     sample_inverse_subordinator_at,
     sample_mittag_leffler,
@@ -65,13 +63,10 @@ NON_FINITE_INPUTS = {
     "renewal_counts_nan_t": lambda: renewal_counts(P07, NAN, 10, RngStream(seed=0)),
     "inf_lam": lambda: FppParams(0.7, math.inf),
     "timeline_nan_horizon": lambda: EventTimeline(horizon=NAN, times=np.array([])),
-    "inverse_clock_nan_t": lambda: sample_inverse_subordinator_at(0.7, NAN, RngStream(seed=0)),
-    "inverse_clock_inf_t": lambda: sample_inverse_subordinator_at(0.7, math.inf, RngStream(seed=0)),
+    "inverse_clock_nan_t": lambda: sample_inverse_subordinator_at(0.7, NAN, RngStream(seed=0), 1),
+    "inverse_clock_inf_t": lambda: sample_inverse_subordinator_at(0.7, math.inf, RngStream(seed=0), 1),
     "pmf_nan_t": lambda: fpp_pmf(P07, NAN, 2),
-    "pgf_nan_t": lambda: fpp_pgf(P07, 0.5, NAN),
-    "pgf_nan_s": lambda: fpp_pgf(P07, NAN, 1.0),
     "ml_cdf_nan_x": lambda: ml_cdf(P07, NAN),
-    "ml_pdf_nan_x": lambda: ml_pdf(P07, np.array([1.0, NAN])),
 }
 
 

@@ -24,13 +24,20 @@ from fracq import (
     skorokhod_reflect,
     thin_events,
 )
-from fracq.queueing import QueueTrajectory, reflected_path_stats
+from fracq.queueing import QueueTrajectory
 
 
 def make_timeline(times, horizon, labels=None):
     t = np.asarray(times, dtype=float)
     lab = None if labels is None else np.asarray(labels, dtype=int)
     return EventTimeline(horizon=horizon, times=t, labels=lab)
+
+
+def one_class_length(arrival_times, departures):
+    """Final length of the one-class queue that simulate_multiclass_queue
+    runs over these arrivals and the given services."""
+    arrivals = make_timeline(arrival_times, departures.horizon, labels=np.ones(len(arrival_times)))
+    return int(simulate_multiclass_queue(arrivals, departures, 1).final_lengths()[0])
 
 
 # step functions and reflection
@@ -223,11 +230,6 @@ def test_total_equals_reflected_netflow():
         traj.total_lengths, skorokhod_reflect(netflow).values.astype(int)
     )
 
-    final, emptyings, peak = reflected_path_stats(arrivals.times, departures.times)
-    assert final == int(traj.total_lengths[-1])
-    assert emptyings == traj.emptying_times.size
-    assert peak == int(traj.total_lengths.max(initial=0))
-
 
 def test_conservation():
     rng = RngStream(seed=32)
@@ -270,10 +272,6 @@ def test_queue_invariants_random_scripts(script, extra_classes):
     netflow = np.cumsum(signs)
     q = netflow - np.minimum(np.minimum.accumulate(netflow), 0)
     np.testing.assert_array_equal(traj.total_lengths, q)
-    final, emptyings, peak = reflected_path_stats(arrivals.times, departures.times)
-    assert final == int(traj.final_lengths().sum())
-    assert emptyings == traj.emptying_times.size
-    assert peak == int(traj.total_lengths.max(initial=0))
 
 
 def csv_writer_bytes(path, header, rows):
@@ -447,8 +445,7 @@ def test_continuum_queue_total_matches_reflection():
     _, state = simulate_continuum_queue(
         arrivals, LocationSampler.exponential(1.0), departures, rng.substream(2)
     )
-    final, _, _ = reflected_path_stats(arrivals.times, departures.times)
-    assert state.total == final
+    assert state.total == one_class_length(arrivals.times, departures)
     assert state.count_within(np.inf) == state.total
 
 
@@ -489,6 +486,6 @@ def test_count_within_is_reflection_of_the_arrivals_below(script, sampler, seed)
     levels = np.unique(marks)
     # finite x only: at x = inf an empty queue's best ask, inf, is not > x
     for x in np.concatenate([levels, (levels[:-1] + levels[1:]) / 2, [0.5, 3.0]]):
-        count = reflected_path_stats(arrivals.times[marks <= x], departures.times)[0]
+        count = one_class_length(arrivals.times[marks <= x], departures)
         assert state.count_within(x) == count
         assert (state.best_ask > x) == (count == 0)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 from scipy.special import erfcx, gamma as Gamma
 
 from fracq import (
@@ -19,12 +19,10 @@ from fracq import (
     MlIndex,
     ParameterError,
     SeriesConvergenceError,
-    fpp_pgf,
     fpp_pmf,
     fpp_pmf_table,
     inverse_subordinator_moments,
     ml_cdf,
-    ml_pdf,
     mittag_leffler,
 )
 from fracq.special import _asymptotic_tail
@@ -290,38 +288,10 @@ def test_ml_cdf_reaches_tail():
     assert ml_cdf(FppParams(1.0, 1.0), 10.0) >= 0.99
 
 
-@pytest.mark.parametrize("theta,lam", [(0.5, 1.0), (0.8, 2.0), (1.0, 1.5)])
-def test_ml_pdf_integrates_to_cdf(theta, lam):
-    p = FppParams(theta, lam)
-    for upper in (0.5, 2.0):
-        est, err = integrate.quad(lambda x: ml_pdf(p, x), 0.0, upper, limit=200)
-        assert math.isclose(est, ml_cdf(p, upper), abs_tol=max(1e-8, 10 * err))
-
-
 def test_ml_cdf_exponential_reduction():
     p = FppParams(1.0, 2.0)
     for x in (0.1, 1.0, 4.0):
         assert math.isclose(ml_cdf(p, x), 1.0 - math.exp(-2.0 * x), rel_tol=1e-12)
-        assert math.isclose(ml_pdf(p, x), 2.0 * math.exp(-2.0 * x), rel_tol=1e-12)
-
-
-# probability generating function
-
-
-def test_fpp_pgf_matches_pmf_sum():
-    p = FppParams(0.6, 1.3)
-    t = 0.9
-    table = fpp_pmf_table(p, t, cum_tol=1e-14)
-    for s in (0.0, 0.3, 0.7, 1.0):
-        direct = fpp_pgf(p, s, t)
-        summed = float(np.sum(table * s ** np.arange(len(table))))
-        assert math.isclose(direct, summed, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_fpp_pgf_boundaries():
-    p = FppParams(0.7, 2.0)
-    assert math.isclose(fpp_pgf(p, 1.0, 3.0), 1.0, rel_tol=1e-12)
-    assert math.isclose(fpp_pgf(p, 0.0, 3.0), fpp_pmf(p, 3.0, 0), rel_tol=1e-10)
 
 
 # inverse-clock moments
@@ -332,7 +302,6 @@ def test_infinite_or_huge_t_fails_within_a_second():
     p = FppParams(0.7, 1.0)
     calls = [
         (ParameterError, lambda: fpp_pmf(p, math.inf, 3)),
-        (ParameterError, lambda: fpp_pgf(p, 0.5, math.inf)),
         (ParameterError, lambda: fpp_pmf_table(p, math.inf)),
         (SeriesConvergenceError, lambda: fpp_pmf_table(p, 1e300)),
         (SeriesConvergenceError, lambda: fpp_pmf_table(FppParams(1.0, 2.0), 1e5, n_cap=1000)),
