@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import sys
 import time
 
 import numpy as np

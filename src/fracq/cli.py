@@ -3,8 +3,9 @@
 Subcommands: sample (ml | stable | inverse-clock), fpp (renewal | timechange),
 queue, auction, verify (pmf | covariance | lln | fclt | scaling | centered-clt |
 recurrence | oscillation | best-ask), plot-data.  Parameters come from flags or
-a JSON config file mirroring the flag names; flags override the config.  Exit
-status: 0 success/pass, 1 verification failure, 2 usage error, 3 runtime error.
+a JSON config file mirroring the flag names; flags override the config.  A
+verify flag set by neither takes the experiment's own default.  Exit status:
+0 success/pass, 1 verification failure, 2 usage error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import os
@@ -24,7 +26,6 @@ from .errors import DomainError, FracqError, ParameterError
 from .gof import ecdf
 from .processes import (
     ClassProbabilities,
-    EventTimeline,
     _write_csv,
     simulate_fpp_renewal,
     simulate_fpp_timechange,
@@ -254,82 +255,62 @@ def _cmd_auction(ns: argparse.Namespace) -> int:
     return 0
 
 
+_HORIZONS = ("horizons", functools.partial(_parse_float_list, flag="horizons"))
+# experiment parameter -> (flag dest, parser of the flag's text), where the
+# parameter is not simply the flag's dest and value
+_VERIFY_ALIASES = {
+    "probs": ("p", _parse_probs),
+    "locations": ("locations", _parse_locations),
+    "horizons": _HORIZONS,
+    "t_values": _HORIZONS,
+    "eps_values": ("eps", lambda text: tuple(_parse_float_list(text, "eps"))),
+    "concentration_tol": ("tol", None),
+    "degenerate_tol": ("tol", None),
+}
+# verify kind -> (experiment in limitlab, CLI defaults of flags whose
+# parameter has no default of its own); a flag with neither is required
+_VERIFY_KINDS = {
+    "pmf": ("verify_pmf", dict(t=1.0, replicas=100_000)),
+    "covariance": ("verify_covariance", dict(t=1.0, replicas=1_000_000)),
+    "lln": ("verify_lln", dict(t=1.0, u=1000.0, replicas=10_000)),
+    "fclt": ("verify_fclt", dict(t=1.0, u=1000.0, replicas=10_000)),
+    "scaling": ("verify_queue_scaling", dict(p="1.0", i=1, t=1.0, u=1000.0, replicas=2000)),
+    "centered-clt": ("verify_centered_queue_clt",
+                     dict(p="1.0", i=1, t=1.0, u=1000.0, replicas=2000)),
+    "recurrence": ("verify_recurrence",
+                   dict(p="1.0", horizons="100,10000,1000000", replicas=200)),
+    "oscillation": ("verify_oscillation", dict(c=1.0, horizons="100,1000,10000", replicas=200)),
+    "best-ask": ("verify_best_ask", dict(horizons="10,100,1000,10000", replicas=200)),
+}
+
+
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    _require(ns, seed=0, jobs=1)
+    """Run the kind's experiment with each parameter read from the flag of
+    the same name; an unset flag leaves the experiment's own default."""
+    _require(ns, seed=0)
     rng = RngStream(seed=ns.seed)
     out = _out_dir(ns)
-    kind = ns.variant
-    if kind == "pmf":
-        _require(ns, theta=..., lam=..., t=1.0, replicas=100_000, p_min=limitlab.DEFAULT_P_MIN)
-        report = limitlab.verify_pmf(
-            ns.theta, ns.lam, ns.t, ns.replicas, rng, p_min=ns.p_min, out_dir=out
-        )
-    elif kind == "covariance":
-        _require(ns, alpha=..., lam=..., p=..., t=1.0, replicas=1_000_000,
-                 z_max=limitlab.DEFAULT_Z_MAX)
-        report = limitlab.verify_covariance(
-            ns.alpha, ns.lam, _parse_probs(ns.p), ns.t, ns.replicas, rng,
-            z_max=ns.z_max, out_dir=out,
-        )
-    elif kind == "lln":
-        _require(ns, theta=..., lam=..., p=..., t=1.0, u=1000.0, replicas=10_000,
-                 p_min=limitlab.DEFAULT_P_MIN, tol=0.05)
-        report = limitlab.verify_lln(
-            ns.theta, ns.lam, _parse_probs(ns.p), ns.t, ns.u, ns.replicas, rng,
-            p_min=ns.p_min, concentration_tol=ns.tol, out_dir=out,
-        )
-    elif kind == "fclt":
-        _require(ns, theta=..., lam=..., p=..., t=1.0, u=1000.0, replicas=10_000,
-                 p_min=limitlab.DEFAULT_P_MIN, z_max=limitlab.DEFAULT_Z_MAX)
-        report = limitlab.verify_fclt(
-            ns.theta, ns.lam, _parse_probs(ns.p), ns.t, ns.u, ns.replicas, rng,
-            p_min=ns.p_min, z_max=ns.z_max, out_dir=out,
-        )
-    elif kind == "scaling":
-        _require(ns, alpha=..., beta=..., lam=..., mu=..., p="1.0", i=1, t=1.0, u=1000.0,
-                 replicas=2000, p_min=limitlab.DEFAULT_P_MIN, tol=0.01,
-                 resolution=limitlab.DEFAULT_RESOLUTION)
-        report = limitlab.verify_queue_scaling(
-            ns.alpha, ns.beta, ns.lam, ns.mu, _parse_probs(ns.p), ns.i, ns.t, ns.u,
-            ns.replicas, rng, p_min=ns.p_min, degenerate_tol=ns.tol,
-            resolution=ns.resolution, out_dir=out, jobs=ns.jobs,
-        )
-    elif kind == "centered-clt":
-        _require(ns, alpha=..., beta=..., lam=..., mu=..., p="1.0", i=1, t=1.0, u=1000.0,
-                 replicas=2000, p_min=limitlab.DEFAULT_P_MIN,
-                 resolution=limitlab.DEFAULT_RESOLUTION)
-        report = limitlab.verify_centered_queue_clt(
-            ns.alpha, ns.beta, ns.lam, ns.mu, _parse_probs(ns.p), ns.i, ns.t, ns.u,
-            ns.replicas, rng, p_min=ns.p_min, resolution=ns.resolution,
-            out_dir=out, jobs=ns.jobs,
-        )
-    elif kind == "recurrence":
-        _require(ns, alpha=..., lam=..., mu=..., p="1.0", horizons="100,10000,1000000",
-                 replicas=200)
-        report = limitlab.verify_recurrence(
-            ns.alpha, ns.lam, ns.mu, _parse_probs(ns.p),
-            _parse_float_list(ns.horizons, "horizons"), ns.replicas, rng,
-            out_dir=out, jobs=ns.jobs,
-        )
-    elif kind == "oscillation":
-        _require(ns, theta=..., c=1.0, horizons="100,1000,10000", replicas=200,
-                 resolution=limitlab.DEFAULT_RESOLUTION)
-        report = limitlab.verify_oscillation(
-            ns.theta, ns.c, _parse_float_list(ns.horizons, "horizons"), ns.replicas, rng,
-            resolution=ns.resolution, out_dir=out, jobs=ns.jobs,
-        )
-    elif kind == "best-ask":
-        _require(ns, alpha=..., beta=..., lam=..., mu=..., locations=...,
-                 horizons="10,100,1000,10000", replicas=200, eps="0.1,0.05")
-        report = limitlab.verify_best_ask(
-            ns.alpha, ns.beta, ns.lam, ns.mu, _parse_locations(ns.locations),
-            _parse_float_list(ns.horizons, "horizons"), ns.replicas, rng,
-            eps_values=tuple(_parse_float_list(ns.eps, "eps")),
-            out_dir=out, jobs=ns.jobs,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown verify kind {kind!r}")
-    return 0 if report.verdict else 1
+    name, defaults = _VERIFY_KINDS[ns.variant]
+    # looked up per run, so a rebinding of limitlab's name sees CLI runs too
+    experiment = getattr(limitlab, name)
+    params = inspect.signature(experiment).parameters
+    flags = {
+        param: _VERIFY_ALIASES.get(param, (param, None))
+        for param in params
+        if param not in ("rng", "out_dir", "verbose")
+    }
+    required = {
+        dest: ...
+        for param, (dest, _) in flags.items()
+        if params[param].default is inspect.Parameter.empty and dest not in defaults
+    }
+    _require(ns, **defaults, **required)
+    kwargs = {
+        param: value if parse is None else parse(value)
+        for param, (dest, parse) in flags.items()
+        if (value := getattr(ns, dest)) is not None
+    }
+    return 0 if experiment(**kwargs, rng=rng, out_dir=out).verdict else 1
 
 
 def emit_plot_data(kind: str, input_path: str, out_path: str,
@@ -412,13 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_auction)
 
     sp = subs.add_parser("verify", help="run a verification experiment")
-    sp.add_argument(
-        "variant",
-        choices=[
-            "pmf", "covariance", "lln", "fclt", "scaling",
-            "centered-clt", "recurrence", "oscillation", "best-ask",
-        ],
-    )
+    sp.add_argument("variant", choices=list(_VERIFY_KINDS))
     _add_flags(
         sp,
         [

@@ -59,16 +59,6 @@ def _reflect(netflow: np.ndarray) -> np.ndarray:
     return netflow - np.minimum(np.minimum.accumulate(netflow), 0)
 
 
-def skorokhod_reflect(f: StepFunction) -> StepFunction:
-    """One-sided reflection at zero: f(t) - min(0, running minimum of f).
-
-    Requires f(0) = 0, i.e. zero initial value and no jump at time zero.
-    """
-    if f.initial_value != 0.0:
-        raise ParameterError("reflection requires f(0) = 0")
-    return StepFunction(f.jump_times, _reflect(f.values), 0.0)
-
-
 def _merge_order(arrival_times: np.ndarray, departure_times: np.ndarray) -> np.ndarray:
     """Time order of the concatenated (arrivals, departures) events, with
     arrivals before departures at ties; indices below the arrival count are

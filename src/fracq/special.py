@@ -1,16 +1,15 @@
 """Mittag-Leffler special functions and fractional Poisson distributions.
 
-Evaluation strategy for ``E_{theta,zeta}(z)`` on the real line:
+Evaluation strategy for ``E_theta(z)`` on the real line:
 
 * power series with compensated summation while cancellation is harmless,
   which for negative arguments means ``|z|**(1/theta) <= 5`` (the alternating
   series builds terms of magnitude ``exp(|z|**(1/theta))`` before they decay,
   so beyond that point double precision would be destroyed);
-* for more negative arguments with ``zeta in {1, theta}`` a complete-monotone
-  spectral integral evaluated by a fixed double-exponential quadrature rule,
-  accurate to ~1e-12 relative for ``theta <= 0.95``;
-* ``theta == 1`` reduces to the exponential function, which is used verbatim
-  outside the series range.
+* for more negative arguments a complete-monotone spectral integral
+  evaluated by a fixed double-exponential quadrature rule, accurate to
+  ~1e-12 relative for ``theta <= 0.95``;
+* ``theta == 1`` reduces to the exponential function, which is used verbatim.
 
 An independent truncated large-argument expansion is kept private for use as
 a cross-check oracle in the test suite.
@@ -36,16 +35,13 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class MlIndex:
-    """Index pair (theta, zeta) of a two-parameter Mittag-Leffler function."""
+    """Index theta of the Mittag-Leffler function E_theta."""
 
     theta: float
-    zeta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta <= 1.0):
             raise ParameterError(f"theta must be in (0, 1], got {self.theta}")
-        if not self.zeta > 0.0:
-            raise ParameterError(f"zeta must be positive, got {self.zeta}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,8 @@ class FppParams:
             raise ParameterError(f"lam must be positive and finite, got {self.lam}")
 
 
-def _series_vec(theta: float, zeta: float, z: np.ndarray) -> np.ndarray:
-    """Power series sum_l z^l / Gamma(zeta + theta l), Kahan-compensated."""
+def _series_vec(theta: float, z: np.ndarray) -> np.ndarray:
+    """Power series sum_l z^l / Gamma(1 + theta l), Kahan-compensated."""
     out = np.zeros_like(z)
     comp = np.zeros_like(z)
     active = np.ones(z.shape, dtype=bool)
@@ -77,9 +73,9 @@ def _series_vec(theta: float, zeta: float, z: np.ndarray) -> np.ndarray:
         if l > _SERIES_CAP:
             raise SeriesConvergenceError("Mittag-Leffler series hit its term cap")
         if l == 0:
-            logmag = np.full(z.shape, -gammaln(zeta))
+            logmag = np.zeros(z.shape)
         else:
-            logmag = l * logabs - gammaln(zeta + theta * l)
+            logmag = l * logabs - gammaln(1.0 + theta * l)
         if np.any(logmag[active] > _LOG_FLOAT_MAX):
             raise DomainError("Mittag-Leffler value overflows double precision")
         with np.errstate(under="ignore"):
@@ -109,11 +105,11 @@ def _exp_sinh_nodes(theta: float, w_hi: float) -> tuple[float, np.ndarray, np.nd
     return h, tau, np.exp(0.5 * np.pi * np.sinh(tau))
 
 
-def _spectral_vec(theta: float, x: np.ndarray, same_index: bool) -> np.ndarray:
-    """E_theta(-x) (same_index=False) or E_{theta,theta}(-x) (True) for x > 0.
+def _spectral_vec(theta: float, x: np.ndarray) -> np.ndarray:
+    """E_theta(-x) for x > 0.
 
-    Complete-monotone representation: both functions are Laplace transforms of
-    an explicit rational spectral density, integrated here with a fixed
+    Complete-monotone representation: the function is the Laplace transform
+    of an explicit rational spectral density, integrated here with a fixed
     double-exponential rule.  Valid for 0 < theta < 1.
     """
     # f decays like exp(-w^(1/theta)), below the float64 range past w = 745^theta
@@ -125,27 +121,25 @@ def _spectral_vec(theta: float, x: np.ndarray, same_index: bool) -> np.ndarray:
     # chunked so the (points x nodes) work matrix stays small
     step = 8192
     with np.errstate(under="ignore"):
-        base = w ** (1.0 / theta)
-        decay = np.exp(-base)
-        numer = (base * decay * dw) if same_index else (decay * dw)
+        numer = np.exp(-(w ** (1.0 / theta))) * dw
         for i in range(0, x.size, step):
             xs = x[i : i + step, None]
             u = w[None, :] / xs
             den = 1.0 + 2.0 * cospi * u + u * u
             vals = (numer[None, :] / den).sum(axis=1)
-            out[i : i + step] = pref * vals / (xs[:, 0] ** (2 if same_index else 1))
+            out[i : i + step] = pref * vals / xs[:, 0]
     return out
 
 
-def _asymptotic_tail(theta: float, zeta: float, x: np.ndarray, kmax: int = 5) -> np.ndarray:
-    """Truncated large-argument expansion of E_{theta,zeta}(-x), stopping at the
+def _asymptotic_tail(theta: float, x: np.ndarray, kmax: int = 5) -> np.ndarray:
+    """Truncated large-argument expansion of E_theta(-x), stopping at the
     smallest term.  The expansion envelopes the true value, so the first omitted
     term bounds the error.  Private; used as an independent oracle in tests."""
     out = np.zeros_like(x)
     prev = np.full(x.shape, np.inf)
     stopped = np.zeros(x.shape, dtype=bool)
     for k in range(1, kmax + 1):
-        term = (-1.0) ** (k + 1) * x ** (-float(k)) * rgamma(zeta - theta * k)
+        term = (-1.0) ** (k + 1) * x ** (-float(k)) * rgamma(1.0 - theta * k)
         mag = np.abs(term)
         grew = mag > prev
         stopped |= grew
@@ -155,43 +149,31 @@ def _asymptotic_tail(theta: float, zeta: float, x: np.ndarray, kmax: int = 5) ->
     return out
 
 
-def _ml_eval(theta: float, zeta: float, z: np.ndarray) -> np.ndarray:
+def _ml_eval(theta: float, z: np.ndarray) -> np.ndarray:
+    if theta == 1.0:
+        # exact reduction, no series cancellation
+        return np.exp(z)
     out = np.empty_like(z)
     neg = z < 0.0
     absz = np.abs(z)
     with np.errstate(invalid="ignore"):
         reach = absz ** (1.0 / theta)
     series_mask = (~neg) | (reach <= _SERIES_ZONE)
-    if theta == 1.0:
-        if zeta == 1.0:
-            # exact reduction, no series cancellation
-            return np.exp(z)
-        # arguments of Gamma are exact integers shifted by zeta, cancellation
-        # is bounded by exp(|z|), so the series is trustworthy on |z| <= 10
-        series_mask = absz <= 10.0
-        if not series_mask.all():
-            raise DomainError(
-                "E_{1,zeta} with zeta != 1 is validated only for |z| <= 10"
-            )
     if series_mask.any():
-        out[series_mask] = _series_vec(theta, zeta, z[series_mask])
+        out[series_mask] = _series_vec(theta, z[series_mask])
     tail = ~series_mask
     if tail.any():
-        if zeta not in (1.0, theta):
-            raise DomainError(
-                "large negative arguments are supported only for zeta in {1, theta}"
-            )
         if theta > 0.98:
             raise DomainError(
                 "theta in (0.98, 1) with large negative argument is outside the "
                 "validated domain; use theta == 1 or a smaller theta"
             )
-        out[tail] = _spectral_vec(theta, absz[tail], same_index=(zeta == theta))
+        out[tail] = _spectral_vec(theta, absz[tail])
     return out
 
 
 def mittag_leffler(idx: MlIndex, z):
-    """Two-parameter Mittag-Leffler function E_{theta,zeta}(z) for real z.
+    """Mittag-Leffler function E_theta(z) for real z.
 
     Accepts a scalar or array argument.  Raises DomainError outside the
     validated evaluation domain (see module docstring).
@@ -201,7 +183,7 @@ def mittag_leffler(idx: MlIndex, z):
     z_flat = np.atleast_1d(z_arr).astype(float).ravel()
     if not np.all(np.isfinite(z_flat)):
         raise DomainError("argument must be finite")
-    vals = _ml_eval(idx.theta, idx.zeta, z_flat)
+    vals = _ml_eval(idx.theta, z_flat)
     if scalar:
         return float(vals[0])
     return vals.reshape(z_arr.shape)
@@ -378,7 +360,7 @@ def ml_cdf(p: FppParams, x):
     if not np.all(xf >= 0):  # also true for nan
         raise ParameterError("x must be nonnegative numbers")
     w = (p.lam * xf) ** p.theta
-    vals = 1.0 - _ml_eval(p.theta, 1.0, -w)
+    vals = 1.0 - _ml_eval(p.theta, -w)
     vals = np.clip(vals, 0.0, 1.0)
     if scalar:
         return float(vals[0])

@@ -17,18 +17,15 @@ from scipy.special import gamma as Gamma
 
 from fracq import (
     ClassProbabilities,
-    EventTimeline,
     LimitLawSampler,
     RngStream,
     StepFunction,
     aggregate_lengths,
-    fpp_pmf,
     fpp_pmf_table,
     limitlab,
     mittag_leffler,
     simulate_fpp_renewal,
     simulate_multiclass_queue,
-    skorokhod_reflect,
     thin_events,
 )
 from fracq.cli import main as cli_main

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fracq import (
+    ClassProbabilities,
     FppParams,
     LocationSampler,
     RngStream,
@@ -25,7 +26,7 @@ from fracq import (
     simulate_fpp_renewal,
     timechange_counts,
 )
-from fracq import processes
+from fracq import limitlab, processes
 from fracq.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -247,6 +248,78 @@ def test_verify_json_deterministic(tmp_path):
         csvs.append((tmp_path / sub / "pmf_renewal_ecdf.csv").read_bytes())
     assert payloads[0] == payloads[1]
     assert csvs[0] == csvs[1]
+
+
+# every flag a kind takes, set away from its default, next to the same
+# values passed to the experiment directly; two scaling rows because the
+# services-dominate regime reads --tol and the balanced regime --p-min and
+# --resolution
+P46 = ClassProbabilities(np.array([0.4, 0.6]))
+BALANCED = ["--alpha", 0.6, "--beta", 0.6, "--lambda", 1, "--mu", 1.2, "--p", "0.4,0.6",
+            "--i", 2, "--t", 1.5, "--u", 20, "--replicas", 30, "--p-min", 0.002,
+            "--resolution", 0.05, "--jobs", 2]
+FLAGS_AND_CALLS = {
+    "pmf": (["--theta", 0.7, "--lambda", 1.3, "--t", 1.5, "--replicas", 300, "--p-min", 0.002],
+            lambda rng: limitlab.verify_pmf(0.7, 1.3, 1.5, 300, rng, p_min=0.002)),
+    "covariance": (
+        ["--alpha", 0.7, "--lambda", 1.2, "--p", "0.4,0.6", "--t", 2, "--replicas", 2000,
+         "--z-max", 3.5],
+        lambda rng: limitlab.verify_covariance(0.7, 1.2, P46, 2.0, 2000, rng, z_max=3.5)),
+    "lln": (
+        ["--theta", 1, "--lambda", 1, "--p", "0.4,0.6", "--t", 1.5, "--u", 50,
+         "--replicas", 40, "--p-min", 0.002, "--tol", 0.2],
+        lambda rng: limitlab.verify_lln(1.0, 1.0, P46, 1.5, 50.0, 40, rng, p_min=0.002,
+                                        concentration_tol=0.2)),
+    "fclt": (
+        ["--theta", 0.7, "--lambda", 1, "--p", "0.4,0.6", "--t", 1.5, "--u", 50,
+         "--replicas", 200, "--p-min", 0.002, "--z-max", 3.5],
+        lambda rng: limitlab.verify_fclt(0.7, 1.0, P46, 1.5, 50.0, 200, rng, p_min=0.002,
+                                         z_max=3.5)),
+    "scaling": (
+        [*BALANCED, "--tol", 0.2],
+        lambda rng: limitlab.verify_queue_scaling(
+            0.6, 0.6, 1.0, 1.2, P46, 2, 1.5, 20.0, 30, rng, p_min=0.002, degenerate_tol=0.2,
+            resolution=0.05, jobs=2)),
+    "scaling-services-dominate": (
+        ["--alpha", 0.3, "--beta", 0.9, "--lambda", 1, "--mu", 1.2, "--p", "0.4,0.6",
+         "--i", 2, "--t", 1.5, "--u", 20, "--replicas", 30, "--tol", 0.2, "--jobs", 2],
+        lambda rng: limitlab.verify_queue_scaling(
+            0.3, 0.9, 1.0, 1.2, P46, 2, 1.5, 20.0, 30, rng, degenerate_tol=0.2, jobs=2)),
+    "centered-clt": (
+        BALANCED,
+        lambda rng: limitlab.verify_centered_queue_clt(
+            0.6, 0.6, 1.0, 1.2, P46, 2, 1.5, 20.0, 30, rng, p_min=0.002, resolution=0.05,
+            jobs=2)),
+    "recurrence": (
+        ["--alpha", 0.6, "--lambda", 1, "--mu", 1.2, "--p", "0.4,0.6", "--horizons",
+         "10,100,1000", "--replicas", 20, "--jobs", 2],
+        lambda rng: limitlab.verify_recurrence(0.6, 1.0, 1.2, P46, [10.0, 100.0, 1000.0], 20,
+                                               rng, jobs=2)),
+    "oscillation": (
+        ["--theta", 0.6, "--c", 1.5, "--horizons", "10,100", "--replicas", 20,
+         "--resolution", 0.05, "--jobs", 2],
+        lambda rng: limitlab.verify_oscillation(0.6, 1.5, [10.0, 100.0], 20, rng,
+                                                resolution=0.05, jobs=2)),
+    "best-ask": (
+        ["--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1, "--locations", "uniform:1,2",
+         "--horizons", "5,50", "--replicas", 20, "--eps", "0.2,0.1", "--jobs", 2],
+        lambda rng: limitlab.verify_best_ask(
+            0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0), [5.0, 50.0], 20, rng,
+            eps_values=(0.2, 0.1), jobs=2)),
+}
+
+
+@pytest.mark.parametrize("kind", FLAGS_AND_CALLS)
+def test_verify_flags_reach_the_experiment(tmp_path, kind):
+    flags, call = FLAGS_AND_CALLS[kind]
+    want = call(RngStream(seed=4)).to_dict()
+    code = run_cli("verify", kind.removesuffix("-services-dominate"), *flags, "--seed", 4,
+                   "--out", tmp_path)
+    assert code == (0 if want["verdict"] else 1)
+    got = json.loads((tmp_path / f"{want['name']}.json").read_text())
+    for report in (want, got):
+        report.pop("artifacts")  # the direct call writes none
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # exit codes

@@ -21,10 +21,9 @@ from fracq import (
     simulate_continuum_queue,
     simulate_fpp_renewal,
     simulate_multiclass_queue,
-    skorokhod_reflect,
     thin_events,
 )
-from fracq.queueing import QueueTrajectory
+from fracq.queueing import QueueTrajectory, _reflect
 
 
 def make_timeline(times, horizon, labels=None):
@@ -64,30 +63,20 @@ def test_step_function_validation():
 
 def test_reflection_by_hand():
     # netflow 1, 0, -1, -2, -1 reflects to 1, 0, 0, 0, 1
-    f = StepFunction(
-        np.arange(1.0, 6.0), np.array([1.0, 0.0, -1.0, -2.0, -1.0])
-    )
-    r = skorokhod_reflect(f)
-    np.testing.assert_allclose(r.values, [1.0, 0.0, 0.0, 0.0, 1.0])
-    assert r.initial_value == 0.0
-
-
-def test_reflection_requires_zero_start():
-    with pytest.raises(ParameterError):
-        skorokhod_reflect(StepFunction(np.array([1.0]), np.array([2.0]), initial_value=1.0))
+    r = _reflect(np.array([1, 0, -1, -2, -1]))
+    np.testing.assert_array_equal(r, [1, 0, 0, 0, 1])
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_reflection_properties(signs):
-    vals = np.cumsum(signs).astype(float)
-    f = StepFunction(np.arange(1.0, vals.size + 1), vals)
-    r = skorokhod_reflect(f)
-    assert np.all(r.values >= 0)
-    assert np.all(r.values >= f.values)
+    f = np.cumsum(signs)
+    r = _reflect(f)
+    assert np.all(r >= 0)
+    assert np.all(r >= f)
     # the regulator min(0, inf f) is nonincreasing, so r has the same up-jumps
-    reg = f.values - r.values
-    assert np.all(np.diff(np.concatenate([[0.0], reg])) <= 0)
+    reg = f - r
+    assert np.all(np.diff(np.concatenate([[0], reg])) <= 0)
 
 
 # multiclass priority queue
@@ -223,12 +212,7 @@ def test_total_equals_reflected_netflow():
     assert_same_trajectory(traj, event_loop_queue(arrivals, departures, 3))
 
     signs = np.where(traj.event_types == "A", 1, -1)
-    netflow = StepFunction(
-        np.arange(1.0, signs.size + 1), np.cumsum(signs).astype(float)
-    )
-    np.testing.assert_array_equal(
-        traj.total_lengths, skorokhod_reflect(netflow).values.astype(int)
-    )
+    np.testing.assert_array_equal(traj.total_lengths, _reflect(np.cumsum(signs)))
 
 
 def test_conservation():
