@@ -272,7 +272,8 @@ _VERIFY_ALIASES = {
 _VERIFY_KINDS = {
     "pmf": ("verify_pmf", dict(t=1.0, replicas=100_000)),
     "covariance": ("verify_covariance", dict(t=1.0, replicas=1_000_000)),
-    "lln": ("verify_lln", dict(t=1.0, u=1000.0, replicas=10_000)),
+    # u as BATTERY's lln_theta_0.7: at 1e3 seed luck decides the verdict
+    "lln": ("verify_lln", dict(t=1.0, u=1e4, replicas=10_000)),
     "fclt": ("verify_fclt", dict(t=1.0, u=1000.0, replicas=10_000)),
     "scaling": ("verify_queue_scaling", dict(p="1.0", i=1, t=1.0, u=1000.0, replicas=2000)),
     "centered-clt": ("verify_centered_queue_clt",

@@ -44,7 +44,7 @@ from .processes import (
 )
 from .queueing import LocationSampler
 from .samplers import RngStream, sample_inverse_subordinator_at
-from .special import FppParams, fpp_pmf_table, inverse_subordinator_moments
+from .special import FppParams, _check_theta, fpp_pmf_table, inverse_subordinator_moments
 
 DEFAULT_P_MIN = 1e-3
 DEFAULT_Z_MAX = 4.0
@@ -293,95 +293,32 @@ def _walk_ends(theta_a: float, coef_a: float, theta_b: float, coef_b: float, t: 
     return end - np.minimum(_row_min(after_a, a), _row_min(after_b, b))
 
 
-_KINDS = (
-    "inverse_clock",
-    "reflected_difference",
-    "brownian_time_changed",
-    "reflected_brownian_difference",
-)
-# each two-sided kind with coef_b = 0, as the one-sided kind it reduces to
-_ONE_SIDED = {
-    "reflected_difference": "inverse_clock",
-    "reflected_brownian_difference": "brownian_time_changed",
-}
-
-
 @dataclass(frozen=True)
 class LimitLawSampler:
-    """Single-time sampler for the limit laws appearing in the scaling results.
+    """Single-time sampler of Phi(X_a - X_b)(t), the reflection of a difference
+    of paths X = coef Y, or sqrt(coef) B(Y) with B a Brownian motion when
+    brownian is set, on independent inverse clocks of indices theta_a, theta_b.
 
-    coef_a/coef_b are linear scales for the clock kinds and variance scales
-    for the Brownian kinds.  Where an exact single-time representation exists
-    (monotone paths, or a one-sided reflection of a time-changed Brownian
-    motion) it is used; two-sided reflections fall back to passage-grid paths
-    at the given resolution.
+    With coef_b = 0 the draw is exact: the reflection of a nondecreasing path
+    started at 0 is the path, and continuity of the clock gives Phi(B o Y)(t)
+    =d |B(Y(t))|.  Otherwise the paths are read at the clocks' level
+    passages, on levels spaced resolution * t^theta.
     """
 
-    kind: str
     t: float
     theta_a: float
     coef_a: float
     theta_b: float = 1.0
     coef_b: float = 0.0
+    brownian: bool = False
     resolution: float = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown limit-law kind {self.kind!r}")
         _require_positive(t=self.t, resolution=self.resolution)
-        for th in (self.theta_a, self.theta_b):
-            if not (0.0 < th <= 1.0):
-                raise ParameterError(f"clock index must be in (0, 1], got {th}")
+        _check_theta(self.theta_a)
+        _check_theta(self.theta_b)
         if not (0.0 <= self.coef_a < math.inf and 0.0 <= self.coef_b < math.inf):
             raise ParameterError("coefficients must be nonnegative and finite")
-
-    @classmethod
-    def inverse_clock(cls, theta: float, scale: float, t: float) -> "LimitLawSampler":
-        return cls(kind="inverse_clock", t=t, theta_a=theta, coef_a=scale)
-
-    @classmethod
-    def reflected_difference(
-        cls,
-        theta_a: float,
-        scale_a: float,
-        theta_b: float,
-        scale_b: float,
-        t: float,
-        resolution: float = DEFAULT_RESOLUTION,
-    ) -> "LimitLawSampler":
-        return cls(
-            kind="reflected_difference",
-            t=t,
-            theta_a=theta_a,
-            coef_a=scale_a,
-            theta_b=theta_b,
-            coef_b=scale_b,
-            resolution=resolution,
-        )
-
-    @classmethod
-    def brownian_time_changed(cls, theta: float, variance_scale: float, t: float) -> "LimitLawSampler":
-        return cls(kind="brownian_time_changed", t=t, theta_a=theta, coef_a=variance_scale)
-
-    @classmethod
-    def reflected_brownian_difference(
-        cls,
-        theta_a: float,
-        variance_a: float,
-        theta_b: float = 1.0,
-        variance_b: float = 0.0,
-        t: float = 1.0,
-        resolution: float = DEFAULT_RESOLUTION,
-    ) -> "LimitLawSampler":
-        return cls(
-            kind="reflected_brownian_difference",
-            t=t,
-            theta_a=theta_a,
-            coef_a=variance_a,
-            theta_b=theta_b,
-            coef_b=variance_b,
-            resolution=resolution,
-        )
 
     def sample(self, rng: RngStream, size: int, jobs: int = 1) -> np.ndarray:
         """size draws; a two-sided reflection draws them in chunks of clock
@@ -389,26 +326,18 @@ class LimitLawSampler:
         `jobs` workers when jobs > 1, with the same result for any jobs."""
         if size < 1:
             raise ParameterError("size must be positive")
-        kind = self.kind
-        if self.coef_b == 0.0:
-            # with nothing subtracted, the reflection of a nondecreasing path
-            # started at 0 is the path, and continuity of the clock gives
-            # Phi(B o Y)(t) =d |B(Y(t))|
-            kind = _ONE_SIDED.get(kind, kind)
-        if kind == "inverse_clock":
-            y = sample_inverse_subordinator_at(self.theta_a, self.t, rng, size=size)
-            return self.coef_a * y
-        if kind == "brownian_time_changed":
-            y = sample_inverse_subordinator_at(self.theta_a, self.t, rng.substream(0), size=size)
-            z = rng.substream(1).generator().standard_normal(size)
-            x = np.sqrt(self.coef_a * y) * z
-            return np.abs(x) if self.kind == "reflected_brownian_difference" else x
         th_a, th_b, t, res = self.theta_a, self.theta_b, self.t, self.resolution
-        if kind == "reflected_difference":
+        if self.coef_b == 0.0:
+            if not self.brownian:
+                return self.coef_a * sample_inverse_subordinator_at(th_a, t, rng, size=size)
+            y = sample_inverse_subordinator_at(th_a, t, rng.substream(0), size=size)
+            z = rng.substream(1).generator().standard_normal(size)
+            return np.abs(np.sqrt(self.coef_a * y) * z)
+        if self.brownian:
+            fn = partial(_walk_ends, th_a, self.coef_a, th_b, self.coef_b, t, res)
+        else:
             ends = partial(_reflected_ends, th_a, (self.coef_a,), th_b, self.coef_b, t, res)
             fn = lambda sub, rows: ends(sub, rows)[0]
-        else:
-            fn = partial(_walk_ends, th_a, self.coef_a, th_b, self.coef_b, t, res)
         return map_replicas(fn, rng, size, _pair_rows(th_a, th_b, t, res), jobs)
 
 
@@ -817,9 +746,8 @@ def verify_queue_scaling(
         # when arrivals dominate the service clock drops out of the limit,
         # and the reflection reduces to the exact inverse clock
         coef_b = mu**beta if regime == "balanced" else 0.0
-        oracle_sampler = LimitLawSampler.reflected_difference(
-            alpha, lam**alpha * head, beta, coef_b, t, resolution
-        )
+        oracle_sampler = LimitLawSampler(t, alpha, lam**alpha * head, beta, coef_b,
+                                         resolution=resolution)
         oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
         d, p = ks_two_sample(observable, oracle)
         details["ks"] = {"D": d, "p": p}
@@ -901,7 +829,7 @@ def verify_centered_queue_clt(
         sides = (alpha, rate_a) if alpha > beta else (beta, rate_b)
     else:
         sides = (alpha, rate_a, beta, rate_b)
-    oracle_sampler = LimitLawSampler.reflected_brownian_difference(*sides, t=t, resolution=resolution)
+    oracle_sampler = LimitLawSampler(t, *sides, brownian=True, resolution=resolution)
     oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
     d, p = ks_two_sample(observable, oracle)
     artifacts = _ecdf_artifact(out_dir, "centered_clt_observable_ecdf", observable)

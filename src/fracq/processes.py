@@ -29,7 +29,7 @@ import numpy as np
 from .errors import EventCapError, ParameterError
 from .samplers import RngStream, _mittag_leffler_steps, _stable_steps
 from .samplers import sample_inverse_subordinator_at, sample_positive_stable
-from .special import FppParams, inverse_subordinator_moments
+from .special import FppParams, _check_theta, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
 # clock levels at time t are spaced DEFAULT_RESOLUTION * t^theta, a fixed
@@ -245,8 +245,7 @@ def simulate_subordinator(theta: float, step: float, s_max: float, rng: RngStrea
     """Stable subordinator on a fixed regular grid: values[k] = L(k step) for
     k = 0..ceil(s_max / step), built from iid scaled stable draws
     step^(1/theta) S_j."""
-    if not (0.0 < theta <= 1.0):
-        raise ParameterError(f"theta must be in (0, 1], got {theta}")
+    _check_theta(theta)
     if not 0.0 < step <= s_max < math.inf:
         raise ParameterError(f"need 0 < step <= s_max < inf, got step={step}, s_max={s_max}")
     m = int(math.ceil(s_max / step - 1e-12))

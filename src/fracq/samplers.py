@@ -1,8 +1,8 @@
 """Random variate generators for stable, Mittag-Leffler and inverse-clock laws.
 
 All draws flow through RngStream, a thin wrapper over a counter-based
-64-bit generator (Philox) keyed by (seed, stream_index).  Distinct stream
-indices give non-overlapping streams, so replicas can be fanned out across
+64-bit generator (Philox) keyed by a seed and a substream path.  Distinct
+paths give non-overlapping streams, so replicas can be fanned out across
 workers without coordination and still reproduce bit-identically.
 """
 
@@ -14,18 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .special import FppParams
+from .special import FppParams, _check_theta
 
 
 @dataclass
 class RngStream:
-    """Reproducible random stream keyed by a seed and a stream index.  Draws
+    """Reproducible random stream keyed by a seed and a substream path.  Draws
     continue it exactly across calls (g.random(a) then g.random(b) give
     g.random(a + b)), so a walk that reads its own stream in order draws the
     same numbers however its reads are chunked."""
 
     seed: int
-    stream_index: int = 0
     _path: tuple[int, ...] = field(default=(), repr=False, compare=False)
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
@@ -36,20 +35,14 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """The underlying generator; successive calls continue one stream."""
         if self._gen is None:
-            seq = np.random.SeedSequence(
-                self.seed, spawn_key=(self.stream_index, *self._path)
-            )
+            # every fixed-seed draw depends on this key layout, leading 0 included
+            seq = np.random.SeedSequence(self.seed, spawn_key=(0, *self._path))
             self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
 
     def substream(self, k: int) -> "RngStream":
         """Derived independent stream, e.g. one per replica."""
-        return RngStream(self.seed, self.stream_index, self._path + (k,))
-
-
-def _check_theta(theta: float) -> None:
-    if not (0.0 < theta <= 1.0):
-        raise ParameterError(f"theta must be in (0, 1], got {theta}")
+        return RngStream(self.seed, self._path + (k,))
 
 
 def _kanter(theta: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:

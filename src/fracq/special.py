@@ -30,7 +30,12 @@ _SERIES_CAP = 100_000
 _PMF_CAP = 500
 # series branch is safe while |z|**(1/theta) stays below this
 _SERIES_ZONE = 5.0
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _check_theta(theta: float) -> None:
+    """Reject a stability index outside (0, 1]; NaN fails the comparison too."""
+    if not (0.0 < theta <= 1.0):
+        raise ParameterError(f"theta must be in (0, 1], got {theta}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,7 @@ class MlIndex:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.theta <= 1.0):
-            raise ParameterError(f"theta must be in (0, 1], got {self.theta}")
+        _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,7 @@ class FppParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.theta <= 1.0):
-            raise ParameterError(f"theta must be in (0, 1], got {self.theta}")
+        _check_theta(self.theta)
         if not 0.0 < self.lam < math.inf:
             raise ParameterError(f"lam must be positive and finite, got {self.lam}")
 
@@ -76,13 +79,14 @@ def _series_vec(theta: float, z: np.ndarray) -> np.ndarray:
             logmag = np.zeros(z.shape)
         else:
             logmag = l * logabs - gammaln(1.0 + theta * l)
-        if np.any(logmag[active] > _LOG_FLOAT_MAX):
-            raise DomainError("Mittag-Leffler value overflows double precision")
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             mag = np.exp(logmag)
-        term = mag if l % 2 == 0 else sign * mag
-        y = np.where(active, term, 0.0) - comp
-        t = out + y
+            term = mag if l % 2 == 0 else sign * mag
+            y = np.where(active, term, 0.0) - comp
+            t = out + y
+        # a term or the running sum past the float range
+        if not np.isfinite(t).all():
+            raise DomainError("Mittag-Leffler value overflows double precision")
         comp = (t - out) - y
         out = t
         scale = np.maximum(np.abs(out), 1e-300)
@@ -152,7 +156,11 @@ def _asymptotic_tail(theta: float, x: np.ndarray, kmax: int = 5) -> np.ndarray:
 def _ml_eval(theta: float, z: np.ndarray) -> np.ndarray:
     if theta == 1.0:
         # exact reduction, no series cancellation
-        return np.exp(z)
+        with np.errstate(over="ignore"):
+            out = np.exp(z)
+        if not np.isfinite(out).all():
+            raise DomainError("Mittag-Leffler value overflows double precision")
+        return out
     out = np.empty_like(z)
     neg = z < 0.0
     absz = np.abs(z)
@@ -374,8 +382,7 @@ def inverse_subordinator_moments(theta: float, t: float) -> tuple[float, float]:
     Var Y = t^(2 theta) * (2 / Gamma(1 + 2 theta) - 1 / Gamma(1 + theta)^2),
     which vanishes identically at theta = 1 where Y_1(t) = t.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ParameterError(f"theta must be in (0, 1], got {theta}")
+    _check_theta(theta)
     if not 0.0 <= t < math.inf:
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
     if theta == 1.0:

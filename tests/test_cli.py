@@ -237,6 +237,16 @@ def test_verify_failure_exit_one(tmp_path, capsys):
     assert payload["verdict"] is False
 
 
+def test_verify_lln_defaults_run_at_the_battery_u(tmp_path, capsys):
+    # at u = 1e3 the conditional-Poisson noise sits at the KS detection edge
+    # for the default 1e4 replicas, and this run fails (p = 0.00093)
+    code = run_cli("verify", "lln", "--theta", 0.7, "--lambda", 1, "--p", "0.3,0.7",
+                   "--seed", 0, "--out", tmp_path)
+    assert code == 0 and "[PASS] lln" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "lln.json").read_text())
+    assert payload["parameters"]["u"] == limitlab.BATTERY["lln_theta_0.7"][2]["u"]
+
+
 def test_verify_json_deterministic(tmp_path):
     payloads, csvs = [], []
     for sub in ("a", "b"):

@@ -18,6 +18,7 @@ from fracq import (
     LocationSampler,
     ParameterError,
     RngStream,
+    sample_inverse_subordinator_at,
     simulate_multiclass_queue,
 )
 from fracq import limitlab, processes
@@ -112,28 +113,26 @@ def test_map_replicas_draws_chunk_c_from_substream_c():
 
 def test_limit_law_sampler_validation():
     with pytest.raises(ParameterError):
-        LimitLawSampler(kind="nope", t=1.0, theta_a=0.5, coef_a=1.0)
+        LimitLawSampler(0.0, 0.5, 1.0)
     with pytest.raises(ParameterError):
-        LimitLawSampler.inverse_clock(0.5, 1.0, t=0.0)
+        LimitLawSampler(1.0, 1.5, 1.0)
     with pytest.raises(ParameterError):
-        LimitLawSampler.inverse_clock(1.5, 1.0, t=1.0)
+        LimitLawSampler(1.0, 0.5, -1.0)
     with pytest.raises(ParameterError):
-        LimitLawSampler.inverse_clock(0.5, -1.0, t=1.0)
+        LimitLawSampler(1.0, 0.5, 1.0, 0.5, 1.0, resolution=0.0)
     with pytest.raises(ParameterError):
-        LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, 1.0, t=1.0, resolution=0.0)
+        LimitLawSampler(1.0, 0.5, 1.0).sample(RngStream(seed=0), -1)
     with pytest.raises(ParameterError):
-        LimitLawSampler.inverse_clock(0.5, 1.0, t=1.0).sample(RngStream(seed=0), -1)
-    with pytest.raises(ParameterError):
-        LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, 1.0, t=1.0).sample(RngStream(seed=0), 0)
+        LimitLawSampler(1.0, 0.5, 1.0, 0.5, 1.0).sample(RngStream(seed=0), 0)
     # non-finite input would sample NaN or never finish a passage grid
     nan, inf = float("nan"), float("inf")
     for bad in (
-        lambda: LimitLawSampler.inverse_clock(0.5, nan, 1.0),
-        lambda: LimitLawSampler.inverse_clock(0.5, 1.0, t=nan),
-        lambda: LimitLawSampler.brownian_time_changed(0.5, 1.0, t=inf),
-        lambda: LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, nan, t=1.0),
-        lambda: LimitLawSampler.reflected_difference(0.5, 1.0, 0.5, 1.0, t=1.0, resolution=inf),
-        lambda: LimitLawSampler.reflected_brownian_difference(0.5, 1.0, t=1.0, resolution=nan),
+        lambda: LimitLawSampler(1.0, 0.5, nan),
+        lambda: LimitLawSampler(nan, 0.5, 1.0),
+        lambda: LimitLawSampler(inf, 0.5, 1.0, brownian=True),
+        lambda: LimitLawSampler(1.0, 0.5, 1.0, 0.5, nan),
+        lambda: LimitLawSampler(1.0, 0.5, 1.0, 0.5, 1.0, resolution=inf),
+        lambda: LimitLawSampler(1.0, 0.5, 1.0, brownian=True, resolution=nan),
     ):
         with pytest.raises(ParameterError):
             bad()
@@ -143,7 +142,7 @@ def test_limit_law_sampler_validation():
 
 
 def test_inverse_clock_at_one_is_deterministic():
-    s = LimitLawSampler.inverse_clock(1.0, 2.5, t=3.0)
+    s = LimitLawSampler(3.0, 1.0, 2.5)
     draws = s.sample(RngStream(seed=1), 100)
     np.testing.assert_array_equal(draws, np.full(100, 7.5))
 
@@ -152,23 +151,23 @@ def test_reflected_difference_at_one_matches_drift():
     # deterministic clocks: the reflected difference is the positive-part drift,
     # up to the passage-grid rounding of each clock
     for ca, cb in ((2.0, 0.5), (0.5, 2.0)):
-        s = LimitLawSampler.reflected_difference(1.0, ca, 1.0, cb, t=2.0, resolution=1e-3)
+        s = LimitLawSampler(2.0, 1.0, ca, 1.0, cb, resolution=1e-3)
         draws = s.sample(RngStream(seed=2), 4)
         target = max(ca - cb, 0.0) * 2.0
         np.testing.assert_allclose(draws, target, atol=3.0 * 1e-3 * 2.0 * (ca + cb))
 
 
-def test_brownian_time_changed_at_one_is_gaussian():
+def test_one_sided_brownian_at_one_is_folded_gaussian():
     v, t = 1.7, 2.0
-    s = LimitLawSampler.brownian_time_changed(1.0, v, t)
+    s = LimitLawSampler(t, 1.0, v, brownian=True)
     draws = s.sample(RngStream(seed=3), 20_000)
-    res = stats.kstest(draws, stats.norm(scale=math.sqrt(v * t)).cdf)
+    res = stats.kstest(draws, stats.halfnorm(scale=math.sqrt(v * t)).cdf)
     assert res.pvalue > 1e-3
 
 
 def test_reflected_brownian_difference_at_one_is_folded_gaussian():
     va, vb, t = 1.0, 0.5, 1.0
-    s = LimitLawSampler.reflected_brownian_difference(1.0, va, 1.0, vb, t=t, resolution=1e-3)
+    s = LimitLawSampler(t, 1.0, va, 1.0, vb, brownian=True, resolution=1e-3)
     draws = s.sample(RngStream(seed=4), 400)
     scale = math.sqrt((va + vb) * t)
     res = stats.kstest(draws, lambda x: 2.0 * stats.norm.cdf(x / scale) - 1.0)
@@ -183,7 +182,7 @@ def test_inverse_clock_scale_enters_laplace_transform():
     from fracq.special import MlIndex
 
     theta, coef, t = 0.6, 2.0, 1.5
-    draws = LimitLawSampler.inverse_clock(theta, coef, t).sample(RngStream(seed=5), 60_000)
+    draws = LimitLawSampler(t, theta, coef).sample(RngStream(seed=5), 60_000)
     target = mittag_leffler(MlIndex(theta), -coef * t**theta)
     obs = np.exp(-draws)
     z = (obs.mean() - target) / (obs.std(ddof=1) / math.sqrt(obs.size))
@@ -191,8 +190,9 @@ def test_inverse_clock_scale_enters_laplace_transform():
 
 
 def test_brownian_time_changed_moments():
+    # |B(Y(t))| has the even moments of B(Y(t)): v E Y and 3 v^2 E Y^2
     theta, v, t = 0.7, 1.3, 2.0
-    draws = LimitLawSampler.brownian_time_changed(theta, v, t).sample(RngStream(seed=6), 60_000)
+    draws = LimitLawSampler(t, theta, v, brownian=True).sample(RngStream(seed=6), 60_000)
     mean_y, var_y = inverse_subordinator_moments(theta, t)
     for power, target in ((2, v * mean_y), (4, 3.0 * v**2 * (var_y + mean_y**2))):
         x = draws**power
@@ -201,20 +201,19 @@ def test_brownian_time_changed_moments():
 
 
 def test_one_sided_reflections_reduce_to_exact_samplers():
-    # with no subtracted stream the reflection is the path itself (monotone) or
-    # the absolute value (Brownian); both reduce to exact single-time samplers
+    # with nothing subtracted the reflection is the path itself (monotone) or
+    # its absolute value (Brownian), drawn exactly at the one time, whatever
+    # theta_b and the resolution are
     t = 1.0
-    clock = LimitLawSampler.inverse_clock(0.7, 1.4, t).sample(RngStream(seed=7), 500)
-    refl = LimitLawSampler.reflected_difference(0.7, 1.4, 0.9, 0.0, t).sample(
-        RngStream(seed=7), 500
-    )
-    np.testing.assert_array_equal(clock, refl)
+    refl = LimitLawSampler(t, 0.7, 1.4, 0.9, 0.0, resolution=0.5).sample(RngStream(seed=7), 500)
+    clock = sample_inverse_subordinator_at(0.7, t, RngStream(seed=7), 500)
+    np.testing.assert_array_equal(refl, 1.4 * clock)
 
-    bm = LimitLawSampler.brownian_time_changed(0.7, 1.4, t).sample(RngStream(seed=8), 500)
-    rbm = LimitLawSampler.reflected_brownian_difference(0.7, 1.4, 1.0, 0.0, t).sample(
-        RngStream(seed=8), 500
-    )
-    np.testing.assert_array_equal(np.abs(bm), rbm)
+    rng = RngStream(seed=8)
+    rbm = LimitLawSampler(t, 0.7, 1.4, 0.3, brownian=True).sample(rng, 500)
+    y = sample_inverse_subordinator_at(0.7, t, rng.substream(0), 500)
+    z = rng.substream(1).generator().standard_normal(500)
+    np.testing.assert_array_equal(rbm, np.abs(np.sqrt(1.4 * y) * z))
 
 
 # experiment smoke runs (small replica counts; the acceptance suite scales up)
@@ -746,10 +745,10 @@ def test_clock_extremes_match_union_grid_min_and_max():
 
 
 ORACLE_CHUNK_CASES = [
-    (LimitLawSampler.reflected_difference(0.6, 1.2, 0.7, 1.0, t=2.0),
+    (LimitLawSampler(2.0, 0.6, 1.2, 0.7, 1.0),
      lambda rng, m: limitlab._reflected_ends(0.6, (1.2,), 0.7, 1.0, 2.0, DEFAULT_RESOLUTION,
                                              rng, m)[0]),
-    (LimitLawSampler.reflected_brownian_difference(0.6, 1.2, 0.7, 1.0, t=2.0),
+    (LimitLawSampler(2.0, 0.6, 1.2, 0.7, 1.0, brownian=True),
      lambda rng, m: limitlab._walk_ends(0.6, 1.2, 0.7, 1.0, 2.0, DEFAULT_RESOLUTION, rng, m)),
 ]
 

@@ -7,6 +7,7 @@ and frozen here, so the suite never depends on mpmath at run time.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ def test_domain_errors():
         mittag_leffler(MlIndex(0.5), np.inf)
     with pytest.raises(DomainError):
         mittag_leffler(MlIndex(0.5), 1e6)  # positive side overflows
+
+
+@pytest.mark.parametrize("theta, z", [(0.1, 2.5), (1.0, 710.0)])
+def test_overflowing_sum_raises_domain_error_without_warning(theta, z):
+    # the running sum leaves the float range before any term does (theta =
+    # 0.1), or exp does (theta = 1): a DomainError, not a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows double precision"):
+            mittag_leffler(MlIndex(theta), z)
 
 
 # fractional Poisson pmf
