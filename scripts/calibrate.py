@@ -21,7 +21,25 @@ the experiment rather than at chance.  This script is not part of the test
 suite; a full-scale pass over the battery takes about K times the battery's
 time.
 
+--defect NAME plants one known defect in the running process first, so the
+pass rates measure the battery's power against it: an experiment that
+rejects at some seeds catches the defect, and a defect that no experiment
+rejects slips through.  The defects (DEFECTS):
+
+- kanter_gamma2: Kanter's E drawn as Gamma(2), not Exp(1), wherever a stable
+  variate is made, in the observables and the oracles alike;
+- ml_swapped: the Mittag-Leffler gap with V and 1 - V swapped, in every
+  renewal walk.  V and 1 - V are alike uniform, so the gaps keep their law
+  and no experiment can catch it: it measures the false-rejection rate of a
+  change that is sound in law (tests/test_samplers.py catches it draw by
+  draw);
+- ml_power: the Mittag-Leffler gap's sine ratio raised to theta, not
+  1 / theta, in every renewal walk;
+- head_off: every thinning head P_i (a queue's column share) read 0.02 high
+  in the queue observables.
+
     python scripts/calibrate.py --only queue_scaling_balanced --seeds 50
+    python scripts/calibrate.py --only queue_scaling_arrivals --seeds 10 --defect head_off
 """
 
 from __future__ import annotations
@@ -34,11 +52,62 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 from scipy import stats
+from scipy.special import gammaincinv
 
+from fracq import limitlab, processes, samplers
 from fracq.limitlab import battery
 
 P_KEYS = ("p", "ks_p", "ks_cross_p")
+
+
+def _kanter_gamma2(kanter):
+    # each E goes through its Exp(1) probability to the Gamma(2) quantile
+    return lambda theta, u, e: kanter(theta, u, gammaincinv(2.0, -np.expm1(-e)))
+
+
+def _ml_swapped(steps):
+    return lambda p, pairs: steps(p, np.stack([pairs[..., 0], 1.0 - pairs[..., 1]], axis=-1))
+
+
+def _ml_power(steps):
+    def gaps(p, pairs):  # in place of the sound steps
+        tp = p.theta * np.pi
+        ratio = np.sin(tp * (1.0 - pairs[..., 1])) / np.sin(tp * pairs[..., 1])
+        return np.log(1.0 - pairs[..., 0]) / -p.lam * ratio**p.theta
+    return gaps
+
+
+def _head_off(queue_ends):
+    def ends(arrivals, services, horizon, shares, rng, rows):
+        shares = tuple(min(1.0, s + 0.02) for s in shares)
+        return queue_ends(arrivals, services, horizon, shares, rng, rows)
+    return ends
+
+
+# name -> (module, attribute, the defective attribute made from the sound one)
+DEFECTS = {
+    "kanter_gamma2": (samplers, "_kanter", _kanter_gamma2),
+    "ml_swapped": (processes, "_mittag_leffler_steps", _ml_swapped),
+    "ml_power": (processes, "_mittag_leffler_steps", _ml_power),
+    "head_off": (limitlab, "_queue_ends", _head_off),
+}
+
+
+@contextlib.contextmanager
+def planted(name: str | None):
+    """The named defect in place for the body, the sound code after it."""
+    if name is None:
+        yield
+        return
+    module, attr, make = DEFECTS[name]
+    sound = getattr(module, attr)
+    setattr(module, attr, make(sound))
+    try:
+        yield
+    finally:
+        setattr(module, attr, sound)
 
 
 def p_values(details: dict, prefix: str = "") -> dict[str, float]:
@@ -96,6 +165,8 @@ def main(argv=None) -> int:
                     help="multiply every replica count by this factor")
     ap.add_argument("--only", default=None,
                     help="comma-separated experiment names (substring match)")
+    ap.add_argument("--defect", default=None, choices=sorted(DEFECTS),
+                    help="plant this defect first, to measure each experiment's power")
     args = ap.parse_args(argv)
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
@@ -115,14 +186,17 @@ def main(argv=None) -> int:
         reports = []
         for seed in range(args.seeds):
             run = dict(battery(seed, args.scale))[name]
-            with contextlib.redirect_stdout(io.StringIO()):  # the one-line verdicts
+            # the one-line verdicts are not printed
+            with planted(args.defect), contextlib.redirect_stdout(io.StringIO()):
                 reports.append(run(None).to_dict())
         summary = summarize(reports, time.perf_counter() - start)
+        summary["defect"] = args.defect
         (out / f"{name}.json").write_text(json.dumps(summary, indent=2) + "\n")
         worst = min((v["ks_p"] for v in summary["p_values"].values()), default=None)
         least = summary["min_p"]
         least = "-" if least is None else f"{least['ks_p']:.3g} (k={least['k']})"
-        print(f"{name}: pass rate {summary['passes']}/{summary['runs']}, "
+        planted_in = "" if args.defect is None else f" [defect {args.defect}]"
+        print(f"{name}{planted_in}: pass rate {summary['passes']}/{summary['runs']}, "
               f"min uniform-KS p {'-' if worst is None else f'{worst:.3g}'}, "
               f"min-of-k KS p {least} ({summary['seconds']:.1f}s)")
     return 0

@@ -11,10 +11,11 @@ Every path-level observable and oracle is drawn for a chunk of replicas at
 once and read only where its path can turn.  A functional of two independent
 inverse clocks takes the rows of one level walk per clock (_clock_pair) and
 is read at the clocks' level passages; an event-level queue takes the rows of
-one renewal walk per side (_queue_ends) and is read at its services.
-map_replicas runs every replica loop as chunks, chunk c from substream c, of
-a size set by the parameters alone (_chunk_rows), so no result depends on
-jobs.
+one renewal walk of services (_queue_ends) and is read at its services, its
+kept arrivals there counted from the rows of one renewal walk of arrivals or,
+when arrivals dominate, drawn through their exact clock.  map_replicas runs
+every replica loop as chunks, chunk c from substream c, of a size set by the
+parameters alone (_chunk_rows), so no result depends on jobs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .processes import (
     timechange_counts,
 )
 from .queueing import LocationSampler
-from .samplers import RngStream, sample_inverse_subordinator_at
+from .samplers import RngStream, _inverse_clock_at, sample_inverse_subordinator_at
 from .special import FppParams, _check_theta, fpp_pmf_table, inverse_subordinator_moments
 
 DEFAULT_P_MIN = 1e-3
@@ -360,31 +361,65 @@ def _row_sums(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return before[ends] - before[ends - counts], before
 
 
-def _queue_ends(arrivals: FppParams, services: FppParams, horizon: float, kept,
+def _kept_by_renewals(arrivals: FppParams, horizon: float, shares: np.ndarray, rng: RngStream,
+                      n_dep: np.ndarray, dep: np.ndarray, row_d: np.ndarray, j: np.ndarray):
+    """_queue_ends' reader of renewal arrival rows (substream 0), each marked
+    uniform on [0, 1) from substream 1 and kept in column c below shares[c]
+    (no mark drawn when every share is 1).  One searchsorted over complex
+    (row, time) keys, exact and arrivals first at ties, counts the arrivals
+    of earlier rows and of the service's own.  j goes unused: both readers
+    take the services as _queue_ends lays them out."""
+    n_arr, arr = _renewal_rows(arrivals, horizon, rng.substream(0), n_dep.size)
+    if np.all(shares == 1.0):
+        keep = np.ones((arr.size, shares.size), bool)
+    else:
+        keep = rng.substream(1).generator().random(arr.size)[:, None] < shares
+    total, kept_before = _row_sums(keep, n_arr)
+    row_a = np.repeat(np.arange(n_dep.size), n_arr)
+    q = np.searchsorted(row_a + 1j * arr, row_d + 1j * dep, side="right")
+    return kept_before[q] - kept_before[(np.cumsum(n_arr) - n_arr)[row_d]], total
+
+
+def _kept_by_clock(arrivals: FppParams, horizon: float, shares: np.ndarray, rng: RngStream,
+                   n_dep: np.ndarray, dep: np.ndarray, row_d: np.ndarray, j: np.ndarray):
+    """_queue_ends' reader through the arrivals' exact clock: they are a unit
+    Poisson process run on lam^theta Y (Meerschaert, Nane & Vellaisamy, EJP
+    16, 2011).  Given Y at each row's services and at T (substream 0), the
+    kept arrivals between two reads are independent Poisson(lam^theta (s_k -
+    s_{k-1}) dY) counts over the cells of the sorted shares (substream 1);
+    column c sums the cells below shares[c].  Rows are padded with T."""
+    times = np.full((n_dep.size, n_dep.max(initial=0) + 1), horizon)
+    times[row_d, j] = dep
+    grow = np.diff(_inverse_clock_at(arrivals.theta, times, rng.substream(0)), axis=1, prepend=0.0)
+    cuts = np.sort(shares)
+    rate = arrivals.lam**arrivals.theta * np.diff(cuts, prepend=0.0)
+    cells = rng.substream(1).generator().poisson(grow[..., None] * rate)
+    kept = np.cumsum(np.cumsum(cells, axis=1), axis=2)[..., np.searchsorted(cuts, shares)]
+    return kept[row_d, j], kept[np.arange(n_dep.size), n_dep]
+
+
+def _queue_ends(arrivals: FppParams, services: FppParams, horizon: float, shares,
                 rng: RngStream, rows: int) -> np.ndarray:
     """(Q(T), emptyings, running max) at T = horizon of `rows` reflected
-    queues for each column of kept, shape (rows, columns, 3).  The rows'
-    arrivals and services are the rows of one renewal walk each (substreams
-    0 and 2), and kept(rng.substream(1), n) marks the chunk's n arrivals in
-    row order at once: an (n, columns) array, true where the column's queue
-    takes the arrival.
+    queues for each column of shares, shape (rows, columns, 3); column c's
+    queue keeps each arrival independently with probability shares[c].  The
+    services are the rows of one renewal walk (substream 2).  A reader picked
+    by the parameters alone (_reads_clock) gives the kept arrivals a_j at or
+    before each service j, and A at T: through the arrivals' exact clock
+    (_kept_by_clock), or from renewal arrival rows (_kept_by_renewals).
 
-    The netflow only rises between services, so the queue is read at
-    services: service j of a row (from 1) follows the a_j kept arrivals at or
-    before it (arrivals first at ties), f_j = a_j - j, and m_j = min(0, f_1
-    .. f_j).  Then Q(T) = A - D - m_D, service j empties the queue when f_j =
+    The netflow only rises between services, so the queue is read there:
+    f_j = a_j - j for service j of a row (from 1), and m_j = min(0, f_1 ..
+    f_j).  Then Q(T) = A - D - m_D, service j empties the queue when f_j =
     m_{j-1}, and the running max is the largest of Q(T) and the queue f_j + 1
     - m_{j-1} that each service finds.  All of it is integer arithmetic."""
-    n_arr, arr = _renewal_rows(arrivals, horizon, rng.substream(0), rows)
     n_dep, dep = _renewal_rows(services, horizon, rng.substream(2), rows)
-    total, kept_before = _row_sums(kept(rng.substream(1), arr.size), n_arr)
-    row_a, row_d = (np.repeat(np.arange(rows), n) for n in (n_arr, n_dep))
-    first_a, first_d = np.cumsum(n_arr) - n_arr, np.cumsum(n_dep) - n_dep
-    # complex keys order by (row, time), exactly: one search counts the
-    # arrivals in earlier rows, and in the service's row at or before it
-    q = np.searchsorted(row_a + 1j * arr, row_d + 1j * dep, side="right")
-    j = np.arange(1, dep.size + 1) - first_d[row_d]
-    f = kept_before[q] - kept_before[first_a[row_d]] - j[:, None]
+    row_d = np.repeat(np.arange(rows), n_dep)
+    first_d = np.cumsum(n_dep) - n_dep
+    j = np.arange(dep.size) - first_d[row_d]  # from 0
+    read = _kept_by_clock if _reads_clock(arrivals, services, horizon) else _kept_by_renewals
+    a, total = read(arrivals, horizon, np.asarray(shares, float), rng, n_dep, dep, row_d, j)
+    f = a - (j + 1)[:, None]
     m = np.minimum(_row_cummin(f, row_d), 0)
     served = n_dep > 0
     m_prev = np.roll(m, 1, axis=0)
@@ -400,15 +435,20 @@ def _queue_ends(arrivals: FppParams, services: FppParams, horizon: float, kept,
     return np.stack([end, emptyings, np.maximum(end, found)], axis=-1)
 
 
+def _reads_clock(arrivals: FppParams, services: FppParams, horizon: float) -> bool:
+    """Whether _queue_ends reads the arrivals through their exact clock: when
+    they dominate (alpha > beta) and the clock's loop, about m steps for each
+    chunk of 2^14 / m queues, costs less than the walk over the arrivals: m^2
+    < 16 A, with m and A the mean service and arrival counts."""
+    m = _mean_count(services, horizon)
+    return arrivals.theta > services.theta and m * m < 16.0 * _mean_count(arrivals, horizon)
+
+
 def _queue_rows(arrivals: FppParams, services: FppParams, horizon: float) -> int:
-    """Replicas per chunk of _queue_ends, from its renewal counts."""
-    return _chunk_rows(_mean_count(arrivals, horizon), _mean_count(services, horizon))
-
-
-def _thinned(heads):
-    """Marks uniform on [0, 1): column i keeps the arrivals marked below
-    heads[i], the share P_i of classes 1 .. i."""
-    return lambda rng, n: rng.generator().random(n)[:, None] < np.asarray(heads)
+    """Replicas per chunk of _queue_ends, from the renewal counts its reader
+    walks: the services alone when it reads the arrivals' clock."""
+    walked = (services,) if _reads_clock(arrivals, services, horizon) else (arrivals, services)
+    return _chunk_rows(*(_mean_count(p, horizon) for p in walked))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +772,7 @@ def verify_queue_scaling(
 
     walks = (FppParams(alpha, lam), FppParams(beta, mu), horizon)
     # the replicas draw from substream(4); keep 0-3 for oracles
-    ends = map_replicas(partial(_queue_ends, *walks, _thinned(heads)), rng.substream(4),
+    ends = map_replicas(partial(_queue_ends, *walks, heads), rng.substream(4),
                         replicas, _queue_rows(*walks), jobs)[:, :, 0]
     observable = ends[:, 0] / u**gamma
     details: dict = {"regime": regime}
@@ -881,10 +921,8 @@ def verify_recurrence(
     queue, whose law they do not affect.
     """
     walks = (FppParams(alpha, lam), FppParams(alpha, mu))
-    # every arrival feeds the total queue, so no mark is drawn: (emptyings,
-    # running max)
-    every = lambda sub, n: np.ones((n, 1), bool)
-    ends = lambda h, sub, m: _queue_ends(*walks, h, every, sub, m)[:, 0, 1:]
+    # every arrival feeds the total queue: (emptyings, running max)
+    ends = lambda h, sub, m: _queue_ends(*walks, h, (1.0,), sub, m)[:, 0, 1:]
     horizons, rungs = _ladder(ends, partial(_queue_rows, *walks), horizons, 3, rng, replicas, jobs)
     med_empty = [float(np.median(pairs[:, 0])) for pairs in rungs]
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
@@ -973,10 +1011,11 @@ def verify_best_ask(
 
     # serving the lowest location is static priority by location: the
     # customers at locations <= x form their own queue, Phi(A_{<=x} - S).
-    # Column j counts the queue within a + eps_j; the best ask exceeds
-    # a + eps_j exactly when that count is 0
+    # Column j counts the queue within a + eps_j, which keeps an arrival with
+    # probability F(a + eps_j); the best ask exceeds a + eps_j exactly when
+    # that count is 0
     walks = (FppParams(alpha, lam), FppParams(beta, mu))
-    within = lambda sub, n: locations.sample(sub, n)[:, None] <= a + np.asarray(eps_values)
+    within = tuple(locations.cdf(a + eps) for eps in eps_values)
     ends = lambda h, sub, m: _queue_ends(*walks, h, within, sub, m)[:, :, 0]
     t_values, rungs = _ladder(ends, partial(_queue_rows, *walks), t_values, 2, rng, replicas, jobs)
     exceed, mass_freq = {}, {}

@@ -225,6 +225,24 @@ class LocationSampler:
             return 0.0
         return float(self.locations.min())
 
+    def _cumulative_weights(self) -> np.ndarray:
+        cum = np.cumsum(self.weights)
+        cum[-1] = 1.0
+        return cum
+
+    def cdf(self, x: float) -> float:
+        """P(location <= x), of the law that sample draws from."""
+        if self.kind == "uniform":
+            return float(np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0))
+        if self.kind == "exponential":
+            return float(-np.expm1(-self.rate * max(x, 0.0)))
+        if self.kind == "points":
+            weights = np.diff(self._cumulative_weights(), prepend=0.0)
+            return float(weights[self.locations <= x].sum())
+        if self.kind == "empirical":
+            return np.count_nonzero(self.locations <= x) / self.locations.size
+        raise ParameterError(f"unknown location sampler kind {self.kind!r}")
+
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
         g = rng.generator()
         if self.kind == "uniform":
@@ -232,8 +250,7 @@ class LocationSampler:
         if self.kind == "exponential":
             return g.exponential(1.0 / self.rate, size=n)
         if self.kind == "points":
-            cum = np.cumsum(self.weights)
-            cum[-1] = 1.0
+            cum = self._cumulative_weights()
             return self.locations[np.searchsorted(cum, g.random(n), side="right")]
         if self.kind == "empirical":
             return self.locations[g.integers(0, self.locations.size, size=n)]

@@ -154,3 +154,48 @@ def sample_inverse_subordinator_at(
         return np.full(n, float(t))
     s = sample_positive_stable(theta, rng, size=n)
     return (t / s) ** theta
+
+
+def _tilted_stable(theta: float, g: np.random.Generator, n: int) -> np.ndarray:
+    """n variates W with density proportional to w^(-theta) g_theta(w), g_theta
+    the positive stable density (Devroye, ACM TOMACS 19, 2009): Kanter's
+    transform of E' ~ Gamma(2 - theta) and of U with density proportional to
+    h(u) = sin(pi u) / (sin(theta pi u)^theta sin((1 - theta) pi u)^(1 - theta)),
+    drawn by rejection under h(0) = theta^(-theta) (1 - theta)^(-(1 - theta))."""
+    h = lambda u: np.sin(np.pi * u) / (np.sin(theta * np.pi * u) ** theta
+                                       * np.sin((1.0 - theta) * np.pi * u) ** (1.0 - theta))
+    h0 = theta**-theta * (1.0 - theta) ** (theta - 1.0)
+    u = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        cand = 1.0 - g.random(todo.size)  # in (0, 1]
+        ok = g.random(todo.size) * h0 <= h(cand)
+        u[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+    return _kanter(theta, u, g.standard_gamma(2.0 - theta, n))
+
+
+def _inverse_clock_at(theta: float, times: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Y_theta exactly at the times of each row, nondecreasing along axis 1
+    of a 2-D array; the rows are independent paths.  A row carries its clock
+    y and L's value l there, L the stable subordinator that Y inverts.  A time
+    t >= l restarts L at y (strong Markov) and draws its passage over d = t -
+    l: the undershoot x = d Beta(theta, 1 - theta), the jump (d - x)
+    V^(-1/theta), and the clock's growth (x / W)^theta, W polynomially tilted
+    stable; a time below l leaves y as it is.  theta = 1 returns the times."""
+    times = np.asarray(times, dtype=float)
+    if theta == 1.0:
+        return times.copy()
+    g = rng.generator()
+    y = np.zeros(times.shape)
+    clock, l = np.zeros(times.shape[0]), np.zeros(times.shape[0])
+    for j in range(times.shape[1]):
+        t = times[:, j]
+        pass_ = np.flatnonzero(l <= t)
+        d = t[pass_] - l[pass_]
+        x = d * g.beta(theta, 1.0 - theta, pass_.size)
+        clock[pass_] += (x / _tilted_stable(theta, g, pass_.size)) ** theta
+        with np.errstate(over="ignore"):  # an infinite jump passes every time
+            l[pass_] += x + (d - x) * (1.0 - g.random(pass_.size)) ** (-1.0 / theta)
+        y[:, j] = clock
+    return y

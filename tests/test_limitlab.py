@@ -4,6 +4,7 @@ exercise exact reductions, closed forms, and small smoke runs."""
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -433,8 +434,8 @@ def test_experiments_independent_of_jobs(tmp_path, monkeypatch, name):
     assert len(files[0]) == 1 + len(reports[0]["artifacts"])
 
 
-# event-level queues: a chunk of rows of one renewal walk per side, read at
-# services, against the event-by-event queue on each row's own paths
+# event-level queues: a chunk of rows, read at services, against the
+# event-by-event queue on each row's own paths
 
 
 def split_rows(count, values):
@@ -457,48 +458,111 @@ def rows_oracle(n_arr, arr, n_dep, dep, keep, horizon):
     return np.array(out, dtype=np.int64)
 
 
-def queue_rows_oracle(arrivals, services, horizon, kept, rng, rows):
-    """Each row's (Q(T), emptyings, running max) per column of kept, from
-    the one-class queue on the row's own paths and marks, drawn as the
-    kernel draws them."""
+def marks(rng, n, shares):
+    """The renewal reader's marks: uniform on [0, 1), kept below each share."""
+    return rng.generator().random(n)[:, None] < np.asarray(shares)
+
+
+def queue_rows_oracle(arrivals, services, horizon, shares, rng, rows):
+    """Each row's (Q(T), emptyings, running max) per column of shares, from
+    the one-class queue on the row's own renewal paths and marks, drawn as
+    the renewal reader draws them."""
     n_arr, arr = processes._renewal_rows(arrivals, horizon, rng.substream(0), rows)
     n_dep, dep = processes._renewal_rows(services, horizon, rng.substream(2), rows)
-    keep = kept(rng.substream(1), arr.size)
+    keep = marks(rng.substream(1), arr.size, shares)
     return rows_oracle(n_arr, arr, n_dep, dep, keep, horizon), n_arr, n_dep
 
 
-def location_marks(locations, cuts):
-    return lambda rng, n: locations.sample(rng, n)[:, None] <= np.asarray(cuts)
+def edges(count):
+    """Where in a chunk the rows with count 0 sit."""
+    last = count.size - 1
+    return {"leading" if r == 0 else "trailing" if r == last else "middle"
+            for r in np.flatnonzero(count == 0).tolist()}
 
 
-# (arrivals, services, horizon, kept, rows): balanced and services-dominate
-# heads, best-ask location cuts (point masses sit on a cut), and horizons so
+POINTS = LocationSampler.point_masses([1.0, 1.05, 1.1, 2.0], [0.1, 0.2, 0.3, 0.4])
+
+# (arrivals, services, horizon, shares, rows).  Read from renewal arrival
+# rows (alpha <= beta): balanced and services-dominate heads, and horizons so
 # short that many rows have no arrivals or no services
-QUEUE_CASES = [
-    (FppParams(0.6, 1.1), FppParams(0.6, 1.0), 1e3, limitlab._thinned((1.0, 0.5)), 40),
-    (FppParams(0.3, 1.0), FppParams(0.9, 1.0), 1e3, limitlab._thinned((0.3,)), 25),
-    (FppParams(0.9, 1.0), FppParams(0.5, 1.0), 50.0,
-     location_marks(LocationSampler.point_masses([1.0, 1.05, 1.1, 2.0], [0.1, 0.2, 0.3, 0.4]),
-                    [1.05, 1.1]), 60),
-    (FppParams(0.7, 1.0), FppParams(0.5, 1.0), 0.3, limitlab._thinned((1.0, 0.4)), 143),
-    (FppParams(0.9, 2.0), FppParams(0.3, 1.0), 0.5, limitlab._thinned((1.0,)), 150),
+RENEWAL_CASES = [
+    (FppParams(0.6, 1.1), FppParams(0.6, 1.0), 1e3, (1.0, 0.5), 40),
+    (FppParams(0.3, 1.0), FppParams(0.9, 1.0), 1e3, (0.3,), 25),
+    (FppParams(0.5, 1.0), FppParams(0.7, 1.0), 0.3, (1.0, 0.4), 143),
+    (FppParams(0.4, 2.0), FppParams(0.4, 1.0), 0.5, (1.0,), 150),
+]
+# read through the arrivals' clock (alpha > beta): best-ask location cuts
+# (point masses sit on a cut), heads with a share of 1, short horizons
+CLOCK_CASES = [
+    (FppParams(0.9, 1.0), FppParams(0.5, 1.0), 50.0, (POINTS.cdf(1.1), POINTS.cdf(1.05)), 60),
+    (FppParams(0.7, 1.0), FppParams(0.5, 1.0), 0.3, (1.0, 0.4), 143),
+    (FppParams(0.9, 2.0), FppParams(0.3, 1.0), 0.5, (1.0,), 150),
 ]
 
 
 def test_queue_ends_rows_match_the_one_class_queue():
     empty = {"arrivals": set(), "services": set()}
-    for seed, (arrivals, services, horizon, kept, rows) in enumerate(QUEUE_CASES):
+    for seed, (arrivals, services, horizon, shares, rows) in enumerate(RENEWAL_CASES):
         rng = RngStream(seed=seed)
-        got = limitlab._queue_ends(arrivals, services, horizon, kept, rng, rows)
-        expected, n_arr, n_dep = queue_rows_oracle(arrivals, services, horizon, kept, rng, rows)
+        got = limitlab._queue_ends(arrivals, services, horizon, shares, rng, rows)
+        expected, n_arr, n_dep = queue_rows_oracle(arrivals, services, horizon, shares, rng, rows)
         np.testing.assert_array_equal(got, expected)
-        for side, n in (("arrivals", n_arr), ("services", n_dep)):
-            zero = np.flatnonzero(n == 0)
-            empty[side] |= {"leading" if r == 0 else "trailing" if r == rows - 1 else "middle"
-                            for r in zero.tolist()}
+        empty["arrivals"] |= edges(n_arr)
+        empty["services"] |= edges(n_dep)
     # rows with no arrivals and rows with no services, at each end of a
     # chunk and inside it
     assert empty["arrivals"] == empty["services"] == {"leading", "middle", "trailing"}
+
+
+def placed_arrivals(dep, kept, total, horizon, g):
+    """Arrival times that put kept[j] - kept[j - 1] arrivals anywhere in
+    (s_{j-1}, s_j] and total - kept[-1] in (s_n, T]; half the time the last
+    of an interval sits on its service, a tie."""
+    bounds = np.concatenate([[0.0], dep, [horizon]])
+    counts = np.diff(np.concatenate([[0], kept, [total]]))
+    times = []
+    for lo, hi, k in zip(bounds[:-1], bounds[1:], counts.tolist()):
+        x = np.sort(np.minimum(lo + (hi - lo) * (1.0 - g.random(k)), hi))
+        if k and g.random() < 0.5:
+            x[-1] = hi
+        times.append(x)
+    return np.concatenate(times)
+
+
+def test_clock_reader_rows_match_the_one_class_queue():
+    # the queue depends on the arrivals only through the kept count between
+    # services, so any placement of the clock reader's counts must give the
+    # kernel's numbers, bit for bit
+    g = np.random.default_rng(11)
+    empty = {"arrivals": set(), "services": set()}
+    for seed, (arrivals, services, horizon, shares, rows) in enumerate(CLOCK_CASES):
+        rng = RngStream(seed=seed)
+        got = limitlab._queue_ends(arrivals, services, horizon, shares, rng, rows)
+        n_dep, dep = processes._renewal_rows(services, horizon, rng.substream(2), rows)
+        row_d = np.repeat(np.arange(rows), n_dep)
+        j = np.arange(dep.size) - (np.cumsum(n_dep) - n_dep)[row_d]
+        kept, total = limitlab._kept_by_clock(arrivals, horizon, np.asarray(shares), rng,
+                                              n_dep, dep, row_d, j)
+        assert np.all(kept[:, 0] >= kept[:, -1]) and np.all(total[:, 0] >= total[:, -1])  # nested
+        expected = [[one_class_queue(placed_arrivals(d, k[:, c], tot[c], horizon, g), d, horizon)
+                     for c in range(len(shares))]
+                    for d, k, tot in zip(split_rows(n_dep, dep), split_rows(n_dep, kept), total)]
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64))
+        empty["arrivals"] |= edges(total[:, 0])
+        empty["services"] |= edges(n_dep)
+    assert empty["arrivals"] == empty["services"] == {"leading", "middle", "trailing"}
+
+
+def test_clock_reader_matches_the_renewal_reader_in_law(monkeypatch):
+    arrivals, services, horizon, shares = FppParams(0.9, 1.0), FppParams(0.3, 1.0), 1e3, (1.0, 0.3)
+    ends = partial(limitlab._queue_ends, arrivals, services, horizon, shares)
+    chunk = limitlab._queue_rows(arrivals, services, horizon)
+    dense = map_replicas(ends, RngStream(seed=1), 2000, chunk)
+    monkeypatch.setattr(limitlab, "_kept_by_clock", limitlab._kept_by_renewals)
+    walked = map_replicas(ends, RngStream(seed=2), 2000, chunk)
+    for c in range(len(shares)):
+        for k in range(3):  # Q(T), emptyings, running max
+            assert ks_two_sample(dense[:, c, k], walked[:, c, k])[1] > 1e-3
 
 
 def lattice_rows():
@@ -513,7 +577,7 @@ def lattice_rows():
 
 
 def rows_match_oracle_on_lattice(monkeypatch, services_first=False):
-    arrivals, services, kept = FppParams(0.6, 1.1), FppParams(0.6, 1.0), limitlab._thinned((1.0, 0.5))
+    arrivals, services, shares = FppParams(0.6, 1.1), FppParams(0.6, 1.0), (1.0, 0.5)
     paths = lattice_rows()
     (n_arr, arr), (n_dep, dep) = paths[1.1], paths[1.0]
     ties = sum(np.isin(d, a).sum() for a, d in zip(split_rows(n_arr, arr), split_rows(n_dep, dep)))
@@ -523,8 +587,8 @@ def rows_match_oracle_on_lattice(monkeypatch, services_first=False):
         fed[1.0] = (n_dep, np.nextafter(dep, -np.inf))
     monkeypatch.setattr(limitlab, "_renewal_rows", lambda p, horizon, rng, rows: fed[p.lam])
     rng = RngStream(seed=0)
-    got = limitlab._queue_ends(arrivals, services, 20.0, kept, rng, 30)
-    expected = rows_oracle(n_arr, arr, n_dep, dep, kept(rng.substream(1), arr.size), 20.0)
+    got = limitlab._queue_ends(arrivals, services, 20.0, shares, rng, 30)
+    expected = rows_oracle(n_arr, arr, n_dep, dep, marks(rng.substream(1), arr.size, shares), 20.0)
     return np.array_equal(got, expected)
 
 
@@ -535,11 +599,11 @@ def test_queue_ends_count_an_arrival_before_a_service_at_the_same_instant(monkey
 
 
 def test_queue_ends_restart_the_running_minimum_at_each_row(monkeypatch):
-    arrivals, services, horizon, kept, rows = QUEUE_CASES[0]
-    expected = queue_rows_oracle(arrivals, services, horizon, kept, RngStream(seed=0), rows)[0]
+    arrivals, services, horizon, shares, rows = RENEWAL_CASES[0]
+    expected = queue_rows_oracle(arrivals, services, horizon, shares, RngStream(seed=0), rows)[0]
     # planted defect the oracle must catch: the minimum carried across rows
     monkeypatch.setattr(limitlab, "_row_cummin", lambda x, row: np.minimum.accumulate(x))
-    got = limitlab._queue_ends(arrivals, services, horizon, kept, RngStream(seed=0), rows)
+    got = limitlab._queue_ends(arrivals, services, horizon, shares, RngStream(seed=0), rows)
     assert not np.array_equal(got, expected)
     assert np.array_equal(got[0], expected[0])  # the first row has nothing to carry
 
@@ -547,39 +611,54 @@ def test_queue_ends_restart_the_running_minimum_at_each_row(monkeypatch):
 def test_one_row_chunk_matches_the_per_replica_queue():
     # one replica as it was built alone: a renewal timeline per side and
     # one uniform mark per arrival, the queue merged event by event
-    arrivals, services, heads = FppParams(0.9, 1.0), FppParams(0.3, 1.0), (1.0, 0.3)
+    arrivals, services, heads = FppParams(0.6, 1.1), FppParams(0.6, 1.0), (1.0, 0.3)
     for r in range(3):
         sub = RngStream(seed=8).substream(r)
         arr = processes.simulate_fpp_renewal(arrivals, 2e3, sub.substream(0)).times
         dep = processes.simulate_fpp_renewal(services, 2e3, sub.substream(2)).times
         u = sub.substream(1).generator().random(arr.size)
         expected = [one_class_queue(arr[u < head], dep, 2e3) for head in heads]
-        got = limitlab._queue_ends(arrivals, services, 2e3, limitlab._thinned(heads), sub, 1)
+        got = limitlab._queue_ends(arrivals, services, 2e3, heads, sub, 1)
         np.testing.assert_array_equal(got[0], np.array(expected))
 
 
 def test_queue_observables_draw_chunk_by_chunk():
-    arrivals, services, horizon, kept, _ = QUEUE_CASES[0]
-    chunk = limitlab._queue_rows(arrivals, services, horizon)
+    # through renewal arrival rows and through the arrivals' clock
+    for arrivals, services, horizon, shares, _ in (RENEWAL_CASES[0], CLOCK_CASES[0]):
+        chunk = limitlab._queue_rows(arrivals, services, horizon)
+        ends = lambda sub, m: limitlab._queue_ends(arrivals, services, horizon, shares, sub, m)
+        rng = RngStream(seed=5)
+        # fewer replicas than a chunk, then a chunk and one more
+        np.testing.assert_array_equal(map_replicas(ends, rng, 7, chunk=chunk), ends(rng.substream(0), 7))
+        got = map_replicas(ends, rng, chunk + 1, chunk=chunk)
+        np.testing.assert_array_equal(got, np.concatenate([ends(rng.substream(0), chunk),
+                                                           ends(rng.substream(1), 1)]))
+        np.testing.assert_array_equal(map_replicas(ends, rng, chunk + 1, jobs=2, chunk=chunk), got)
+
+
+def test_queue_chunks_are_sized_by_the_walks_the_reader_takes():
     mean = 1.1**0.6 * 1e3**0.6 / math.gamma(1.6)
-    assert chunk == limitlab._PAIR_STEPS // (int(mean) + 1) == 218
-    # the queue-scaling arrivals point reads about 32.9k arrivals a row: one
-    # row a chunk
-    assert limitlab._queue_rows(FppParams(0.9, 1.0), FppParams(0.3, 1.0), 1e5) == 1
-    ends = lambda sub, m: limitlab._queue_ends(arrivals, services, horizon, kept, sub, m)
-    rng = RngStream(seed=5)
-    # fewer replicas than a chunk, then a chunk and one more
-    np.testing.assert_array_equal(map_replicas(ends, rng, 7, chunk=chunk), ends(rng.substream(0), 7))
-    got = map_replicas(ends, rng, chunk + 1, chunk=chunk)
-    np.testing.assert_array_equal(got, np.concatenate([ends(rng.substream(0), chunk),
-                                                       ends(rng.substream(1), 1)]))
-    np.testing.assert_array_equal(map_replicas(ends, rng, chunk + 1, jobs=2, chunk=chunk), got)
+    assert limitlab._queue_rows(*RENEWAL_CASES[0][:3]) == limitlab._PAIR_STEPS // (int(mean) + 1) == 218
+    # a services-dominated queue at u = 1e5 walks about 32.9k services a
+    # row: one row a chunk
+    assert limitlab._queue_rows(FppParams(0.3, 1.0), FppParams(0.9, 1.0), 1e5) == 1
+    # the arrivals-dominated mirror walks only its about 35 services a row
+    services = 1e5**0.3 / math.gamma(1.3)
+    assert limitlab._reads_clock(FppParams(0.9, 1.0), FppParams(0.3, 1.0), 1e5)
+    assert limitlab._queue_rows(FppParams(0.9, 1.0), FppParams(0.3, 1.0), 1e5) == (
+        limitlab._PAIR_STEPS // (int(services) + 1)) == 455
+    # with about 1120 services a row against 32.9k arrivals the clock's loop
+    # would cost more than the arrivals' walk: m^2 >= 16 A
+    assert not limitlab._reads_clock(FppParams(0.9, 1.0), FppParams(0.6, 1.0), 1e5)
+    assert limitlab._queue_rows(FppParams(0.9, 1.0), FppParams(0.6, 1.0), 1e5) == 1
+    assert limitlab._reads_clock(FppParams(0.9, 1.0), FppParams(0.5, 1.0), 1e5)
+    assert not limitlab._reads_clock(FppParams(0.6, 1.0), FppParams(0.6, 1.0), 1e5)
 
 
 def test_renewal_rows_nudge_only_the_row_with_a_float_collision(monkeypatch):
     # a tie planted in one row of a chunk: that row alone is nudged, exactly
     # as _strictly_increasing nudges it, and the queue reads the nudged row
-    arrivals, services, horizon, kept, rows = QUEUE_CASES[0]
+    arrivals, services, horizon, shares, rows = RENEWAL_CASES[0]
     clean = processes._renewal_rows(arrivals, horizon, RngStream(seed=0).substream(0), rows)
     walks = processes._renewal_walks
     planted = {}
@@ -602,8 +681,8 @@ def test_renewal_rows_nudge_only_the_row_with_a_float_collision(monkeypatch):
     for r in set(range(rows)) - {7}:
         assert_bitwise_equal(got[r], before[r])
     np.testing.assert_array_equal(
-        limitlab._queue_ends(arrivals, services, horizon, kept, RngStream(seed=0), rows),
-        queue_rows_oracle(arrivals, services, horizon, kept, RngStream(seed=0), rows)[0])
+        limitlab._queue_ends(arrivals, services, horizon, shares, RngStream(seed=0), rows),
+        queue_rows_oracle(arrivals, services, horizon, shares, RngStream(seed=0), rows)[0])
 
 
 # two-clock functionals, evaluated at clock passages over rows of one level

@@ -361,6 +361,24 @@ def test_location_sampler_support():
     assert LocationSampler.empirical([2.0, 7.0]).support_infimum() == 2.0
 
 
+@pytest.mark.parametrize("locations, probes", [
+    (LocationSampler.uniform(1.0, 3.0), [0.5, 1.0, 1.1, 2.0, 2.999, 3.0, 4.0]),
+    (LocationSampler.exponential(2.0), [-1.0, 0.0, 0.05, 0.5, 1.0, 3.0]),
+    # unsorted atoms; the cdf at an atom includes it, as <= does
+    (LocationSampler.point_masses([2.0, 1.0, 1.05, 1.1], [0.4, 0.1, 0.2, 0.3]),
+     [0.5, 1.0, np.nextafter(1.05, 0.0), 1.05, 1.1, 1.5, 2.0, 2.5]),
+    (LocationSampler.empirical([0.5, 1.0, 1.0, 3.0, 0.2]), [0.1, 0.2, 0.9, 1.0, 2.9, 3.0, 9.0]),
+], ids=["uniform", "exponential", "points", "empirical"])
+def test_location_cdf_matches_the_empirical_cdf_of_sample(locations, probes):
+    n = 200_000
+    x = locations.sample(RngStream(seed=35), n)
+    for q in probes:
+        f = locations.cdf(q)
+        assert 0.0 <= f <= 1.0
+        assert abs(np.mean(x <= q) - f) <= 4.0 * math.sqrt(f * (1.0 - f) / n) + 1e-12
+    assert locations.cdf(-1.0) == 0.0 and locations.cdf(math.inf) == 1.0
+
+
 def test_location_sampler_draws():
     n = 20_000
     u = LocationSampler.uniform(1.0, 3.0).sample(RngStream(seed=33), n)

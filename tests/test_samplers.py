@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc
 from scipy.special import gamma as Gamma
 
 from fracq import (
@@ -21,7 +22,9 @@ from fracq import (
     sample_mittag_leffler_trig,
     sample_positive_stable,
 )
-from fracq.samplers import _mittag_leffler_steps, _stable_steps
+from fracq import samplers
+from fracq.processes import _level_walks
+from fracq.samplers import _inverse_clock_at, _kanter, _mittag_leffler_steps, _stable_steps
 
 N_LAW = 200_000
 Z_MAX = 4.0
@@ -248,3 +251,104 @@ def test_inverse_clock_mean_formula():
     theta, t = 0.4, 1.0
     y = sample_inverse_subordinator_at(theta, t, RngStream(seed=95), size=N_LAW)
     assert abs(z_score(y, 1.0 / Gamma(1.4))) < Z_MAX
+
+
+# the inverse clock at many times at once, drawn exactly passage by passage
+
+CLOCK_TIMES = (0.5, 1.0, 2.0)
+CLOCK_STEP = 0.5  # level spacing of the covering grid the joint law is checked on
+
+
+def swapped_beta(theta, times, rng):
+    """A planted defect: the undershoot drawn as d Beta(1 - theta, theta)."""
+
+    class Swapped:
+        def __init__(self, g):
+            self.g = g
+
+        def __getattr__(self, name):
+            return getattr(self.g, name)
+
+        def beta(self, a, b, size):
+            return self.g.beta(b, a, size)
+
+    class Stream:
+        def generator(self):
+            return Swapped(rng.generator())
+
+    return _inverse_clock_at(theta, times, Stream())
+
+
+def untilted(monkeypatch):
+    """A planted defect: the clock's growth divides by a plain stable S."""
+    monkeypatch.setattr(samplers, "_tilted_stable",
+                        lambda theta, g, n: _kanter(theta, 1.0 - g.random(n), g.standard_exponential(n)))
+    return _inverse_clock_at
+
+
+def fresh_at_each_time(theta, times, rng):
+    """A planted defect: no carry-over of L's value, so each time's clock
+    restarts afresh at the last time read."""
+    steps = np.diff(times, axis=1, prepend=0.0)
+    return np.cumsum(_inverse_clock_at(theta, steps.reshape(-1, 1), rng).reshape(times.shape), axis=1)
+
+
+def grid_level_counts(theta, n, rng):
+    """ceil(Y(t) / step) at CLOCK_TIMES from the covering grid: one more than
+    the count of levels k step with L(k step) <= t."""
+    count, levels = _level_walks(theta, CLOCK_STEP, max(CLOCK_TIMES), rng, n)
+    rows = np.split(levels, np.cumsum(count + 1)[:-1])
+    return np.array([np.searchsorted(row, CLOCK_TIMES, side="right") + 1 for row in rows])
+
+
+def joint_chi2_p(a, b):
+    """Two-sample chi-square p-value of integer rows a and b over their joint
+    cells, those with fewer than 10 rows in all pooled into one."""
+    cells, idx = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
+    table = np.stack([np.bincount(idx[: len(a)], minlength=len(cells)),
+                      np.bincount(idx[len(a):], minlength=len(cells))])
+    small = table.sum(axis=0) < 10
+    table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1]
+
+
+def clock_law_holds(sampler, theta, seed, n=20_000):
+    """sampler(theta, times, rng) against three exact laws: Y(t) at one time
+    against (t / S)^theta; the chance I_{a/b}(theta, 1 - theta) that Y does
+    not move over (a, b]; and the joint law of the level counts ceil(Y(t_j) /
+    step) at CLOCK_TIMES against the covering grid's."""
+    one = sampler(theta, np.full((n, 1), 1.5), RngStream(seed=seed))[:, 0]
+    ref = sample_inverse_subordinator_at(theta, 1.5, RngStream(seed=seed + 1), n)
+    ok = stats.ks_2samp(one, ref).pvalue > 1e-3
+    y = sampler(theta, np.tile(CLOCK_TIMES, (n, 1)), RngStream(seed=seed + 2))
+    for a, b in ((0, 1), (1, 2)):
+        e = betainc(theta, 1.0 - theta, CLOCK_TIMES[a] / CLOCK_TIMES[b])
+        z = ((y[:, a] == y[:, b]).mean() - e) / math.sqrt(e * (1.0 - e) / n)
+        ok = ok and abs(z) < Z_MAX
+    grid = grid_level_counts(theta, n, RngStream(seed=seed + 3))
+    return ok and joint_chi2_p(np.ceil(y / CLOCK_STEP).astype(int), grid) > 1e-3
+
+
+@pytest.mark.parametrize("theta, seed", [(0.3, 201), (0.6, 205), (0.9, 209)])
+def test_inverse_clock_at_many_times_has_the_exact_laws(theta, seed):
+    assert clock_law_holds(_inverse_clock_at, theta, seed)
+
+
+@pytest.mark.parametrize("defect", ["swapped_beta", "untilted", "fresh_at_each_time"])
+def test_inverse_clock_checks_catch_planted_defects(monkeypatch, defect):
+    sampler = untilted(monkeypatch) if defect == "untilted" else globals()[defect]
+    assert not clock_law_holds(sampler, 0.6, 205)
+
+
+def test_inverse_clock_at_theta_one_returns_the_times():
+    times = np.array([[0.0, 0.5, 0.5, 2.0], [1.0, 3.0, 4.0, 4.0]])
+    np.testing.assert_array_equal(_inverse_clock_at(1.0, times, RngStream(seed=0)), times)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.99])
+def test_inverse_clock_at_stays_finite_and_nondecreasing(theta):
+    # zero, repeated and far-apart times; a RuntimeWarning is an error here
+    times = np.tile([0.0, 1e-12, 1e-12, 1.0, 1.0, 1e6], (5000, 1))
+    y = _inverse_clock_at(theta, times, RngStream(seed=3))
+    assert np.all(np.isfinite(y)) and np.all(y[:, 0] == 0.0)
+    assert np.all(np.diff(y, axis=1) >= 0.0) and np.all(y[:, 1:3] == y[:, [1]])

@@ -92,3 +92,34 @@ def test_calibrate_tests_a_least_p_value_against_the_law_of_a_minimum(tmp_path, 
     assert calibrate.summarize(reports, 0.0)["min_p"] is None  # not a minimum at every seed
     assert calibrate.summarize(reports[:1], 0.0)["min_p"]["k"] == 2
     assert calibrate.main(["--only", "nothing", "--out", str(out)]) == 2
+
+
+def test_calibrate_plants_each_defect_for_its_run_only(tmp_path, capsys):
+    calibrate = load_script("calibrate")
+    sound = {name: getattr(module, attr) for name, (module, attr, _) in calibrate.DEFECTS.items()}
+
+    def run(only, defect=None):
+        out = tmp_path / f"{only}-{defect}"
+        argv = ["--only", only, "--seeds", "1", "--scale", "0.02", "--out", str(out)]
+        assert calibrate.main(argv + ([] if defect is None else ["--defect", defect])) == 0
+        for name, (module, attr, _) in calibrate.DEFECTS.items():
+            assert getattr(module, attr) is sound[name]  # put back after the run
+        summary = json.loads((out / f"{only}.json").read_text())
+        assert summary["defect"] == defect
+        return summary["statistics"][0], summary["passes"]
+
+    # each defect against an experiment it reaches: the walks and Kanter's
+    # transform feed the pmf experiment, the column shares the queue
+    reaches = {"kanter_gamma2": "pmf_theta_0.7", "ml_swapped": "pmf_theta_0.7",
+               "ml_power": "pmf_theta_0.7", "head_off": "queue_scaling_arrivals"}
+    assert sorted(reaches) == sorted(calibrate.DEFECTS)
+    clean = {only: run(only) for only in set(reaches.values())}
+    assert "[defect" not in capsys.readouterr().out
+    for defect, only in reaches.items():
+        planted = run(only, defect)
+        assert f"[defect {defect}]" in capsys.readouterr().out
+        assert planted[0] != clean[only][0]
+        if defect == "kanter_gamma2":  # the time-change counts' pmf moves
+            assert planted[1] == 0
+    with pytest.raises(SystemExit):
+        calibrate.main(["--defect", "nothing"])
