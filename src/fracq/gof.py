@@ -13,10 +13,10 @@ from .errors import ParameterError
 
 def ecdf(sample) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values and the empirical CDF evaluated at them."""
-    x = np.sort(np.asarray(sample, dtype=float))
+    x = np.asarray(sample, dtype=float)
     if x.size == 0:
         raise ParameterError("empty sample")
-    vals, counts = np.unique(x, return_counts=True)
+    vals, counts = np.unique(x, return_counts=True)  # sorted
     return vals, np.cumsum(counts) / x.size
 
 
@@ -45,12 +45,37 @@ def ks_one_sample(x, cdf) -> tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
+def _pool(observed, expected, min_expected: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pool cells until every expected count reaches min_expected or two
+    cells remain: the right tail into the cell before it, then each run of
+    small interior cells, in one pass, into the cell after it."""
+    obs, exp = list(observed), list(expected)
+    while len(obs) > 2 and exp[-1] < min_expected:
+        tail_e, tail_o = exp.pop(), obs.pop()
+        exp[-1] += tail_e
+        obs[-1] += tail_o
+    # the last cell is now big enough (or one of two), so every run ends on
+    # a cell; -0.0 is the empty carry, as x + -0.0 is x, a zero's sign too
+    pooled_o, pooled_e = [], []
+    carry_o = carry_e = -0.0
+    for k, (o, e) in enumerate(zip(obs, exp)):
+        o, e = o + carry_o, e + carry_e
+        if e < min_expected and len(pooled_e) + len(exp) - k > 2:
+            carry_o, carry_e = o, e
+        else:
+            pooled_o.append(o)
+            pooled_e.append(e)
+            carry_o = carry_e = -0.0
+    return np.asarray(pooled_o), np.asarray(pooled_e)
+
+
 def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, float, int]:
     """Chi-square GOF test of an integer sample against pmf[n] = P(N = n).
 
     Outcomes >= len(pmf) fall into an overflow cell with the complementary
-    probability.  Cells are pooled from the right until every expected count
-    reaches `min_expected`.  Returns (statistic, p-value, degrees of freedom).
+    probability.  Cells are pooled until every expected count reaches
+    `min_expected`, or two cells remain.  Returns (statistic, p-value,
+    degrees of freedom).
     """
     x = np.asarray(sample)
     if x.size == 0:
@@ -65,23 +90,7 @@ def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, fl
     observed = np.bincount(np.minimum(x, probs.size), minlength=n_cells).astype(float)
     expected = n * np.concatenate([probs, [max(0.0, 1.0 - probs.sum())]])
 
-    # pool from the right tail until the last live cell is big enough
-    obs_list, exp_list = list(observed), list(expected)
-    while len(obs_list) > 2 and exp_list[-1] < min_expected:
-        tail_e, tail_o = exp_list.pop(), obs_list.pop()
-        exp_list[-1] += tail_e
-        obs_list[-1] += tail_o
-    # pool any remaining small interior cells into their right neighbor
-    i = 0
-    while i < len(exp_list):
-        if exp_list[i] < min_expected and len(exp_list) > 2:
-            moved_e, moved_o = exp_list.pop(i), obs_list.pop(i)
-            j = i if i < len(exp_list) else i - 1
-            exp_list[j] += moved_e
-            obs_list[j] += moved_o
-        else:
-            i += 1
-    obs_arr, exp_arr = np.asarray(obs_list), np.asarray(exp_list)
+    obs_arr, exp_arr = _pool(observed, expected, min_expected)
     if np.any(exp_arr <= 0):
         raise ParameterError("expected counts must be positive after pooling")
     dof = obs_arr.size - 1

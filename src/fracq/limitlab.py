@@ -16,6 +16,13 @@ kept arrivals there counted from the rows of one renewal walk of arrivals or,
 when arrivals dominate, drawn through their exact clock.  map_replicas runs
 every replica loop as chunks, chunk c from substream c, of a size set by the
 parameters alone (_chunk_rows), so no result depends on jobs.
+
+Each verify_* experiment returns what it found, a _Verdict (statistic,
+threshold, direction, details, artifacts).  The decorator _experiment makes
+the ExperimentReport from it: the call's arguments, bound to the signature,
+are its parameters, less the run settings (replicas, rng, tolerances,
+resolution, out_dir, jobs, verbose); it writes the report's JSON and prints
+its summary line.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -123,13 +130,69 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _finish(report: ExperimentReport, out_dir: str | None, verbose: bool) -> ExperimentReport:
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        report.write_json(os.path.join(out_dir, f"{report.name}.json"))
-    if verbose:
-        print(report.summary_line())
-    return report
+class _Verdict(NamedTuple):
+    """What one experiment found: the fields of its report that its
+    arguments do not give."""
+
+    statistic: float
+    threshold: float
+    direction: str
+    details: dict
+    artifacts: list[str] | tuple[str, ...] = ()
+
+
+# arguments that set how an experiment runs, not the point it checks; a
+# report's parameters are the other arguments
+_RUN_SETTINGS = frozenset({"replicas", "rng", "p_min", "z_max", "concentration_tol",
+                           "degenerate_tol", "resolution", "out_dir", "jobs", "verbose"})
+
+
+def _parameters(arguments: dict) -> dict:
+    params = {}
+    for arg, value in arguments.items():
+        if arg == "probs":
+            params["p"] = list(value.p)
+        elif arg == "locations":
+            params["location_kind"] = value.kind
+        elif arg in ("horizons", "t_values"):
+            params[arg] = [float(h) for h in value]
+        elif arg not in _RUN_SETTINGS:
+            params[arg] = value
+    return params
+
+
+def _experiment(name: str):
+    """Decorate an experiment that returns its _Verdict: the call returns
+    the report `name` instead, whose parameters are the call's arguments
+    bound to the signature, less the run settings.  The report is written
+    to out_dir/name.json when out_dir is set, and its summary line printed
+    when verbose is."""
+
+    def decorate(verify):
+        signature = inspect.signature(verify)
+
+        @wraps(verify)
+        def run(*args, **kwargs) -> ExperimentReport:
+            found = verify(*args, **kwargs)
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            given = call.arguments
+            report = ExperimentReport(name, _parameters(given), found.statistic, found.threshold,
+                                      found.direction, given["replicas"], given["rng"].seed,
+                                      found.details, tuple(found.artifacts))
+            if given["out_dir"] is not None:
+                os.makedirs(given["out_dir"], exist_ok=True)
+                report.write_json(os.path.join(given["out_dir"], f"{name}.json"))
+            if given["verbose"]:
+                print(report.summary_line())
+            return report
+
+        # callers read the experiment's signature (cli, battery): verify's
+        # parameters, returning the report
+        run.__signature__ = signature.replace(return_annotation="ExperimentReport")
+        return run
+
+    return decorate
 
 
 def _ecdf_artifact(out_dir: str | None, name: str, sample) -> list[str]:
@@ -483,6 +546,7 @@ def _require_ks_can_reject(replicas: int, p_min: float) -> None:
                              f"p_min = {p_min}; need at least {n}")
 
 
+@_experiment("pmf-agreement")
 def verify_pmf(
     theta: float,
     lam: float,
@@ -492,7 +556,7 @@ def verify_pmf(
     p_min: float = DEFAULT_P_MIN,
     out_dir: str | None = None,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Both process constructions against the analytic pmf, and against
     each other."""
     _require_positive(t=t)
@@ -513,20 +577,10 @@ def verify_pmf(
     }
     artifacts = _ecdf_artifact(out_dir, "pmf_renewal_ecdf", ren)
     artifacts += _ecdf_artifact(out_dir, "pmf_timechange_ecdf", tch)
-    report = ExperimentReport(
-        name="pmf-agreement",
-        parameters={"theta": theta, "lam": lam, "t": t},
-        statistic=float(min(chi_ren[1], chi_tch[1], p_cross)),
-        threshold=p_min,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details=details,
-        artifacts=tuple(artifacts),
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(float(min(chi_ren[1], chi_tch[1], p_cross)), p_min, ">", details, artifacts)
 
 
+@_experiment("thinning-covariance")
 def verify_covariance(
     alpha: float,
     lam: float,
@@ -537,7 +591,7 @@ def verify_covariance(
     z_max: float = DEFAULT_Z_MAX,
     out_dir: str | None = None,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Empirical second moments of thinned counts against the analytic
     covariance p_i p_j lam^(2 alpha) Var Y_alpha(t) (and the matching
     per-class variances)."""
@@ -564,20 +618,11 @@ def verify_covariance(
             z_scores[f"target_{i + 1}{j + 1}"] = float(target)
             z_scores[f"empirical_{i + 1}{j + 1}"] = float(prod.mean())
             z_abs.append(abs(z))
-    report = ExperimentReport(
-        name="thinning-covariance",
-        parameters={"alpha": alpha, "lam": lam, "p": list(probs.p), "t": t},
-        # np.max, unlike max(), keeps a NaN z-score (replicas < 2): FAIL
-        statistic=float(np.max(z_abs)),
-        threshold=z_max,
-        direction="<",
-        replicas=replicas,
-        seed=rng.seed,
-        details=z_scores,
-    )
-    return _finish(report, out_dir, verbose)
+    # np.max, unlike max(), keeps a NaN z-score (replicas < 2): FAIL
+    return _Verdict(float(np.max(z_abs)), z_max, "<", z_scores)
 
 
+@_experiment("lln")
 def verify_lln(
     theta: float,
     lam: float,
@@ -590,7 +635,7 @@ def verify_lln(
     concentration_tol: float = 0.05,
     out_dir: str | None = None,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Scaled class counts N_i(ut)/u^theta against the law lam^theta p_i Y(t);
     at theta = 1 the limit is deterministic and the check is an RMS window."""
     _require_positive(t=t, u=u, concentration_tol=concentration_tol)
@@ -602,22 +647,13 @@ def verify_lln(
     split = rng.substream(1).generator().multinomial(total, probs.p).astype(float)
     scaled = split / u**theta
     rate = lam**theta
-    artifacts: list[str] = []
     if theta == 1.0:
         rms = np.sqrt(((scaled - rate * probs.p * t) ** 2).mean(axis=0))
-        report = ExperimentReport(
-            name="lln",
-            parameters={"theta": theta, "lam": lam, "p": list(probs.p), "t": t, "u": u},
-            statistic=float(rms.max()),
-            threshold=concentration_tol,
-            direction="<",
-            replicas=replicas,
-            seed=rng.seed,
-            details={"rms_per_class": [float(v) for v in rms]},
-        )
-        return _finish(report, out_dir, verbose)
+        return _Verdict(float(rms.max()), concentration_tol, "<",
+                        {"rms_per_class": [float(v) for v in rms]})
     y = sample_inverse_subordinator_at(theta, t, rng.substream(2), size=replicas)
     details: dict = {}
+    artifacts: list[str] = []
     p_vals = []
     for i in range(probs.n_classes):
         oracle = rate * probs.p[i] * y
@@ -628,20 +664,10 @@ def verify_lln(
         artifacts += _ecdf_artifact(out_dir, f"lln_class{i + 1}_oracle_ecdf", oracle)
     if probs.n_classes >= 2:
         details["corr_12"] = float(np.corrcoef(scaled[:, 0], scaled[:, 1])[0, 1])
-    report = ExperimentReport(
-        name="lln",
-        parameters={"theta": theta, "lam": lam, "p": list(probs.p), "t": t, "u": u},
-        statistic=float(min(p_vals)),
-        threshold=p_min,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details=details,
-        artifacts=tuple(artifacts),
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(float(min(p_vals)), p_min, ">", details, artifacts)
 
 
+@_experiment("fclt")
 def verify_fclt(
     theta: float,
     lam: float,
@@ -654,7 +680,7 @@ def verify_fclt(
     z_max: float = DEFAULT_Z_MAX,
     out_dir: str | None = None,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Compensated class counts (N_i(ut) - p_i lam^theta Y(ut)) / u^(theta/2)
     against independent Brownian motions run on an independent clock.
 
@@ -713,18 +739,7 @@ def verify_fclt(
     statistic = float(min(p_vals)) if z_ok else -1.0
     if not z_ok:
         details["z_window_violation"] = True
-    report = ExperimentReport(
-        name="fclt",
-        parameters={"theta": theta, "lam": lam, "p": list(probs.p), "t": t, "u": u},
-        statistic=statistic,
-        threshold=p_min,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details=details,
-        artifacts=tuple(artifacts),
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(statistic, p_min, ">", details, artifacts)
 
 
 def _regime(alpha: float, beta: float) -> str:
@@ -735,6 +750,7 @@ def _regime(alpha: float, beta: float) -> str:
     return "balanced"
 
 
+@_experiment("queue-scaling")
 def verify_queue_scaling(
     alpha: float,
     beta: float,
@@ -752,7 +768,7 @@ def verify_queue_scaling(
     out_dir: str | None = None,
     jobs: int = 1,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Scaled aggregate queue Q_{<=i}(ut) / u^gamma against its limit law.
 
     gamma = max(alpha, beta).  Regimes: arrivals dominate (limit
@@ -808,30 +824,10 @@ def verify_queue_scaling(
             artifacts += _ecdf_artifact(out_dir, "queue_scaling_per_class_ecdf", per_class)
             p_all.append(p_pc)
         statistic, threshold, direction = float(min(p_all)), p_min, ">"
-
-    report = ExperimentReport(
-        name="queue-scaling",
-        parameters={
-            "alpha": alpha,
-            "beta": beta,
-            "lam": lam,
-            "mu": mu,
-            "p": list(probs.p),
-            "i": i,
-            "t": t,
-            "u": u,
-        },
-        statistic=statistic,
-        threshold=threshold,
-        direction=direction,
-        replicas=replicas,
-        seed=rng.seed,
-        details=details,
-        artifacts=tuple(artifacts),
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(statistic, threshold, direction, details, artifacts)
 
 
+@_experiment("centered-queue-clt")
 def verify_centered_queue_clt(
     alpha: float,
     beta: float,
@@ -848,7 +844,7 @@ def verify_centered_queue_clt(
     out_dir: str | None = None,
     jobs: int = 1,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Reflected compensated netflow, scaled by u^(gamma/2), against the
     reflected difference of Brownian motions on independent inverse clocks."""
     _require_positive(t=t, u=u, resolution=resolution)
@@ -874,33 +870,12 @@ def verify_centered_queue_clt(
     d, p = ks_two_sample(observable, oracle)
     artifacts = _ecdf_artifact(out_dir, "centered_clt_observable_ecdf", observable)
     artifacts += _ecdf_artifact(out_dir, "centered_clt_oracle_ecdf", oracle)
-    report = ExperimentReport(
-        name="centered-queue-clt",
-        parameters={
-            "alpha": alpha,
-            "beta": beta,
-            "lam": lam,
-            "mu": mu,
-            "p": list(probs.p),
-            "i": i,
-            "t": t,
-            "u": u,
-        },
-        statistic=float(p),
-        threshold=p_min,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details={
-            "ks": {"D": d, "p": p},
-            "mean_observable": float(observable.mean()),
-            "mean_oracle": float(oracle.mean()),
-        },
-        artifacts=tuple(artifacts),
-    )
-    return _finish(report, out_dir, verbose)
+    details = {"ks": {"D": d, "p": p}, "mean_observable": float(observable.mean()),
+               "mean_oracle": float(oracle.mean())}
+    return _Verdict(float(p), p_min, ">", details, artifacts)
 
 
+@_experiment("recurrence")
 def verify_recurrence(
     alpha: float,
     lam: float,
@@ -912,7 +887,7 @@ def verify_recurrence(
     out_dir: str | None = None,
     jobs: int = 1,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Median emptying count and median running maximum of the total queue
     must both grow strictly along increasing horizons.
 
@@ -928,25 +903,11 @@ def verify_recurrence(
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
     margins = [b - a for a, b in zip(med_empty, med_empty[1:])]
     margins += [b - a for a, b in zip(med_max, med_max[1:])]
-    report = ExperimentReport(
-        name="recurrence",
-        parameters={
-            "alpha": alpha,
-            "lam": lam,
-            "mu": mu,
-            "p": list(probs.p),
-            "horizons": horizons,
-        },
-        statistic=float(min(margins)),
-        threshold=0.0,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details={"median_emptyings": med_empty, "median_running_max": med_max},
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(float(min(margins)), 0.0, ">",
+                    {"median_emptyings": med_empty, "median_running_max": med_max})
 
 
+@_experiment("oscillation")
 def verify_oscillation(
     theta: float,
     c: float,
@@ -957,7 +918,7 @@ def verify_oscillation(
     out_dir: str | None = None,
     jobs: int = 1,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """The difference Y(s) - c Y~(s) of independent inverse clocks must
     oscillate without bound: median running min strictly decreases and median
     running max strictly increases along growing horizons."""
@@ -972,19 +933,11 @@ def verify_oscillation(
     med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
     margins = [a - b for a, b in zip(med_min, med_min[1:])]
     margins += [b - a for a, b in zip(med_max, med_max[1:])]
-    report = ExperimentReport(
-        name="oscillation",
-        parameters={"theta": theta, "c": c, "horizons": horizons},
-        statistic=float(min(margins)),
-        threshold=0.0,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details={"median_running_min": med_min, "median_running_max": med_max},
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(float(min(margins)), 0.0, ">",
+                    {"median_running_min": med_min, "median_running_max": med_max})
 
 
+@_experiment("best-ask")
 def verify_best_ask(
     alpha: float,
     beta: float,
@@ -998,7 +951,7 @@ def verify_best_ask(
     out_dir: str | None = None,
     jobs: int = 1,
     verbose: bool = True,
-) -> ExperimentReport:
+) -> _Verdict:
     """Best ask converging to the support infimum: exceedance probabilities
     P(best ask > a + eps) must be nonincreasing in t and small at the largest
     horizon, while the queue near the infimum outgrows t^(beta/2)."""
@@ -1043,25 +996,7 @@ def verify_best_ask(
         "near_mass_freq": {str(eps): seq for eps, seq in mass_freq.items()},
         "monotone_ok": monotone_ok,
     }
-    report = ExperimentReport(
-        name="best-ask",
-        parameters={
-            "alpha": alpha,
-            "beta": beta,
-            "lam": lam,
-            "mu": mu,
-            "t_values": t_values,
-            "eps_values": list(eps_values),
-            "location_kind": locations.kind,
-        },
-        statistic=statistic,
-        threshold=0.0,
-        direction=">",
-        replicas=replicas,
-        seed=rng.seed,
-        details=details,
-    )
-    return _finish(report, out_dir, verbose)
+    return _Verdict(statistic, 0.0, ">", details)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import chdtrc
 
 from fracq import ParameterError, ecdf, ks_one_sample, ks_two_sample
-from fracq.gof import chi_square_counts
+from fracq.gof import _pool, chi_square_counts
 
 
 def test_ecdf_by_hand():
@@ -103,6 +105,62 @@ def test_chi_square_tail_pooling():
     # expected 40, 30, 20, 6, 2, 1, 1: the last three pool into the 6 cell
     assert dof == 3
     assert stat < 1e-12
+
+
+def _pool_by_list_pop(observed, expected, min_expected):
+    """Reference pooling, one list.pop per pooled cell (quadratic in the cell
+    count): the right tail into the cell before it, then each small
+    interior cell into its right neighbor (the last into its left), while
+    more than two cells remain."""
+    obs_list, exp_list = list(observed), list(expected)
+    while len(obs_list) > 2 and exp_list[-1] < min_expected:
+        tail_e, tail_o = exp_list.pop(), obs_list.pop()
+        exp_list[-1] += tail_e
+        obs_list[-1] += tail_o
+    i = 0
+    while i < len(exp_list):
+        if exp_list[i] < min_expected and len(exp_list) > 2:
+            moved_e, moved_o = exp_list.pop(i), obs_list.pop(i)
+            j = i if i < len(exp_list) else i - 1
+            exp_list[j] += moved_e
+            obs_list[j] += moved_o
+        else:
+            i += 1
+    return np.asarray(obs_list), np.asarray(exp_list)
+
+
+# pmf weights: mostly small next to a few large ones, so that runs of small
+# interior cells form, and a small sample pools down to two cells; -0.0
+# passes the pmf check, and pooling keeps the sign of a zero as it was
+_WEIGHT = st.one_of(st.sampled_from([-0.0, 0.0, 1e-6, 1e-3, 0.01, 0.1]), st.floats(0.0, 1.0))
+
+
+@given(st.lists(st.tuples(_WEIGHT, st.integers(0, 30)), min_size=1, max_size=80),
+       st.integers(0, 30), st.floats(0.5, 1.0), st.sampled_from([1.0, 5.0, 20.0]))
+@example([(0.3, 30)] + [(1e-3, 1)] * 40 + [(0.3, 30)] + [(1e-3, 0)] * 40 + [(0.3, 30)],
+         5, 1.0, 5.0)  # two runs of 40 small interior cells
+@example([(0.1, 2)] * 30, 1, 0.9, 20.0)  # every cell small: two cells remain
+@example([(-0.0, 0), (1.0, 3)], 0, 1.0, 0.0)  # a -0.0 cell, kept: no pooling
+@settings(max_examples=300, deadline=None)
+def test_one_pass_pooling_matches_list_pop_pooling(cells, overflow, mass, min_expected):
+    counts = [c for _, c in cells] + [overflow]
+    weights = np.array([w for w, _ in cells])
+    assume(sum(counts) > 0 and weights.sum() > 0)
+    pmf = mass * weights / weights.sum()
+    sample = np.repeat(np.arange(len(counts)), counts)
+    observed = np.asarray(counts, dtype=float)
+    expected = sample.size * np.append(pmf, max(0.0, 1.0 - pmf.sum()))
+    got, want = _pool(observed, expected, min_expected), _pool_by_list_pop(
+        observed, expected, min_expected)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # bit for bit
+    obs, exp = want
+    if obs.size >= 2 and np.all(exp > 0):
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert chi_square_counts(sample, pmf, min_expected) == (
+            stat, float(chdtrc(obs.size - 1, stat)), obs.size - 1)
+    else:
+        with pytest.raises(ParameterError):
+            chi_square_counts(sample, pmf, min_expected)
 
 
 def test_chi_square_detects_wrong_pmf():

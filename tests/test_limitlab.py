@@ -846,6 +846,32 @@ def test_two_clock_oracles_draw_chunk_by_chunk(case):
     assert_bitwise_equal(sampler.sample(rng, chunk + 1, jobs=2), got)
 
 
+# each experiment's report parameters: its arguments less the run settings,
+# probs recorded as p and locations as location_kind
+PARAMETER_KEYS = {
+    "pmf-agreement": ["lam", "t", "theta"],
+    "thinning-covariance": ["alpha", "lam", "p", "t"],
+    "lln": ["lam", "p", "t", "theta", "u"],
+    "fclt": ["lam", "p", "t", "theta", "u"],
+    "queue-scaling": ["alpha", "beta", "i", "lam", "mu", "p", "t", "u"],
+    "centered-queue-clt": ["alpha", "beta", "i", "lam", "mu", "p", "t", "u"],
+    "recurrence": ["alpha", "horizons", "lam", "mu", "p"],
+    "oscillation": ["c", "horizons", "theta"],
+    "best-ask": ["alpha", "beta", "eps_values", "lam", "location_kind", "mu", "t_values"],
+}
+
+
+def test_report_parameters_are_the_experiment_point_without_run_settings():
+    # every battery entry, so every regime and branch (queue scaling's
+    # services-dominated mean window, lln's theta = 1 RMS window) reports
+    seen = set()
+    for _, run in limitlab.battery(0, scale=0.01):
+        report = run(None).to_dict()
+        assert sorted(report["parameters"]) == PARAMETER_KEYS[report["name"]], report["name"]
+        seen.add(report["name"])
+    assert seen == set(PARAMETER_KEYS)
+
+
 def test_battery_keys_streams_by_offset_and_scales_replicas():
     runners = dict(limitlab.battery(3, 0.001, 1))
     assert list(runners) == list(limitlab.BATTERY)
