@@ -36,7 +36,9 @@ rejects slips through.  The defects (DEFECTS):
 - ml_power: the Mittag-Leffler gap's sine ratio raised to theta, not
   1 / theta, in every renewal walk;
 - head_off: every thinning head P_i (a queue's column share) read 0.02 high
-  in the queue observables.
+  in the queue observables;
+- brownian_yb_dropped: the two-sided Brownian limit law drawn without its
+  Y_b term, as sqrt(coef_a Y_a) |z| (the centered CLT's balanced oracle).
 
     python scripts/calibrate.py --only queue_scaling_balanced --seeds 50
     python scripts/calibrate.py --only queue_scaling_arrivals --seeds 10 --defect head_off
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -86,12 +89,21 @@ def _head_off(queue_ends):
     return ends
 
 
-# name -> (module, attribute, the defective attribute made from the sound one)
+def _brownian_yb_dropped(sample):
+    def draws(law, rng, size, jobs=1):
+        if law.brownian:
+            law = dataclasses.replace(law, coef_b=0.0)
+        return sample(law, rng, size, jobs)
+    return draws
+
+
+# name -> (owner, attribute, the defective attribute made from the sound one)
 DEFECTS = {
     "kanter_gamma2": (samplers, "_kanter", _kanter_gamma2),
     "ml_swapped": (processes, "_mittag_leffler_steps", _ml_swapped),
     "ml_power": (processes, "_mittag_leffler_steps", _ml_power),
     "head_off": (limitlab, "_queue_ends", _head_off),
+    "brownian_yb_dropped": (limitlab.LimitLawSampler, "sample", _brownian_yb_dropped),
 }
 
 
@@ -101,13 +113,13 @@ def planted(name: str | None):
     if name is None:
         yield
         return
-    module, attr, make = DEFECTS[name]
-    sound = getattr(module, attr)
-    setattr(module, attr, make(sound))
+    owner, attr, make = DEFECTS[name]
+    sound = getattr(owner, attr)
+    setattr(owner, attr, make(sound))
     try:
         yield
     finally:
-        setattr(module, attr, sound)
+        setattr(owner, attr, sound)
 
 
 def p_values(details: dict, prefix: str = "") -> dict[str, float]:

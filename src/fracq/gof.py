@@ -83,8 +83,9 @@ def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, fl
     if np.any(x < 0):
         raise ParameterError("sample must be nonnegative integers")
     probs = np.asarray(pmf, dtype=float)
-    if probs.size == 0 or np.any(probs < 0) or probs.sum() > 1.0 + 1e-9:
-        raise ParameterError("pmf must be nonnegative with total mass at most 1")
+    # NaN fails probs >= 0, and +inf the total mass
+    if probs.size == 0 or not np.all(probs >= 0) or probs.sum() > 1.0 + 1e-9:
+        raise ParameterError("pmf must be finite and nonnegative with total mass at most 1")
     n = x.size
     n_cells = probs.size + 1
     observed = np.bincount(np.minimum(x, probs.size), minlength=n_cells).astype(float)
@@ -96,6 +97,7 @@ def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, fl
     dof = obs_arr.size - 1
     if dof < 1:
         raise ParameterError("need at least two cells after pooling")
-    statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
+    with np.errstate(over="ignore"):  # a subnormal expected count: inf, p = 0
+        statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     pvalue = float(chdtrc(dof, statistic))  # the chi2(dof) survival function
     return statistic, pvalue, dof

@@ -2,10 +2,10 @@
 
 Each experiment simulates an observable from the event-level construction,
 samples the claimed limit law by an independent route, and reduces the
-comparison to one binding statistic with a pass direction.  Limit processes
-built from inverse stable clocks are sampled either exactly at a single time
-(via the stable subordinator identity) or pathwise on first-passage grids
-whose resolution bounds the reflection bias.
+comparison to one binding statistic with a pass direction.  Limit laws
+built from inverse stable clocks are drawn exactly at a single time (via the
+stable subordinator identity), except the reflected difference of two monotone
+paths, read on first-passage grids whose resolution bounds the reflection bias.
 
 Every path-level observable and oracle is drawn for a chunk of replicas at
 once and read only where its path can turn.  A functional of two independent
@@ -316,16 +316,16 @@ def _row_min(x: np.ndarray, clock: _Clock) -> np.ndarray:
 
 
 def _reflected_ends(theta_a: float, coefs_a, theta_b: float, coef_b: float, t: float,
-                    resolution: float, rng: RngStream, rows: int) -> list[np.ndarray]:
-    """Phi(c Y_a - coef_b Y_b)(t) for each c in coefs_a, over the same `rows`
-    clock pairs.  The path rises only at Y_a's passages, so its running
-    minimum is 0 or its value just after one of Y_b's."""
+                    resolution: float, rng: RngStream, rows: int) -> np.ndarray:
+    """Phi(c Y_a - coef_b Y_b)(t) in column j for c = coefs_a[j], over the
+    same `rows` clock pairs.  The path rises only at Y_a's passages, so its
+    running minimum is 0 or its value just after one of Y_b's."""
     a, b = _clock_pair(theta_a, theta_b, t, resolution, rng, rows)
     ends = []
     for c in coefs_a:
         _, after_b, end = _passage_values(a, c * (a.step * a.k), b, coef_b * (b.step * b.k))
         ends.append(end - _row_min(after_b, b))
-    return ends
+    return np.column_stack(ends)
 
 
 def _clock_extremes(theta: float, c: float, resolution: float, horizon: float,
@@ -337,22 +337,20 @@ def _clock_extremes(theta: float, c: float, resolution: float, horizon: float,
     return np.column_stack([_row_min(after_b, b), np.maximum.reduceat(after_a, a.off[:-1])])
 
 
-def _walk_ends(theta_a: float, coef_a: float, theta_b: float, coef_b: float, t: float,
-               resolution: float, rng: RngStream, rows: int, poisson: bool = False) -> np.ndarray:
-    """Phi(W_a(Y_a) - W_b(Y_b))(t) over `rows` clock pairs, each W drawn level
-    by level from substreams 2 and 3, row after row: sqrt(coef) B with B a
-    Brownian motion, or, if poisson, the compensated N - coef Y with N a
-    Poisson process of rate coef.  The path moves both ways at both clocks'
-    passages, so its minimum is taken over both."""
+def _walk_ends(theta_a: float, rate_a: float, theta_b: float, rate_b: float, t: float,
+               resolution: float, rng: RngStream, rows: int) -> np.ndarray:
+    """Phi(M_a(Y_a) - M_b(Y_b))(t) over `rows` clock pairs, M = N - rate Y the
+    compensated Poisson process N of rate `rate`, its counts drawn level by
+    level from substreams 2 and 3, row after row.  The path moves both ways
+    at both clocks' passages, so its minimum is taken over both."""
     a, b = _clock_pair(theta_a, theta_b, t, resolution, rng, rows)
     w = []
-    for j, clock, coef in ((2, a, coef_a), (3, b, coef_b)):
-        g, step, m = rng.substream(j).generator(), clock.step, clock.k.size - rows
-        x = np.zeros(clock.k.size)  # the increments, 0 at each row's k = 0
-        x[clock.k > 0] = g.poisson(coef * step, m) if poisson else g.normal(0.0, math.sqrt(step), m)
-        bounds = zip(clock.off[:-1], clock.off[1:])
-        sums = np.concatenate([np.cumsum(x[lo:hi]) for lo, hi in bounds])
-        w.append(sums - coef * (step * clock.k) if poisson else math.sqrt(coef) * sums)
+    for j, clock, rate in ((2, a, rate_a), (3, b, rate_b)):
+        n = np.zeros(clock.k.size, np.int64)  # the counts, 0 at each row's k = 0
+        n[clock.k > 0] = rng.substream(j).generator().poisson(rate * clock.step, n.size - rows)
+        n = np.cumsum(n)  # in integers, so each row's own sums are exact differences
+        n -= np.repeat(n[clock.off[:-1]], np.diff(clock.off))
+        w.append(n - rate * (clock.step * clock.k))
     after_a, after_b, end = _passage_values(a, w[0], b, w[1])
     return end - np.minimum(_row_min(after_a, a), _row_min(after_b, b))
 
@@ -363,10 +361,13 @@ class LimitLawSampler:
     of paths X = coef Y, or sqrt(coef) B(Y) with B a Brownian motion when
     brownian is set, on independent inverse clocks of indices theta_a, theta_b.
 
-    With coef_b = 0 the draw is exact: the reflection of a nondecreasing path
-    started at 0 is the path, and continuity of the clock gives Phi(B o Y)(t)
-    =d |B(Y(t))|.  Otherwise the paths are read at the clocks' level
-    passages, on levels spaced resolution * t^theta.
+    The Brownian law is exact: given the clocks, X_a - X_b is B o Z in law,
+    Z = coef_a Y_a + coef_b Y_b continuous and nondecreasing from 0 (Dambis-
+    Dubins-Schwarz), so its reflection at t is |B(Z(t))| in law (Levy's M -
+    B), drawn as sqrt(Z(t)) |z| with Y_a from substream 0, z from 1, Y_b
+    from 2.  The monotone law is exact at coef_b = 0, the path itself;
+    otherwise its paths are read at the clocks' level passages, on levels
+    spaced resolution * t^theta, the only law the resolution reaches.
     """
 
     t: float
@@ -385,24 +386,23 @@ class LimitLawSampler:
             raise ParameterError("coefficients must be nonnegative and finite")
 
     def sample(self, rng: RngStream, size: int, jobs: int = 1) -> np.ndarray:
-        """size draws; a two-sided reflection draws them in chunks of clock
+        """size draws; the two-sided monotone law draws them in chunks of clock
         pairs (_pair_rows), chunk c from rng.substream(c), on a thread pool of
         `jobs` workers when jobs > 1, with the same result for any jobs."""
         if size < 1:
             raise ParameterError("size must be positive")
         th_a, th_b, t, res = self.theta_a, self.theta_b, self.t, self.resolution
-        if self.coef_b == 0.0:
-            if not self.brownian:
-                return self.coef_a * sample_inverse_subordinator_at(th_a, t, rng, size=size)
-            y = sample_inverse_subordinator_at(th_a, t, rng.substream(0), size=size)
-            z = rng.substream(1).generator().standard_normal(size)
-            return np.abs(np.sqrt(self.coef_a * y) * z)
         if self.brownian:
-            fn = partial(_walk_ends, th_a, self.coef_a, th_b, self.coef_b, t, res)
-        else:
-            ends = partial(_reflected_ends, th_a, (self.coef_a,), th_b, self.coef_b, t, res)
-            fn = lambda sub, rows: ends(sub, rows)[0]
-        return map_replicas(fn, rng, size, _pair_rows(th_a, th_b, t, res), jobs)
+            var = self.coef_a * sample_inverse_subordinator_at(th_a, t, rng.substream(0), size=size)
+            if self.coef_b != 0.0:
+                var += self.coef_b * sample_inverse_subordinator_at(th_b, t, rng.substream(2),
+                                                                    size=size)
+            return np.abs(np.sqrt(var) * rng.substream(1).generator().standard_normal(size))
+        if self.coef_b == 0.0:
+            return self.coef_a * sample_inverse_subordinator_at(th_a, t, rng, size=size)
+        ends = partial(_reflected_ends, th_a, (self.coef_a,), th_b, self.coef_b, t, res)
+        return map_replicas(lambda sub, rows: ends(sub, rows)[:, 0], rng, size,
+                            _pair_rows(th_a, th_b, t, res), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +787,7 @@ def verify_queue_scaling(
     heads = (head, probs.head_sum(i - 1)) if regime == "balanced" and i >= 2 else (head,)
 
     walks = (FppParams(alpha, lam), FppParams(beta, mu), horizon)
-    # the replicas draw from substream(4); keep 0-3 for oracles
+    # the replicas draw from substream(4), the oracles from substream(1)
     ends = map_replicas(partial(_queue_ends, *walks, heads), rng.substream(4),
                         replicas, _queue_rows(*walks), jobs)[:, :, 0]
     observable = ends[:, 0] / u**gamma
@@ -799,26 +799,23 @@ def verify_queue_scaling(
         threshold, direction = degenerate_tol, "<"
         details["mean_scaled"] = statistic
     else:
-        # when arrivals dominate the service clock drops out of the limit,
-        # and the reflection reduces to the exact inverse clock
-        coef_b = mu**beta if regime == "balanced" else 0.0
-        oracle_sampler = LimitLawSampler(t, alpha, lam**alpha * head, beta, coef_b,
-                                         resolution=resolution)
-        oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
+        coefs = tuple(lam**alpha * h for h in heads)
+        if regime == "balanced":  # Phi(c Y - mu^beta Y~)(t) for every c, on shared clocks
+            ends_of = partial(_reflected_ends, alpha, coefs, beta, mu**beta, t, resolution)
+            oracles = map_replicas(ends_of, rng.substream(1), replicas,
+                                   _pair_rows(alpha, beta, t, resolution), jobs)
+        else:  # the service clock drops out of the limit: the exact inverse clock
+            law = LimitLawSampler(t, alpha, coefs[0])
+            oracles = law.sample(rng.substream(1), replicas)[:, None]
+        oracle = oracles[:, 0]
         d, p = ks_two_sample(observable, oracle)
         details["ks"] = {"D": d, "p": p}
         artifacts += _ecdf_artifact(out_dir, "queue_scaling_oracle_ecdf", oracle)
         p_all = [p]
         if len(heads) == 2:
+            # the per-class difference of the two reflections on each pair
             per_class = (ends[:, 0] - ends[:, 1]) / u**gamma
-
-            # per-class oracle: difference of the two reflections driven by
-            # one shared pair of clock paths
-            coefs = (lam**alpha * head, lam**alpha * probs.head_sum(i - 1))
-            ends = partial(_reflected_ends, alpha, coefs, beta, mu**beta, t, resolution)
-            oracle_pc = map_replicas(lambda sub, rows: np.subtract(*ends(sub, rows)),
-                                     rng.substream(2), replicas,
-                                     _pair_rows(alpha, beta, t, resolution), jobs)
+            oracle_pc = oracles[:, 0] - oracles[:, 1]
             d_pc, p_pc = ks_two_sample(per_class, oracle_pc)
             details["ks_per_class"] = {"D": d_pc, "p": p_pc, "class": i}
             artifacts += _ecdf_artifact(out_dir, "queue_scaling_per_class_ecdf", per_class)
@@ -857,7 +854,7 @@ def verify_centered_queue_clt(
 
     # the reflected compensated netflow [A - rate_a Y_a] - [C - rate_b Y_b],
     # A and C Poisson streams run in the clocks' internal times
-    ends = partial(_walk_ends, alpha, rate_a, beta, rate_b, horizon, resolution, poisson=True)
+    ends = partial(_walk_ends, alpha, rate_a, beta, rate_b, horizon, resolution)
     chunk = _pair_rows(alpha, beta, horizon, resolution)
     observable = map_replicas(ends, rng.substream(2), replicas, chunk, jobs) / u ** (gamma / 2.0)
 
@@ -865,8 +862,7 @@ def verify_centered_queue_clt(
         sides = (alpha, rate_a) if alpha > beta else (beta, rate_b)
     else:
         sides = (alpha, rate_a, beta, rate_b)
-    oracle_sampler = LimitLawSampler(t, *sides, brownian=True, resolution=resolution)
-    oracle = oracle_sampler.sample(rng.substream(1), replicas, jobs)
+    oracle = LimitLawSampler(t, *sides, brownian=True).sample(rng.substream(1), replicas)
     d, p = ks_two_sample(observable, oracle)
     artifacts = _ecdf_artifact(out_dir, "centered_clt_observable_ecdf", observable)
     artifacts += _ecdf_artifact(out_dir, "centered_clt_oracle_ecdf", oracle)

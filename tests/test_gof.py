@@ -141,6 +141,7 @@ _WEIGHT = st.one_of(st.sampled_from([-0.0, 0.0, 1e-6, 1e-3, 0.01, 0.1]), st.floa
          5, 1.0, 5.0)  # two runs of 40 small interior cells
 @example([(0.1, 2)] * 30, 1, 0.9, 20.0)  # every cell small: two cells remain
 @example([(-0.0, 0), (1.0, 3)], 0, 1.0, 0.0)  # a -0.0 cell, kept: no pooling
+@example([(1.0, 0), (5e-324, 0)], 1, 1.0, 1.0)  # a subnormal cell: statistic inf
 @settings(max_examples=300, deadline=None)
 def test_one_pass_pooling_matches_list_pop_pooling(cells, overflow, mass, min_expected):
     counts = [c for _, c in cells] + [overflow]
@@ -155,7 +156,8 @@ def test_one_pass_pooling_matches_list_pop_pooling(cells, overflow, mass, min_ex
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # bit for bit
     obs, exp = want
     if obs.size >= 2 and np.all(exp > 0):
-        stat = float(((obs - exp) ** 2 / exp).sum())
+        with np.errstate(over="ignore"):  # a subnormal expected count gives inf
+            stat = float(((obs - exp) ** 2 / exp).sum())
         assert chi_square_counts(sample, pmf, min_expected) == (
             stat, float(chdtrc(obs.size - 1, stat)), obs.size - 1)
     else:
@@ -183,6 +185,15 @@ def test_chi_square_validation():
         chi_square_counts([0, 1], [0.7, 0.7])
     with pytest.raises(ParameterError):
         chi_square_counts([0, 1], [])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            chi_square_counts([0, 1, 1, 0] * 10, [bad, 0.5])
+
+
+def test_chi_square_subnormal_expected_count_rejects_without_warning():
+    # one observation in a cell expecting 5e-324 of one: the statistic
+    # overflows to inf, which rejects outright
+    assert chi_square_counts([1], [1.0, 5e-324], min_expected=1.0) == (math.inf, 0.0, 1)
 
 
 def test_simulation_commands_do_not_load_scipy_stats(tmp_path):

@@ -217,6 +217,43 @@ def test_one_sided_reflections_reduce_to_exact_samplers():
     np.testing.assert_array_equal(rbm, np.abs(np.sqrt(1.4 * y) * z))
 
 
+def test_two_sided_brownian_law_draws_y_a_z_and_y_b_from_substreams_0_1_2():
+    # sqrt(a Y_a(t) + b Y_b(t)) |z|, exact: no resolution and no chunks
+    t, rng = 1.5, RngStream(seed=9)
+    got = LimitLawSampler(t, 0.6, 1.2, 0.8, 0.5, brownian=True, resolution=0.5).sample(rng, 300)
+    y_a = sample_inverse_subordinator_at(0.6, t, rng.substream(0), 300)
+    z = rng.substream(1).generator().standard_normal(300)
+    y_b = sample_inverse_subordinator_at(0.8, t, rng.substream(2), 300)
+    assert_bitwise_equal(got, np.abs(np.sqrt(1.2 * y_a + 0.5 * y_b) * z))
+    sampler = LimitLawSampler(t, 0.6, 1.2, 0.8, 0.5, brownian=True)
+    assert_bitwise_equal(sampler.sample(rng, 300, jobs=2), got)
+
+
+def two_sided_brownian_moment_z(x, theta_a, a, theta_b, b, t):
+    """z-scores of the sample means of x^2 and x^4 against the two-sided
+    Brownian law's E X^2 = a E Y_a + b E Y_b and E X^4 = 3 E (a Y_a + b Y_b)^2."""
+    (ma, va), (mb, vb) = (inverse_subordinator_moments(th, t) for th in (theta_a, theta_b))
+    targets = {2: a * ma + b * mb,
+               4: 3.0 * (a * a * (va + ma * ma) + 2.0 * a * b * ma * mb + b * b * (vb + mb * mb))}
+    return [(np.mean(x**k) - target) / (np.std(x**k, ddof=1) / math.sqrt(x.size))
+            for k, target in targets.items()]
+
+
+def test_two_sided_brownian_moments_reject_planted_defects():
+    theta_a, a, theta_b, b, t, n = 0.6, 1.2, 0.8, 0.5, 1.5, 60_000
+    rng = RngStream(seed=10)
+    x = LimitLawSampler(t, theta_a, a, theta_b, b, brownian=True).sample(rng, n)
+    assert max(map(abs, two_sided_brownian_moment_z(x, theta_a, a, theta_b, b, t))) < 4.0
+    # the same draws put together wrong: the scales added, not the
+    # variances; and Y_b dropped
+    y_a = sample_inverse_subordinator_at(theta_a, t, rng.substream(0), n)
+    z = rng.substream(1).generator().standard_normal(n)
+    y_b = sample_inverse_subordinator_at(theta_b, t, rng.substream(2), n)
+    for scale in (np.sqrt(a * y_a) + np.sqrt(b * y_b), np.sqrt(a * y_a)):
+        planted = np.abs(scale * z)
+        assert max(map(abs, two_sided_brownian_moment_z(planted, theta_a, a, theta_b, b, t))) > 4.0
+
+
 # experiment smoke runs (small replica counts; the acceptance suite scales up)
 
 
@@ -742,24 +779,11 @@ def test_reflected_ends_match_union_grid_reflection():
     for seed, (theta_a, theta_b, t) in enumerate(TWO_CLOCK_CASES):
         rng = RngStream(seed=seed)
         got = limitlab._reflected_ends(theta_a, (1.5, 0.4), theta_b, 0.7, t, RES, rng, 40)
-        for coef, ends in zip((1.5, 0.4), got):
+        for coef, ends in zip((1.5, 0.4), got.T):
             paths = union_grid_paths(theta_a, theta_b, t, rng, 40, linear(coef), linear(0.7))
             assert_bitwise_equal(ends, reflected_ends(paths))
         # both kinds of end: reflected to 0, and above a running minimum
-        assert (got[1] == 0).any() and (got[1] > 0).any()
-
-
-def test_brownian_difference_path_matches_full_draw():
-    normal = lambda g, step, m: g.normal(0.0, math.sqrt(step), m)
-    for seed, (theta_a, theta_b, t) in enumerate(TWO_CLOCK_CASES):
-        rng = RngStream(seed=seed)
-        got = limitlab._walk_ends(theta_a, 1.5, theta_b, 0.7, t, RES, rng, 40)
-        walk_a, walk_b = level_walk(rng.substream(2), normal), level_walk(rng.substream(3), normal)
-        paths = union_grid_paths(
-            theta_a, theta_b, t, rng, 40,
-            lambda step, counts: [math.sqrt(1.5) * w for w in walk_a(step, counts)],
-            lambda step, counts: [math.sqrt(0.7) * w for w in walk_b(step, counts)])
-        assert_bitwise_equal(got, reflected_ends(paths))
+        assert (got[:, 1] == 0).any() and (got[:, 1] > 0).any()
 
 
 def one_pair_union_counts(theta_a, theta_b, t, resolution, rng):
@@ -787,15 +811,14 @@ def test_compensated_queue_end_matches_full_sort():
 
     for seed, (alpha, beta, horizon) in enumerate(TWO_CLOCK_CASES):
         rng = RngStream(seed=seed)
-        got = limitlab._walk_ends(alpha, 2.0, beta, 1.5, horizon, RES, rng, 40, poisson=True)
+        got = limitlab._walk_ends(alpha, 2.0, beta, 1.5, horizon, RES, rng, 40)
         paths = union_grid_paths(alpha, beta, horizon, rng, 40,
                                  compensated(rng.substream(2), 2.0),
                                  compensated(rng.substream(3), 1.5))
         assert_bitwise_equal(got, reflected_ends(paths))
     alpha, beta, horizon = TWO_CLOCK_CASES[1]
     n = 3000
-    got = limitlab._walk_ends(alpha, 2.0, beta, 1.5, horizon, 0.1, RngStream(seed=7), n,
-                             poisson=True)
+    got = limitlab._walk_ends(alpha, 2.0, beta, 1.5, horizon, 0.1, RngStream(seed=7), n)
     ref = []
     for r in range(n):
         sub = RngStream(seed=8).substream(r)
@@ -819,22 +842,12 @@ def test_clock_extremes_match_union_grid_min_and_max():
         assert_bitwise_equal(got[:, 1], np.array([path.max() for path in paths]))
 
 
-# the two-sided oracles draw their clock pairs in chunks of _pair_rows
-# replicas, chunk c from substream c, whatever jobs is
-
-
-ORACLE_CHUNK_CASES = [
-    (LimitLawSampler(2.0, 0.6, 1.2, 0.7, 1.0),
-     lambda rng, m: limitlab._reflected_ends(0.6, (1.2,), 0.7, 1.0, 2.0, DEFAULT_RESOLUTION,
-                                             rng, m)[0]),
-    (LimitLawSampler(2.0, 0.6, 1.2, 0.7, 1.0, brownian=True),
-     lambda rng, m: limitlab._walk_ends(0.6, 1.2, 0.7, 1.0, 2.0, DEFAULT_RESOLUTION, rng, m)),
-]
-
-
-@pytest.mark.parametrize("case", range(len(ORACLE_CHUNK_CASES)))
-def test_two_clock_oracles_draw_chunk_by_chunk(case):
-    sampler, ends = ORACLE_CHUNK_CASES[case]
+def test_two_clock_oracle_draws_chunk_by_chunk():
+    # the two-sided monotone law draws its clock pairs in chunks of
+    # _pair_rows replicas, chunk c from substream c, whatever jobs is
+    sampler = LimitLawSampler(2.0, 0.6, 1.2, 0.7, 1.0)
+    ends = lambda rng, m: limitlab._reflected_ends(0.6, (1.2,), 0.7, 1.0, 2.0,
+                                                   DEFAULT_RESOLUTION, rng, m)[:, 0]
     chunk = limitlab._pair_rows(0.6, 0.7, 2.0, DEFAULT_RESOLUTION)
     assert chunk == limitlab._PAIR_STEPS // (int(1.0 / (DEFAULT_RESOLUTION * math.gamma(1.6))) + 1)
     rng = RngStream(seed=3)
@@ -844,6 +857,21 @@ def test_two_clock_oracles_draw_chunk_by_chunk(case):
     assert_bitwise_equal(got, np.concatenate([ends(rng.substream(0), chunk),
                                               ends(rng.substream(1), 1)]))
     assert_bitwise_equal(sampler.sample(rng, chunk + 1, jobs=2), got)
+
+
+def test_balanced_queue_scaling_aggregate_oracle_is_the_two_sided_law(tmp_path):
+    # both balanced oracles read one sample of clock pairs from substream 1,
+    # the aggregate in column 0: the monotone two-sided law's own draws
+    rng, n, probs = RngStream(seed=3), 40, ClassProbabilities(np.array([0.5, 0.5]))
+    oracle = LimitLawSampler(1.0, 0.6, 1.1**0.6 * probs.head_sum(2), 0.6, 1.0).sample(
+        rng.substream(1), n)
+    want = limitlab._ecdf_artifact(str(tmp_path / "want"), "oracle", oracle)[0]
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        limitlab.verify_queue_scaling(0.6, 0.6, 1.1, 1.0, probs, i=2, t=1.0, u=50.0, replicas=n,
+                                      rng=rng, out_dir=str(out), jobs=jobs, verbose=False)
+        got = out / "queue_scaling_oracle_ecdf.csv"
+        assert got.read_bytes() == Path(want).read_bytes()
 
 
 # each experiment's report parameters: its arguments less the run settings,

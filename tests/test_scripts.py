@@ -109,9 +109,11 @@ def test_calibrate_plants_each_defect_for_its_run_only(tmp_path, capsys):
         return summary["statistics"][0], summary["passes"]
 
     # each defect against an experiment it reaches: the walks and Kanter's
-    # transform feed the pmf experiment, the column shares the queue
+    # transform feed the pmf experiment, the column shares the queue, and
+    # the two-sided Brownian law the balanced centered CLT's oracle
     reaches = {"kanter_gamma2": "pmf_theta_0.7", "ml_swapped": "pmf_theta_0.7",
-               "ml_power": "pmf_theta_0.7", "head_off": "queue_scaling_arrivals"}
+               "ml_power": "pmf_theta_0.7", "head_off": "queue_scaling_arrivals",
+               "brownian_yb_dropped": "centered_clt_balanced"}
     assert sorted(reaches) == sorted(calibrate.DEFECTS)
     clean = {only: run(only) for only in set(reaches.values())}
     assert "[defect" not in capsys.readouterr().out
