@@ -90,10 +90,8 @@ def _head_off(queue_ends):
 
 
 def _brownian_yb_dropped(sample):
-    def draws(law, rng, size, jobs=1):
-        if law.brownian:
-            law = dataclasses.replace(law, coef_b=0.0)
-        return sample(law, rng, size, jobs)
+    def draws(law, rng, size):
+        return sample(dataclasses.replace(law, coef_b=0.0), rng, size)
     return draws
 
 

@@ -5,7 +5,8 @@ samples the claimed limit law by an independent route, and reduces the
 comparison to one binding statistic with a pass direction.  Limit laws
 built from inverse stable clocks are drawn exactly at a single time (via the
 stable subordinator identity), except the reflected difference of two monotone
-paths, read on first-passage grids whose resolution bounds the reflection bias.
+paths, which _reflected_ends alone draws, read on first-passage grids whose
+resolution bounds the reflection bias.
 
 Every path-level observable and oracle is drawn for a chunk of replicas at
 once and read only where its path can turn.  A functional of two independent
@@ -357,17 +358,14 @@ def _walk_ends(theta_a: float, rate_a: float, theta_b: float, rate_b: float, t: 
 
 @dataclass(frozen=True)
 class LimitLawSampler:
-    """Single-time sampler of Phi(X_a - X_b)(t), the reflection of a difference
-    of paths X = coef Y, or sqrt(coef) B(Y) with B a Brownian motion when
-    brownian is set, on independent inverse clocks of indices theta_a, theta_b.
+    """Single-time sampler of Phi(X_a - X_b)(t), the reflection of a
+    difference of paths X = sqrt(coef) B(Y), B a Brownian motion run on an
+    inverse clock Y, the clocks of indices theta_a, theta_b independent.
 
-    The Brownian law is exact: given the clocks, X_a - X_b is B o Z in law,
-    Z = coef_a Y_a + coef_b Y_b continuous and nondecreasing from 0 (Dambis-
-    Dubins-Schwarz), so its reflection at t is |B(Z(t))| in law (Levy's M -
-    B), drawn as sqrt(Z(t)) |z| with Y_a from substream 0, z from 1, Y_b
-    from 2.  The monotone law is exact at coef_b = 0, the path itself;
-    otherwise its paths are read at the clocks' level passages, on levels
-    spaced resolution * t^theta, the only law the resolution reaches.
+    The law is exact: given the clocks, X_a - X_b is B o Z in law, Z = coef_a
+    Y_a + coef_b Y_b continuous and nondecreasing from 0 (Dambis-Dubins-
+    Schwarz), so its reflection at t is |B(Z(t))| in law (Levy's M - B),
+    drawn as sqrt(Z(t)) |z| with Y_a from substream 0, z from 1, Y_b from 2.
     """
 
     t: float
@@ -375,34 +373,24 @@ class LimitLawSampler:
     coef_a: float
     theta_b: float = 1.0
     coef_b: float = 0.0
-    brownian: bool = False
-    resolution: float = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
-        _require_positive(t=self.t, resolution=self.resolution)
+        _require_positive(t=self.t)
         _check_theta(self.theta_a)
         _check_theta(self.theta_b)
         if not (0.0 <= self.coef_a < math.inf and 0.0 <= self.coef_b < math.inf):
             raise ParameterError("coefficients must be nonnegative and finite")
 
-    def sample(self, rng: RngStream, size: int, jobs: int = 1) -> np.ndarray:
-        """size draws; the two-sided monotone law draws them in chunks of clock
-        pairs (_pair_rows), chunk c from rng.substream(c), on a thread pool of
-        `jobs` workers when jobs > 1, with the same result for any jobs."""
+    def sample(self, rng: RngStream, size: int) -> np.ndarray:
         if size < 1:
             raise ParameterError("size must be positive")
-        th_a, th_b, t, res = self.theta_a, self.theta_b, self.t, self.resolution
-        if self.brownian:
-            var = self.coef_a * sample_inverse_subordinator_at(th_a, t, rng.substream(0), size=size)
-            if self.coef_b != 0.0:
-                var += self.coef_b * sample_inverse_subordinator_at(th_b, t, rng.substream(2),
-                                                                    size=size)
-            return np.abs(np.sqrt(var) * rng.substream(1).generator().standard_normal(size))
-        if self.coef_b == 0.0:
-            return self.coef_a * sample_inverse_subordinator_at(th_a, t, rng, size=size)
-        ends = partial(_reflected_ends, th_a, (self.coef_a,), th_b, self.coef_b, t, res)
-        return map_replicas(lambda sub, rows: ends(sub, rows)[:, 0], rng, size,
-                            _pair_rows(th_a, th_b, t, res), jobs)
+        t = self.t
+        var = self.coef_a * sample_inverse_subordinator_at(self.theta_a, t, rng.substream(0),
+                                                           size=size)
+        if self.coef_b != 0.0:
+            var += self.coef_b * sample_inverse_subordinator_at(self.theta_b, t, rng.substream(2),
+                                                                size=size)
+        return np.abs(np.sqrt(var) * rng.substream(1).generator().standard_normal(size))
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +521,12 @@ def _standard_error(x: np.ndarray) -> float:
     return se
 
 
+def _on_lattice(x: np.ndarray, scale: float, center: float = 0.0) -> np.ndarray:
+    """x rounded onto the lattice (k - center) / scale, k an integer, of an
+    observable of counts k, so that an oracle for it ties where that does."""
+    return (np.round(x * scale + center) - center) / scale
+
+
 def _require_ks_can_reject(replicas: int, p_min: float) -> None:
     """Reject a p_min outside (0, 1), or a replica count n at which a two-sample
     KS p-value, never below 2 / C(2n, n), cannot fall below p_min."""
@@ -564,7 +558,7 @@ def verify_pmf(
     params = FppParams(theta=theta, lam=lam)
     ren = renewal_counts(params, t, replicas, rng.substream(0))
     tch = timechange_counts(params, t, replicas, rng.substream(1))
-    pmf = fpp_pmf_table(params, t, cum_tol=1e-10)
+    pmf = fpp_pmf_table(params, t)
     chi_ren = chi_square_counts(ren, pmf)
     chi_tch = chi_square_counts(tch, pmf)
     _, p_cross = ks_two_sample(ren, tch)
@@ -711,9 +705,7 @@ def verify_fclt(
         obs_i = m[:, i]
         ora_i = oracle[:, i]
         if theta == 1.0:
-            # project oracle draws onto the observable's count lattice
-            center = probs.p[i] * rate * u * t
-            ora_i = (np.round(ora_i * math.sqrt(u) + center) - center) / math.sqrt(u)
+            ora_i = _on_lattice(ora_i, math.sqrt(u), probs.p[i] * rate * u * t)
         d, p = ks_two_sample(obs_i, ora_i)
         p_vals.append(p)
         target_var = probs.p[i] * rate * mean_y
@@ -805,8 +797,10 @@ def verify_queue_scaling(
             oracles = map_replicas(ends_of, rng.substream(1), replicas,
                                    _pair_rows(alpha, beta, t, resolution), jobs)
         else:  # the service clock drops out of the limit: the exact inverse clock
-            law = LimitLawSampler(t, alpha, coefs[0])
-            oracles = law.sample(rng.substream(1), replicas)[:, None]
+            oracles = coefs[0] * sample_inverse_subordinator_at(alpha, t, rng.substream(1),
+                                                                size=replicas)[:, None]
+        # the observable is a count over u^gamma: the oracle on that lattice
+        oracles = _on_lattice(oracles, u**gamma)
         oracle = oracles[:, 0]
         d, p = ks_two_sample(observable, oracle)
         details["ks"] = {"D": d, "p": p}
@@ -815,7 +809,8 @@ def verify_queue_scaling(
         if len(heads) == 2:
             # the per-class difference of the two reflections on each pair
             per_class = (ends[:, 0] - ends[:, 1]) / u**gamma
-            oracle_pc = oracles[:, 0] - oracles[:, 1]
+            # a difference of counts, exactly (k_0 - k_1) / u^gamma
+            oracle_pc = _on_lattice(oracles[:, 0] - oracles[:, 1], u**gamma)
             d_pc, p_pc = ks_two_sample(per_class, oracle_pc)
             details["ks_per_class"] = {"D": d_pc, "p": p_pc, "class": i}
             artifacts += _ecdf_artifact(out_dir, "queue_scaling_per_class_ecdf", per_class)
@@ -862,7 +857,7 @@ def verify_centered_queue_clt(
         sides = (alpha, rate_a) if alpha > beta else (beta, rate_b)
     else:
         sides = (alpha, rate_a, beta, rate_b)
-    oracle = LimitLawSampler(t, *sides, brownian=True).sample(rng.substream(1), replicas)
+    oracle = LimitLawSampler(t, *sides).sample(rng.substream(1), replicas)
     d, p = ks_two_sample(observable, oracle)
     artifacts = _ecdf_artifact(out_dir, "centered_clt_observable_ecdf", observable)
     artifacts += _ecdf_artifact(out_dir, "centered_clt_oracle_ecdf", oracle)

@@ -8,13 +8,12 @@ workers without coordination and still reproduce bit-identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .special import FppParams, _check_theta
+from .special import FppParams, _check_theta, _check_time
 
 
 @dataclass
@@ -147,8 +146,7 @@ def sample_inverse_subordinator_at(
     theta = 1 returns exactly t.
     """
     _check_theta(theta)
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    _check_time(t)
     n = _n_variates(size)
     if theta == 1.0:
         return np.full(n, float(t))

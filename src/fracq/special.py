@@ -38,6 +38,12 @@ def _check_theta(theta: float) -> None:
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
 
 
+def _check_time(t: float) -> None:
+    """Reject a time outside [0, inf); NaN fails the comparison too."""
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+
+
 @dataclass(frozen=True)
 class MlIndex:
     """Index theta of the Mittag-Leffler function E_theta."""
@@ -315,8 +321,7 @@ def fpp_pmf(p: FppParams, t: float, n: int) -> float:
         raise ParameterError("n must be an integer")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if not 0 <= t < math.inf:  # also true for nan
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    _check_time(t)
     x = p.lam * t
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -338,10 +343,12 @@ def fpp_pmf_table(p: FppParams, t: float, cum_tol: float = 1e-10, n_cap: int = 1
 
     The returned array's length is the adaptive truncation point N* + 1.
     Raises SeriesConvergenceError at once when the mean count
-    lam^theta E Y(t) already exceeds n_cap.
+    lam^theta E Y(t) already exceeds n_cap, and ParameterError at once for a
+    cum_tol outside (0, 1).
     """
-    if not 0 <= t < math.inf:  # also true for nan
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    _check_time(t)
+    if not 0.0 < cum_tol < 1.0:  # NaN fails the comparison too
+        raise ParameterError(f"cum_tol must lie in (0, 1), got {cum_tol}")
     mean = (p.lam * t) ** p.theta / math.gamma(1.0 + p.theta)  # lam^theta E Y(t)
     if mean > n_cap:
         raise SeriesConvergenceError(f"fpp_pmf_table: mean count {mean:.6g} exceeds n_cap = {n_cap}")
@@ -383,8 +390,7 @@ def inverse_subordinator_moments(theta: float, t: float) -> tuple[float, float]:
     which vanishes identically at theta = 1 where Y_1(t) = t.
     """
     _check_theta(theta)
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    _check_time(t)
     if theta == 1.0:
         return float(t), 0.0
     g1 = math.gamma(1.0 + theta)

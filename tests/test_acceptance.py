@@ -289,7 +289,7 @@ def test_criterion_13_determinism(tmp_path):
     mismatches = []
 
     # sampler draws, bit for bit
-    s = LimitLawSampler(1.0, 0.7, 1.3, brownian=True)
+    s = LimitLawSampler(1.0, 0.7, 1.3)
     if not np.array_equal(s.sample(RngStream(seed=7), 5000), s.sample(RngStream(seed=7), 5000)):
         mismatches.append("limit-law draws")
 

@@ -120,20 +120,16 @@ def test_limit_law_sampler_validation():
     with pytest.raises(ParameterError):
         LimitLawSampler(1.0, 0.5, -1.0)
     with pytest.raises(ParameterError):
-        LimitLawSampler(1.0, 0.5, 1.0, 0.5, 1.0, resolution=0.0)
-    with pytest.raises(ParameterError):
         LimitLawSampler(1.0, 0.5, 1.0).sample(RngStream(seed=0), -1)
     with pytest.raises(ParameterError):
         LimitLawSampler(1.0, 0.5, 1.0, 0.5, 1.0).sample(RngStream(seed=0), 0)
-    # non-finite input would sample NaN or never finish a passage grid
+    # non-finite input would sample NaN
     nan, inf = float("nan"), float("inf")
     for bad in (
         lambda: LimitLawSampler(1.0, 0.5, nan),
         lambda: LimitLawSampler(nan, 0.5, 1.0),
-        lambda: LimitLawSampler(inf, 0.5, 1.0, brownian=True),
+        lambda: LimitLawSampler(inf, 0.5, 1.0),
         lambda: LimitLawSampler(1.0, 0.5, 1.0, 0.5, nan),
-        lambda: LimitLawSampler(1.0, 0.5, 1.0, 0.5, 1.0, resolution=inf),
-        lambda: LimitLawSampler(1.0, 0.5, 1.0, brownian=True, resolution=nan),
     ):
         with pytest.raises(ParameterError):
             bad()
@@ -142,25 +138,18 @@ def test_limit_law_sampler_validation():
 # limit-law samplers: degenerate clocks (theta = 1)
 
 
-def test_inverse_clock_at_one_is_deterministic():
-    s = LimitLawSampler(3.0, 1.0, 2.5)
-    draws = s.sample(RngStream(seed=1), 100)
-    np.testing.assert_array_equal(draws, np.full(100, 7.5))
-
-
 def test_reflected_difference_at_one_matches_drift():
     # deterministic clocks: the reflected difference is the positive-part drift,
     # up to the passage-grid rounding of each clock
     for ca, cb in ((2.0, 0.5), (0.5, 2.0)):
-        s = LimitLawSampler(2.0, 1.0, ca, 1.0, cb, resolution=1e-3)
-        draws = s.sample(RngStream(seed=2), 4)
+        draws = limitlab._reflected_ends(1.0, (ca,), 1.0, cb, 2.0, 1e-3, RngStream(seed=2), 4)
         target = max(ca - cb, 0.0) * 2.0
         np.testing.assert_allclose(draws, target, atol=3.0 * 1e-3 * 2.0 * (ca + cb))
 
 
 def test_one_sided_brownian_at_one_is_folded_gaussian():
     v, t = 1.7, 2.0
-    s = LimitLawSampler(t, 1.0, v, brownian=True)
+    s = LimitLawSampler(t, 1.0, v)
     draws = s.sample(RngStream(seed=3), 20_000)
     res = stats.kstest(draws, stats.halfnorm(scale=math.sqrt(v * t)).cdf)
     assert res.pvalue > 1e-3
@@ -168,7 +157,7 @@ def test_one_sided_brownian_at_one_is_folded_gaussian():
 
 def test_reflected_brownian_difference_at_one_is_folded_gaussian():
     va, vb, t = 1.0, 0.5, 1.0
-    s = LimitLawSampler(t, 1.0, va, 1.0, vb, brownian=True, resolution=1e-3)
+    s = LimitLawSampler(t, 1.0, va, 1.0, vb)
     draws = s.sample(RngStream(seed=4), 400)
     scale = math.sqrt((va + vb) * t)
     res = stats.kstest(draws, lambda x: 2.0 * stats.norm.cdf(x / scale) - 1.0)
@@ -178,22 +167,10 @@ def test_reflected_brownian_difference_at_one_is_folded_gaussian():
 # limit-law samplers: fractional clocks
 
 
-def test_inverse_clock_scale_enters_laplace_transform():
-    from fracq import mittag_leffler
-    from fracq.special import MlIndex
-
-    theta, coef, t = 0.6, 2.0, 1.5
-    draws = LimitLawSampler(t, theta, coef).sample(RngStream(seed=5), 60_000)
-    target = mittag_leffler(MlIndex(theta), -coef * t**theta)
-    obs = np.exp(-draws)
-    z = (obs.mean() - target) / (obs.std(ddof=1) / math.sqrt(obs.size))
-    assert abs(z) < 4.0
-
-
 def test_brownian_time_changed_moments():
     # |B(Y(t))| has the even moments of B(Y(t)): v E Y and 3 v^2 E Y^2
     theta, v, t = 0.7, 1.3, 2.0
-    draws = LimitLawSampler(t, theta, v, brownian=True).sample(RngStream(seed=6), 60_000)
+    draws = LimitLawSampler(t, theta, v).sample(RngStream(seed=6), 60_000)
     mean_y, var_y = inverse_subordinator_moments(theta, t)
     for power, target in ((2, v * mean_y), (4, 3.0 * v**2 * (var_y + mean_y**2))):
         x = draws**power
@@ -202,31 +179,24 @@ def test_brownian_time_changed_moments():
 
 
 def test_one_sided_reflections_reduce_to_exact_samplers():
-    # with nothing subtracted the reflection is the path itself (monotone) or
-    # its absolute value (Brownian), drawn exactly at the one time, whatever
-    # theta_b and the resolution are
+    # with nothing subtracted the reflection is the path's absolute value,
+    # drawn exactly at the one time, whatever theta_b is
     t = 1.0
-    refl = LimitLawSampler(t, 0.7, 1.4, 0.9, 0.0, resolution=0.5).sample(RngStream(seed=7), 500)
-    clock = sample_inverse_subordinator_at(0.7, t, RngStream(seed=7), 500)
-    np.testing.assert_array_equal(refl, 1.4 * clock)
-
     rng = RngStream(seed=8)
-    rbm = LimitLawSampler(t, 0.7, 1.4, 0.3, brownian=True).sample(rng, 500)
+    rbm = LimitLawSampler(t, 0.7, 1.4, 0.3).sample(rng, 500)
     y = sample_inverse_subordinator_at(0.7, t, rng.substream(0), 500)
     z = rng.substream(1).generator().standard_normal(500)
     np.testing.assert_array_equal(rbm, np.abs(np.sqrt(1.4 * y) * z))
 
 
 def test_two_sided_brownian_law_draws_y_a_z_and_y_b_from_substreams_0_1_2():
-    # sqrt(a Y_a(t) + b Y_b(t)) |z|, exact: no resolution and no chunks
+    # sqrt(a Y_a(t) + b Y_b(t)) |z|, exact
     t, rng = 1.5, RngStream(seed=9)
-    got = LimitLawSampler(t, 0.6, 1.2, 0.8, 0.5, brownian=True, resolution=0.5).sample(rng, 300)
+    got = LimitLawSampler(t, 0.6, 1.2, 0.8, 0.5).sample(rng, 300)
     y_a = sample_inverse_subordinator_at(0.6, t, rng.substream(0), 300)
     z = rng.substream(1).generator().standard_normal(300)
     y_b = sample_inverse_subordinator_at(0.8, t, rng.substream(2), 300)
     assert_bitwise_equal(got, np.abs(np.sqrt(1.2 * y_a + 0.5 * y_b) * z))
-    sampler = LimitLawSampler(t, 0.6, 1.2, 0.8, 0.5, brownian=True)
-    assert_bitwise_equal(sampler.sample(rng, 300, jobs=2), got)
 
 
 def two_sided_brownian_moment_z(x, theta_a, a, theta_b, b, t):
@@ -242,7 +212,7 @@ def two_sided_brownian_moment_z(x, theta_a, a, theta_b, b, t):
 def test_two_sided_brownian_moments_reject_planted_defects():
     theta_a, a, theta_b, b, t, n = 0.6, 1.2, 0.8, 0.5, 1.5, 60_000
     rng = RngStream(seed=10)
-    x = LimitLawSampler(t, theta_a, a, theta_b, b, brownian=True).sample(rng, n)
+    x = LimitLawSampler(t, theta_a, a, theta_b, b).sample(rng, n)
     assert max(map(abs, two_sided_brownian_moment_z(x, theta_a, a, theta_b, b, t))) < 4.0
     # the same draws put together wrong: the scales added, not the
     # variances; and Y_b dropped
@@ -842,29 +812,22 @@ def test_clock_extremes_match_union_grid_min_and_max():
         assert_bitwise_equal(got[:, 1], np.array([path.max() for path in paths]))
 
 
-def test_two_clock_oracle_draws_chunk_by_chunk():
-    # the two-sided monotone law draws its clock pairs in chunks of
-    # _pair_rows replicas, chunk c from substream c, whatever jobs is
-    sampler = LimitLawSampler(2.0, 0.6, 1.2, 0.7, 1.0)
-    ends = lambda rng, m: limitlab._reflected_ends(0.6, (1.2,), 0.7, 1.0, 2.0,
-                                                   DEFAULT_RESOLUTION, rng, m)[:, 0]
-    chunk = limitlab._pair_rows(0.6, 0.7, 2.0, DEFAULT_RESOLUTION)
-    assert chunk == limitlab._PAIR_STEPS // (int(1.0 / (DEFAULT_RESOLUTION * math.gamma(1.6))) + 1)
-    rng = RngStream(seed=3)
-    # fewer replicas than a chunk, then a chunk and one more
-    assert_bitwise_equal(sampler.sample(rng, chunk - 3), ends(rng.substream(0), chunk - 3))
-    got = sampler.sample(rng, chunk + 1)
-    assert_bitwise_equal(got, np.concatenate([ends(rng.substream(0), chunk),
-                                              ends(rng.substream(1), 1)]))
-    assert_bitwise_equal(sampler.sample(rng, chunk + 1, jobs=2), got)
-
-
 def test_balanced_queue_scaling_aggregate_oracle_is_the_two_sided_law(tmp_path):
     # both balanced oracles read one sample of clock pairs from substream 1,
-    # the aggregate in column 0: the monotone two-sided law's own draws
+    # in chunks of _pair_rows replicas, chunk c from its substream c; the
+    # aggregate is column 0 of _reflected_ends, the two-sided monotone law,
+    # rounded onto the observable's lattice k / u^gamma
     rng, n, probs = RngStream(seed=3), 40, ClassProbabilities(np.array([0.5, 0.5]))
-    oracle = LimitLawSampler(1.0, 0.6, 1.1**0.6 * probs.head_sum(2), 0.6, 1.0).sample(
-        rng.substream(1), n)
+    chunk = limitlab._pair_rows(0.6, 0.6, 1.0, DEFAULT_RESOLUTION)
+    assert chunk == limitlab._PAIR_STEPS // (int(1.0 / (DEFAULT_RESOLUTION * math.gamma(1.6))) + 1)
+    coefs = tuple(1.1**0.6 * probs.head_sum(h) for h in (2, 1))
+    sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+    assert len(sizes) == 3
+    oracle = np.concatenate([
+        limitlab._reflected_ends(0.6, coefs, 0.6, 1.0, 1.0, DEFAULT_RESOLUTION,
+                                 rng.substream(1).substream(c), m)[:, 0]
+        for c, m in enumerate(sizes)])
+    oracle = np.round(oracle * 50.0**0.6) / 50.0**0.6
     want = limitlab._ecdf_artifact(str(tmp_path / "want"), "oracle", oracle)[0]
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
@@ -872,6 +835,33 @@ def test_balanced_queue_scaling_aggregate_oracle_is_the_two_sided_law(tmp_path):
                                       rng=rng, out_dir=str(out), jobs=jobs, verbose=False)
         got = out / "queue_scaling_oracle_ecdf.csv"
         assert got.read_bytes() == Path(want).read_bytes()
+
+
+def test_arrivals_queue_scaling_oracle_is_the_exact_clock_on_the_lattice(tmp_path):
+    # lam^alpha P_i Y_alpha(t), Y from substream 1 in one draw, rounded onto
+    # the observable's lattice k / u^alpha, whatever jobs is
+    rng, n, probs = RngStream(seed=6), 40, ClassProbabilities(np.array([0.3, 0.7]))
+    y = sample_inverse_subordinator_at(0.9, 1.0, rng.substream(1), n)
+    oracle = np.round(1.2**0.9 * probs.head_sum(1) * y * 1e3**0.9) / 1e3**0.9
+    want = limitlab._ecdf_artifact(str(tmp_path / "want"), "oracle", oracle)[0]
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        limitlab.verify_queue_scaling(0.9, 0.3, 1.2, 1.0, probs, i=1, t=1.0, u=1e3, replicas=n,
+                                      rng=rng, out_dir=str(out), jobs=jobs, verbose=False)
+        got = out / "queue_scaling_oracle_ecdf.csv"
+        assert got.read_bytes() == Path(want).read_bytes()
+
+
+def test_queue_scaling_oracle_lives_on_the_observable_lattice(tmp_path):
+    # Q(ut) / u^gamma is a count over u^gamma (spacing 0.096 at u = 50), and
+    # so is each oracle value the KS tests and the ECDF artifact see
+    probs = ClassProbabilities(np.array([0.5, 0.5]))
+    limitlab.verify_queue_scaling(0.6, 0.6, 1.1, 1.0, probs, i=2, t=1.0, u=50.0, replicas=40,
+                                  rng=RngStream(seed=5), out_dir=str(tmp_path), verbose=False)
+    x = np.loadtxt(tmp_path / "queue_scaling_oracle_ecdf.csv", delimiter=",", skiprows=1)[:, 0]
+    k = x * 50.0**0.6
+    assert (k > 0.5).any()  # not every draw reflected to 0
+    np.testing.assert_allclose(k, np.round(k), rtol=0.0, atol=1e-9)
 
 
 # each experiment's report parameters: its arguments less the run settings,

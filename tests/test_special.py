@@ -280,6 +280,14 @@ def test_infinite_or_huge_t_fails_within_a_second():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("cum_tol", [math.nan, 0.0, -1.0, 1.0, 2.0])
+def test_pmf_table_rejects_cum_tol_outside_unit_interval(cum_tol):
+    # before any pmf term: NaN, 0 and -1 ran the table to n_cap, and 1 or
+    # more returned [P(N = 0)] alone
+    with pytest.raises(ParameterError, match="cum_tol"):
+        fpp_pmf_table(FppParams(0.7, 1.0), 1.0, cum_tol=cum_tol, n_cap=5)
+
+
 def test_inverse_clock_moments_closed_form():
     for theta, t in ((0.5, 1.0), (0.5, 3.0), (0.7, 2.0), (0.3, 10.0)):
         mean, var = inverse_subordinator_moments(theta, t)
