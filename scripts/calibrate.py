@@ -10,11 +10,7 @@ to --out:
   every seed;
 - every p-value the report records (its details' "p", "ks_p" and
   "ks_cross_p" entries), and for each a one-sample KS test of its K values
-  against the uniform law, which a calibrated test follows under its null;
-- where the statistic is the minimum of the report's k p-values at every
-  seed, a one-sample KS test of the K statistics against 1 - (1 - p)^k, the
-  law of the least of k independent uniforms (only about that law when the
-  p-values share data).
+  against the uniform law, which a calibrated test follows under its null.
 
 A pass rate below 1 - (a few) / K, or a small KS p-value, points at a bias in
 the experiment rather than at chance.  This script is not part of the test
@@ -136,21 +132,14 @@ def summarize(reports: list[dict], seconds: float) -> dict:
     first = reports[0]
     passes = sum(r["verdict"] for r in reports)
     statistics = [r["statistic"] for r in reports]
-    found = [p_values(r["details"]) for r in reports]
     by_key: dict[str, list[float]] = {}
-    for ps in found:
-        for key, p in ps.items():
+    for r in reports:
+        for key, p in p_values(r["details"]).items():
             by_key.setdefault(key, []).append(p)
     uniform = {}
     for key, ps in by_key.items():
         d, p = stats.kstest(ps, "uniform")
         uniform[key] = {"values": ps, "ks_D": float(d), "ks_p": float(p)}
-    min_p = None
-    ks = {len(ps) for ps in found}
-    if len(ks) == 1 and all(ps and stat == min(ps.values()) for stat, ps in zip(statistics, found)):
-        k = ks.pop()
-        d, p = stats.kstest(statistics, lambda x: 1.0 - (1.0 - x) ** k)
-        min_p = {"k": k, "ks_D": float(d), "ks_p": float(p)}
     return {
         "name": first["name"],
         "threshold": first["threshold"],
@@ -162,7 +151,6 @@ def summarize(reports: list[dict], seconds: float) -> dict:
         "pass_rate": passes / len(reports),
         "statistics": statistics,
         "p_values": uniform,
-        "min_p": min_p,
         "seconds": round(seconds, 3),
     }
 
@@ -203,12 +191,10 @@ def main(argv=None) -> int:
         summary["defect"] = args.defect
         (out / f"{name}.json").write_text(json.dumps(summary, indent=2) + "\n")
         worst = min((v["ks_p"] for v in summary["p_values"].values()), default=None)
-        least = summary["min_p"]
-        least = "-" if least is None else f"{least['ks_p']:.3g} (k={least['k']})"
         planted_in = "" if args.defect is None else f" [defect {args.defect}]"
         print(f"{name}{planted_in}: pass rate {summary['passes']}/{summary['runs']}, "
-              f"min uniform-KS p {'-' if worst is None else f'{worst:.3g}'}, "
-              f"min-of-k KS p {least} ({summary['seconds']:.1f}s)")
+              f"min uniform-KS p {'-' if worst is None else f'{worst:.3g}'} "
+              f"({summary['seconds']:.1f}s)")
     return 0
 
 

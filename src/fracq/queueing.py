@@ -5,12 +5,14 @@ minus attempted services): Q(t) = f(t) - min(0, inf_{s<=t} f(s)).  Class
 resolution follows a static priority rule: each service removes a customer
 from the lowest-indexed nonempty class, and a service finding an empty system
 is wasted.  A continuum variant marks arrivals with locations and serves the
-current minimum (best ask).
+current minimum (best ask), their law a LocationSampler: a kind, an
+infimum, a cdf and a draw, each bound by the constructor of its kind.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,26 +181,28 @@ def aggregate_lengths(traj: QueueTrajectory, upto_class: int) -> StepFunction:
 
 @dataclass(frozen=True)
 class LocationSampler:
-    """Distribution of arrival locations on the positive half-line."""
+    """Distribution of arrival locations on the positive half-line, fixed by
+    its constructor: its kind, support infimum, cdf(x) = P(location <= x),
+    and draw(g, n), n locations from the numpy Generator g."""
 
     kind: str
-    a: float = 0.0
-    b: float = 1.0
-    rate: float = 1.0
-    locations: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    infimum: float
+    cdf: Callable[[float], float]
+    draw: Callable[[np.random.Generator, int], np.ndarray]
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "LocationSampler":
         if not (0 <= a < b < np.inf):
             raise ParameterError("require 0 <= a < b < inf")
-        return cls(kind="uniform", a=a, b=b)
+        return cls("uniform", a, lambda x: float(np.clip((x - a) / (b - a), 0.0, 1.0)),
+                   lambda g, n: a + (b - a) * g.random(n))
 
     @classmethod
     def exponential(cls, rate: float) -> "LocationSampler":
         if not (0 < rate < np.inf):
             raise ParameterError("rate must be positive and finite")
-        return cls(kind="exponential", rate=rate)
+        return cls("exponential", 0.0, lambda x: float(-np.expm1(-rate * max(x, 0.0))),
+                   lambda g, n: g.exponential(1.0 / rate, size=n))
 
     @classmethod
     def point_masses(cls, locations, weights) -> "LocationSampler":
@@ -209,52 +213,26 @@ class LocationSampler:
         if (not np.all((locs >= 0) & (locs < np.inf)) or not np.all(w > 0)
                 or abs(w.sum() - 1.0) > 1e-12):
             raise ParameterError("need finite nonnegative locations and positive weights summing to 1")
-        return cls(kind="points", locations=locs, weights=w)
+        cum = np.cumsum(w)
+        cum[-1] = 1.0
+        mass = np.diff(cum, prepend=0.0)
+        return cls("points", float(locs.min()), lambda x: float(mass[locs <= x].sum()),
+                   lambda g, n: locs[np.searchsorted(cum, g.random(n), side="right")])
 
     @classmethod
     def empirical(cls, values) -> "LocationSampler":
         vals = np.asarray(values, dtype=float)
         if vals.size == 0 or not np.all((vals >= 0) & (vals < np.inf)):
             raise ParameterError("need a nonempty sample of finite nonnegative locations")
-        return cls(kind="empirical", locations=vals)
+        return cls("empirical", float(vals.min()),
+                   lambda x: np.count_nonzero(vals <= x) / vals.size,
+                   lambda g, n: vals[g.integers(0, vals.size, size=n)])
 
     def support_infimum(self) -> float:
-        if self.kind == "uniform":
-            return self.a
-        if self.kind == "exponential":
-            return 0.0
-        return float(self.locations.min())
-
-    def _cumulative_weights(self) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        cum[-1] = 1.0
-        return cum
-
-    def cdf(self, x: float) -> float:
-        """P(location <= x), of the law that sample draws from."""
-        if self.kind == "uniform":
-            return float(np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0))
-        if self.kind == "exponential":
-            return float(-np.expm1(-self.rate * max(x, 0.0)))
-        if self.kind == "points":
-            weights = np.diff(self._cumulative_weights(), prepend=0.0)
-            return float(weights[self.locations <= x].sum())
-        if self.kind == "empirical":
-            return np.count_nonzero(self.locations <= x) / self.locations.size
-        raise ParameterError(f"unknown location sampler kind {self.kind!r}")
+        return self.infimum
 
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
-        g = rng.generator()
-        if self.kind == "uniform":
-            return self.a + (self.b - self.a) * g.random(n)
-        if self.kind == "exponential":
-            return g.exponential(1.0 / self.rate, size=n)
-        if self.kind == "points":
-            cum = self._cumulative_weights()
-            return self.locations[np.searchsorted(cum, g.random(n), side="right")]
-        if self.kind == "empirical":
-            return self.locations[g.integers(0, self.locations.size, size=n)]
-        raise ParameterError(f"unknown location sampler kind {self.kind!r}")
+        return self.draw(rng.generator(), n)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 experiments.  Heavy experiment settings live in the acceptance suite; here we
 exercise exact reductions, closed forms, and small smoke runs."""
 
+import inspect
 import json
 import math
 from functools import partial
@@ -391,6 +392,30 @@ def test_nan_time_scale_or_window_is_rejected():
             0.9, 0.5, 1.0, 1.0, LocationSampler.uniform(1.0, 2.0), t_values=(1.0, 10.0),
             replicas=5, rng=RngStream(seed=0), eps_values=(0.1, math.nan), verbose=False,
         )
+
+
+# each experiment at its first battery point, with each argument it needs in
+# (0, inf)
+BATTERY_POINTS = {}
+for _, verify, point in limitlab.BATTERY.values():
+    BATTERY_POINTS.setdefault(verify, point)
+POSITIVE = {"t", "u", "c", "z_max", "resolution", "concentration_tol", "degenerate_tol"}
+POSITIVE_CASES = [(verify, arg) for verify in BATTERY_POINTS
+                  for arg in inspect.signature(verify).parameters if arg in POSITIVE]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0], ids=["nan", "0", "-1"])
+@pytest.mark.parametrize("verify, arg", POSITIVE_CASES,
+                         ids=[f"{verify.__name__}-{arg}" for verify, arg in POSITIVE_CASES])
+def test_positive_settings_are_checked_before_any_draw(monkeypatch, verify, arg, bad):
+    def no_draws(self):
+        raise AssertionError("an experiment drew before checking its settings")
+
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    kw = dict(BATTERY_POINTS[verify], replicas=20)
+    kw[arg] = bad
+    with pytest.raises(ParameterError, match=f"^{arg} must be positive and finite"):
+        verify(rng=RngStream(seed=0), verbose=False, **kw)
 
 
 @pytest.mark.parametrize("p_min", [0.05, 1e-3, 1e-6])
@@ -828,7 +853,8 @@ def test_balanced_queue_scaling_aggregate_oracle_is_the_two_sided_law(tmp_path):
                                  rng.substream(1).substream(c), m)[:, 0]
         for c, m in enumerate(sizes)])
     oracle = np.round(oracle * 50.0**0.6) / 50.0**0.6
-    want = limitlab._ecdf_artifact(str(tmp_path / "want"), "oracle", oracle)[0]
+    want = str(tmp_path / "want.csv")
+    limitlab._write_ecdf(want, oracle)
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
         limitlab.verify_queue_scaling(0.6, 0.6, 1.1, 1.0, probs, i=2, t=1.0, u=50.0, replicas=n,
@@ -843,7 +869,8 @@ def test_arrivals_queue_scaling_oracle_is_the_exact_clock_on_the_lattice(tmp_pat
     rng, n, probs = RngStream(seed=6), 40, ClassProbabilities(np.array([0.3, 0.7]))
     y = sample_inverse_subordinator_at(0.9, 1.0, rng.substream(1), n)
     oracle = np.round(1.2**0.9 * probs.head_sum(1) * y * 1e3**0.9) / 1e3**0.9
-    want = limitlab._ecdf_artifact(str(tmp_path / "want"), "oracle", oracle)[0]
+    want = str(tmp_path / "want.csv")
+    limitlab._write_ecdf(want, oracle)
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
         limitlab.verify_queue_scaling(0.9, 0.3, 1.2, 1.0, probs, i=1, t=1.0, u=1e3, replicas=n,

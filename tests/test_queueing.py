@@ -361,15 +361,32 @@ def test_location_sampler_support():
     assert LocationSampler.empirical([2.0, 7.0]).support_infimum() == 2.0
 
 
-@pytest.mark.parametrize("locations, probes", [
-    (LocationSampler.uniform(1.0, 3.0), [0.5, 1.0, 1.1, 2.0, 2.999, 3.0, 4.0]),
-    (LocationSampler.exponential(2.0), [-1.0, 0.0, 0.05, 0.5, 1.0, 3.0]),
+_POINTS, _WEIGHTS = np.array([2.0, 1.0, 1.05, 1.1]), np.array([0.4, 0.1, 0.2, 0.3])
+_CUM = np.cumsum(_WEIGHTS)
+_CUM[-1] = 1.0
+_VALUES = np.array([0.5, 1.0, 1.0, 3.0, 0.2])
+# each kind: the sampler, cdf probes, and its draw and cdf formulas
+LOCATION_CASES = {
+    "uniform": (LocationSampler.uniform(1.0, 3.0), [0.5, 1.0, 1.1, 2.0, 2.999, 3.0, 4.0],
+                lambda g, n: 1.0 + (3.0 - 1.0) * g.random(n),
+                lambda x: float(np.clip((x - 1.0) / (3.0 - 1.0), 0.0, 1.0))),
+    "exponential": (LocationSampler.exponential(2.0), [-1.0, 0.0, 0.05, 0.5, 1.0, 3.0],
+                    lambda g, n: g.exponential(1.0 / 2.0, size=n),
+                    lambda x: float(-np.expm1(-2.0 * max(x, 0.0)))),
     # unsorted atoms; the cdf at an atom includes it, as <= does
-    (LocationSampler.point_masses([2.0, 1.0, 1.05, 1.1], [0.4, 0.1, 0.2, 0.3]),
-     [0.5, 1.0, np.nextafter(1.05, 0.0), 1.05, 1.1, 1.5, 2.0, 2.5]),
-    (LocationSampler.empirical([0.5, 1.0, 1.0, 3.0, 0.2]), [0.1, 0.2, 0.9, 1.0, 2.9, 3.0, 9.0]),
-], ids=["uniform", "exponential", "points", "empirical"])
-def test_location_cdf_matches_the_empirical_cdf_of_sample(locations, probes):
+    "points": (LocationSampler.point_masses(_POINTS, _WEIGHTS),
+               [0.5, 1.0, np.nextafter(1.05, 0.0), 1.05, 1.1, 1.5, 2.0, 2.5],
+               lambda g, n: _POINTS[np.searchsorted(_CUM, g.random(n), side="right")],
+               lambda x: float(np.diff(_CUM, prepend=0.0)[_POINTS <= x].sum())),
+    "empirical": (LocationSampler.empirical(_VALUES), [0.1, 0.2, 0.9, 1.0, 2.9, 3.0, 9.0],
+                  lambda g, n: _VALUES[g.integers(0, _VALUES.size, size=n)],
+                  lambda x: np.count_nonzero(_VALUES <= x) / _VALUES.size),
+}
+
+
+@pytest.mark.parametrize("kind", LOCATION_CASES)
+def test_location_cdf_matches_the_empirical_cdf_of_sample(kind):
+    locations, probes, _, _ = LOCATION_CASES[kind]
     n = 200_000
     x = locations.sample(RngStream(seed=35), n)
     for q in probes:
@@ -377,6 +394,16 @@ def test_location_cdf_matches_the_empirical_cdf_of_sample(locations, probes):
         assert 0.0 <= f <= 1.0
         assert abs(np.mean(x <= q) - f) <= 4.0 * math.sqrt(f * (1.0 - f) / n) + 1e-12
     assert locations.cdf(-1.0) == 0.0 and locations.cdf(math.inf) == 1.0
+
+
+@pytest.mark.parametrize("kind", LOCATION_CASES)
+def test_location_sampler_kinds_keep_their_formulas(kind):
+    # draws bit for bit from the same generator, and the cdf at the probes
+    locations, probes, draw, cdf = LOCATION_CASES[kind]
+    n = 1000
+    assert locations.sample(RngStream(seed=38), n).tobytes() == draw(
+        RngStream(seed=38).generator(), n).tobytes()
+    assert [locations.cdf(x) for x in probes] == [cdf(x) for x in probes]
 
 
 def test_location_sampler_draws():

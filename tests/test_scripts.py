@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 import pytest
-from scipy import stats
 
 from fracq import limitlab
 
@@ -60,6 +59,7 @@ def test_calibrate_writes_pass_rates_and_uniform_ks_per_experiment(tmp_path, cap
         assert summary["runs"] == 2 and summary["passes"] == sum(
             s > summary["threshold"] for s in summary["statistics"])
         assert summary["pass_rate"] == summary["passes"] / 2
+        assert "min_p" not in summary
         # seed 1 is the battery's run at base seed 1
         assert summary["statistics"][1] == runners[name](None).statistic
     pmf = json.loads((out / "pmf_theta_0.7.json").read_text())["p_values"]
@@ -68,29 +68,6 @@ def test_calibrate_writes_pass_rates_and_uniform_ks_per_experiment(tmp_path, cap
     balanced = json.loads((out / "queue_scaling_balanced.json").read_text())["p_values"]
     assert sorted(balanced) == ["ks.p", "ks_per_class.p"]
     assert json.loads((out / "oscillation_c_1.json").read_text())["p_values"] == {}
-
-
-def test_calibrate_tests_a_least_p_value_against_the_law_of_a_minimum(tmp_path, capsys):
-    calibrate = load_script("calibrate")
-    out = tmp_path / "cal"
-    argv = ["--only", "pmf_theta_0.7,oscillation_c_1", "--seeds", "3", "--scale", "0.01",
-            "--out", str(out)]
-    assert calibrate.main(argv) == 0
-    assert "min-of-k KS p" in capsys.readouterr().out
-    # the pmf verdict is the least of its 3 p-values at every seed
-    pmf = json.loads((out / "pmf_theta_0.7.json").read_text())
-    parts = [v["values"] for v in pmf["p_values"].values()]
-    assert pmf["statistics"] == [min(ps) for ps in zip(*parts)]
-    d, p = stats.kstest(pmf["statistics"], lambda x: 1.0 - (1.0 - x) ** 3)
-    assert pmf["min_p"] == {"k": 3, "ks_D": d, "ks_p": p}
-    # a margin is not a p-value
-    assert json.loads((out / "oscillation_c_1.json").read_text())["min_p"] is None
-    reports = [{"statistic": 0.2, "verdict": True, "details": {"a": {"p": 0.2}, "b": {"p": 0.5}},
-                **{k: 0 for k in ("name", "threshold", "direction", "replicas", "seed")}},
-               {"statistic": -1.0, "verdict": False, "details": {"a": {"p": 0.1}, "b": {"p": 0.5}},
-                **{k: 0 for k in ("name", "threshold", "direction", "replicas", "seed")}}]
-    assert calibrate.summarize(reports, 0.0)["min_p"] is None  # not a minimum at every seed
-    assert calibrate.summarize(reports[:1], 0.0)["min_p"]["k"] == 2
     assert calibrate.main(["--only", "nothing", "--out", str(out)]) == 2
 
 
