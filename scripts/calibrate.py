@@ -47,6 +47,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -168,6 +169,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
+    if not 0.0 < args.scale < math.inf:  # NaN fails the comparison too
+        ap.error(f"--scale must be positive and finite, got {args.scale}")
 
     names = [name for name, _ in battery(0, args.scale)]
     if args.only is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,6 +42,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.seed < 0:  # experiments use seed + offset, so one negative seed would fail mid-battery
         ap.error(f"--seed must be a nonnegative integer, got {args.seed}")
+    if not 0.0 < args.scale < math.inf:  # NaN fails the comparison too
+        ap.error(f"--scale must be positive and finite, got {args.scale}")
+    if args.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     experiments = battery(args.seed, args.scale, args.jobs)
     if args.list:

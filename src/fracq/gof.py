@@ -80,7 +80,7 @@ def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, fl
     x = np.asarray(sample)
     if x.size == 0:
         raise ParameterError("empty sample")
-    if np.any(x < 0):
+    if not np.issubdtype(x.dtype, np.integer) or np.any(x < 0):
         raise ParameterError("sample must be nonnegative integers")
     probs = np.asarray(pmf, dtype=float)
     # NaN fails probs >= 0, and +inf the total mass

@@ -10,7 +10,8 @@ resolution bounds the reflection bias.
 
 Every path-level observable and oracle is drawn for a chunk of replicas at
 once and read only where its path can turn.  A functional of two independent
-inverse clocks takes the rows of one level walk per clock (_clock_pair) and
+inverse clocks takes the rows of one level walk per clock (_clock_pair, which
+finds each clock's count at the other's passages by a search of its row) and
 is read at the clocks' level passages (_path_extremes); an event-level queue
 takes the rows of one renewal walk of services (_queue_ends) and is read at
 its services, its kept arrivals there counted from the rows of one renewal
@@ -26,7 +27,9 @@ rejects a setting outside (0, inf) (_POSITIVE) before anything is drawn;
 it makes the ExperimentReport, whose parameters are the call's arguments
 less the run settings (replicas, rng, tolerances, resolution, out_dir, jobs,
 verbose); and it writes each named sample as an ECDF CSV and the report's
-JSON to out_dir, and prints the summary line.
+JSON to out_dir, and prints the summary line.  The two ladder experiments
+end in one verdict, _median_trends: each column's median must move strictly
+one way along the rungs.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from .processes import (
 )
 from .queueing import LocationSampler
 from .samplers import RngStream, _inverse_clock_at, sample_inverse_subordinator_at
-from .special import FppParams, _check_theta, fpp_pmf_table, inverse_subordinator_moments
+from .special import FppParams, _check_theta, _require_positive, fpp_pmf_table
+from .special import inverse_subordinator_moments
 
 DEFAULT_P_MIN = 1e-3
 DEFAULT_Z_MAX = 4.0
@@ -139,7 +143,7 @@ _RUN_SETTINGS = frozenset({"replicas", "rng", "p_min", "z_max", "concentration_t
                            "degenerate_tol", "resolution", "out_dir", "jobs", "verbose"})
 # arguments that every experiment taking them needs in (0, inf)
 _POSITIVE = frozenset({"t", "u", "c", "z_max", "resolution", "concentration_tol",
-                       "degenerate_tol"})
+                       "degenerate_tol", "jobs"})
 
 
 def _parameters(arguments: dict) -> dict:
@@ -274,27 +278,21 @@ def _clock_pair(theta_a: float, theta_b: float, t: float, resolution: float,
                 rng: RngStream, rows: int) -> tuple[_Clock, _Clock]:
     """`rows` pairs of independent inverse clocks Y_a, Y_b on levels spaced
     resolution * t^theta, each clock the rows of one level walk (substreams 0
-    and 1).  At each passage of one clock, one searchsorted over row-offset
-    keys finds the other's count: keys row * C + level, with C a power of two
-    at least 4t, order like (row, level) up to float rounding, which can only
-    merge a level with a passage just below it; those are stepped back."""
+    and 1).  At each passage of one clock, a search of the other clock's row
+    finds its count there, counting a tied level as passed."""
     walks = []
     for j, theta in enumerate((theta_a, theta_b)):
         step = resolution * t**theta
         count, levels = _level_walks(theta, step, t, rng.substream(j), rows)
-        off = np.concatenate([[0], np.cumsum(count + 1)])
-        walks.append((step, levels, off, np.repeat(np.arange(rows), count + 1)))
-    scale = math.ldexp(1.0, math.frexp(t)[1] + 2)
+        walks.append((step, levels, np.concatenate([[0], np.cumsum(count + 1)])))
     clocks = []
-    for (step, levels, off, row), (_, levels_y, off_y, row_y) in zip(walks, walks[::-1]):
+    for (step, levels, off), (_, levels_y, off_y) in zip(walks, walks[::-1]):
         s = levels.copy()
         s[off[1:] - 1] = -t  # a row's last slot asks at s < 0
-        keys_y = row_y * scale + np.minimum(levels_y, 2.0 * t)
-        q = np.searchsorted(keys_y, row * scale + s, side="right")
-        lo = off_y[row]
-        while (over := (q > lo) & (levels_y[q - 1] > s)).any():
-            q -= over
-        clocks.append(_Clock(step, off, np.arange(levels.size) - off[row], q))
+        other = np.concatenate([lo + np.searchsorted(levels_y[lo:hi], s[a:b], side="right")
+                                for a, b, lo, hi in zip(off, off[1:], off_y, off_y[1:])])
+        k = np.arange(levels.size) - np.repeat(off[:-1], np.diff(off))
+        clocks.append(_Clock(step, off, k, other))
     return clocks[0], clocks[1]
 
 
@@ -495,13 +493,6 @@ def _queue_rows(arrivals: FppParams, services: FppParams, horizon: float) -> int
 
 # ---------------------------------------------------------------------------
 # verification experiments
-
-def _require_positive(**values: float) -> None:
-    """Reject any value outside (0, inf); NaN fails the comparison too."""
-    for name, v in values.items():
-        if not 0.0 < v < math.inf:
-            raise ParameterError(f"{name} must be positive and finite, got {v}")
-
 
 def _standard_error(x: np.ndarray) -> float:
     """Standard error of the mean of x; DomainError when it is 0 or not finite
@@ -849,6 +840,18 @@ def verify_centered_queue_clt(
                                                      "centered_clt_oracle_ecdf": oracle})
 
 
+def _median_trends(rungs, **rising: bool) -> _Verdict:
+    """Column c's median per rung, named by the c-th key, must rise strictly
+    along the rungs when its value is True and fall strictly when False; the
+    statistic is the least step in the required direction (a - b for a
+    falling column, so that equal medians give 0.0, not -0.0)."""
+    details, margins = {}, []
+    for c, (key, up) in enumerate(rising.items()):
+        med = details[key] = [float(np.median(x[:, c])) for x in rungs]
+        margins += [b - a if up else a - b for a, b in zip(med, med[1:])]
+    return _Verdict(float(min(margins)), 0.0, ">", details)
+
+
 @_experiment("recurrence")
 def verify_recurrence(
     alpha: float,
@@ -873,12 +876,7 @@ def verify_recurrence(
     # every arrival feeds the total queue: (emptyings, running max)
     ends = lambda h, sub, m: _queue_ends(*walks, h, (1.0,), sub, m)[:, 0, 1:]
     horizons, rungs = _ladder(ends, partial(_queue_rows, *walks), horizons, 3, rng, replicas, jobs)
-    med_empty = [float(np.median(pairs[:, 0])) for pairs in rungs]
-    med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
-    margins = [b - a for a, b in zip(med_empty, med_empty[1:])]
-    margins += [b - a for a, b in zip(med_max, med_max[1:])]
-    return _Verdict(float(min(margins)), 0.0, ">",
-                    {"median_emptyings": med_empty, "median_running_max": med_max})
+    return _median_trends(rungs, median_emptyings=True, median_running_max=True)
 
 
 @_experiment("oscillation")
@@ -901,12 +899,7 @@ def verify_oscillation(
     horizons, rungs = _ladder(partial(_clock_extremes, theta, c, resolution),
                               partial(_pair_rows, theta, theta, resolution=resolution),
                               horizons, 2, rng, replicas, jobs)
-    med_min = [float(np.median(pairs[:, 0])) for pairs in rungs]
-    med_max = [float(np.median(pairs[:, 1])) for pairs in rungs]
-    margins = [a - b for a, b in zip(med_min, med_min[1:])]
-    margins += [b - a for a, b in zip(med_max, med_max[1:])]
-    return _Verdict(float(min(margins)), 0.0, ">",
-                    {"median_running_min": med_min, "median_running_max": med_max})
+    return _median_trends(rungs, median_running_min=False, median_running_max=True)
 
 
 @_experiment("best-ask")

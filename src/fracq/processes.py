@@ -29,7 +29,7 @@ import numpy as np
 from .errors import EventCapError, ParameterError
 from .samplers import RngStream, _mittag_leffler_steps, _stable_steps
 from .samplers import sample_inverse_subordinator_at, sample_positive_stable
-from .special import FppParams, _check_theta, inverse_subordinator_moments
+from .special import FppParams, _check_theta, _require_positive, inverse_subordinator_moments
 
 DEFAULT_EVENT_CAP = 10_000_000
 # clock levels at time t are spaced DEFAULT_RESOLUTION * t^theta, a fixed
@@ -259,8 +259,7 @@ def _level_walks(theta: float, step: float, horizon: float, rng: RngStream, rows
     (count, levels), each row's L(step), L(2 step), ... up to its first value
     above the horizon, row after row."""
     mean_y = inverse_subordinator_moments(theta, horizon)[0]
-    if not 0.0 < step < math.inf:
-        raise ParameterError(f"step must be positive and finite, got {step}")
+    _require_positive(step=step)
     scale = step ** (1.0 / theta)
     transform = lambda pairs: scale * _stable_steps(theta, pairs)
     return _passage(transform, rng, rows, horizon, mean_y / step, keep=True)

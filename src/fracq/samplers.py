@@ -4,6 +4,11 @@ All draws flow through RngStream, a thin wrapper over a counter-based
 64-bit generator (Philox) keyed by a seed and a substream path.  Distinct
 paths give non-overlapping streams, so replicas can be fanned out across
 workers without coordination and still reproduce bit-identically.
+
+Mittag-Leffler variates have two routes: the trigonometric form of pairs of
+uniforms (_mittag_leffler_steps), which every renewal walk and
+sample_mittag_leffler_trig run, and the product form E^(1/theta) S / lam
+(sample_mittag_leffler), against which the tests check it.
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ def _mittag_leffler_steps(p: FppParams, pairs: np.ndarray) -> np.ndarray:
 
         X = -ln(1 - U) (sin(theta pi (1 - V)) / sin(theta pi V))^(1/theta) / lam,
 
-    sample_mittag_leffler_trig's bracket sin(theta pi)/tan(theta pi V) -
-    cos(theta pi) without its cancellation; -ln(1 - U) / lam at theta = 1."""
+    the inversion bracket sin(theta pi)/tan(theta pi V) - cos(theta pi)
+    written without its cancellation; -ln(1 - U) / lam at theta = 1."""
     gap = np.log(1.0 - pairs[..., 0]) / -p.lam
     if p.theta == 1.0:
         return gap
@@ -115,25 +120,12 @@ def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int) -> np.ndarray
 
 
 def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int) -> np.ndarray:
-    """Mittag-Leffler waiting times via the trigonometric inversion form
-
-        X = -ln(U) (sin(theta pi)/tan(theta pi V) - cos(theta pi))^(1/theta) / lam,
-
-    U, V independent uniforms.  Independent of the product-form construction;
-    the two must agree in law.  theta = 1 is special-cased to Exp(lam).
+    """Mittag-Leffler waiting times via the trigonometric form that every
+    renewal walk runs (_mittag_leffler_steps), on pairs (U, V) of uniforms.
+    Independent of the product-form construction; the two must agree in
+    law.  theta = 1 gives Exp(lam).
     """
-    n = _n_variates(size)
-    g = rng.generator()
-    if p.theta == 1.0:
-        return g.standard_exponential(n) / p.lam
-    u = g.random(n)
-    v = g.random(n)
-    # guard the measure-zero endpoints of the open interval
-    u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    v = np.where(v == 0.0, np.nextafter(0.0, 1.0), v)
-    tp = p.theta * np.pi
-    bracket = np.sin(tp) / np.tan(tp * v) - np.cos(tp)
-    return -np.log(u) * bracket ** (1.0 / p.theta) / p.lam
+    return _mittag_leffler_steps(p, rng.generator().random((_n_variates(size), 2)))
 
 
 def sample_inverse_subordinator_at(

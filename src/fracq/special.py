@@ -44,6 +44,13 @@ def _check_time(t: float) -> None:
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
 
 
+def _require_positive(**values: float) -> None:
+    """Reject any value outside (0, inf); NaN fails the comparison too."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {v}")
+
+
 @dataclass(frozen=True)
 class MlIndex:
     """Index theta of the Mittag-Leffler function E_theta."""
@@ -63,8 +70,7 @@ class FppParams:
 
     def __post_init__(self) -> None:
         _check_theta(self.theta)
-        if not 0.0 < self.lam < math.inf:
-            raise ParameterError(f"lam must be positive and finite, got {self.lam}")
+        _require_positive(lam=self.lam)
 
 
 def _series_vec(theta: float, z: np.ndarray) -> np.ndarray:

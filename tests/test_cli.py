@@ -473,6 +473,10 @@ BEST_ASK = ["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, 
           "--resolution", 0], "resolution must be positive"),
         (["verify", "oscillation", "--theta", 0.5, "--horizons", "1,2", "--replicas", 10,
           "--resolution", 0], "resolution must be positive"),
+        # a worker count below 1 would run serially without a word
+        ([*SCALING, "--jobs", -4], "jobs must be positive and finite, got -4"),
+        (["verify", "oscillation", "--theta", 0.5, "--horizons", "1,2", "--replicas", 10,
+          "--jobs", 0], "jobs must be positive and finite, got 0"),
     ],
 )
 def test_nonpositive_time_scale_or_window_is_usage_error(tmp_path, capsys, args, message):

@@ -190,6 +190,13 @@ def test_chi_square_validation():
             chi_square_counts([0, 1, 1, 0] * 10, [bad, 0.5])
 
 
+def test_chi_square_rejects_a_non_integer_sample():
+    # a float sample, whole-valued or not, would reach np.bincount's cast
+    for sample in ([0.5, 1.2, 2.0, 0.0] * 10, np.zeros(40)):
+        with pytest.raises(ParameterError, match="sample must be nonnegative integers"):
+            chi_square_counts(sample, [0.3, 0.3, 0.3])
+
+
 def test_chi_square_subnormal_expected_count_rejects_without_warning():
     # one observation in a cell expecting 5e-324 of one: the statistic
     # overflows to inf, which rejects outright

@@ -334,6 +334,21 @@ def test_verify_oscillation_smoke():
     assert mins[1] < mins[0] and maxs[1] > maxs[0]
 
 
+def test_median_trends_take_the_least_step_in_each_columns_direction():
+    # column 0's medians 2, 3, 5 and column 1's 8, 6, 2 along three rungs
+    rungs = [np.column_stack([[1.0, 2.0, 3.0], [9.0, 8.0, 7.0]]) + d * np.array([1.0, -2.0])
+             for d in (0, 1, 3)]
+    found = limitlab._median_trends(rungs, up=True, down=False)
+    assert found.details == {"up": [2.0, 3.0, 5.0], "down": [8.0, 6.0, 2.0]}
+    assert found[:3] == (1.0, 0.0, ">")
+    assert limitlab._median_trends(rungs, up=False, down=True).statistic == -4.0
+    # equal medians fail at exactly 0.0, the falling column first so that a
+    # -0.0 from it would be the least margin
+    found = limitlab._median_trends([rungs[0], rungs[0]], down=False, up=True)
+    assert found.statistic == 0.0 and math.copysign(1.0, found.statistic) == 1.0
+    assert not ExperimentReport("demo", {}, *found[:3], replicas=3, seed=0).verdict
+
+
 def test_verify_validation_errors():
     with pytest.raises(ParameterError):
         limitlab.verify_recurrence(
@@ -399,7 +414,7 @@ def test_nan_time_scale_or_window_is_rejected():
 BATTERY_POINTS = {}
 for _, verify, point in limitlab.BATTERY.values():
     BATTERY_POINTS.setdefault(verify, point)
-POSITIVE = {"t", "u", "c", "z_max", "resolution", "concentration_tol", "degenerate_tol"}
+POSITIVE = {"t", "u", "c", "z_max", "resolution", "concentration_tol", "degenerate_tol", "jobs"}
 POSITIVE_CASES = [(verify, arg) for verify in BATTERY_POINTS
                   for arg in inspect.signature(verify).parameters if arg in POSITIVE]
 
@@ -835,6 +850,21 @@ def test_clock_extremes_match_union_grid_min_and_max():
         paths = union_grid_paths(theta, theta, t, rng, 40, linear(1.0), linear(2.5))
         assert_bitwise_equal(got[:, 0], np.array([path.min() for path in paths]))
         assert_bitwise_equal(got[:, 1], np.array([path.max() for path in paths]))
+
+
+def test_clock_pair_counts_a_tied_level_as_passed(monkeypatch):
+    # both clocks on the same level rows (1.0 the horizon): at a passage of
+    # level k + 1 the other clock has passed its own level k + 1 too
+    count = np.array([2, 0, 3])
+    levels = np.array([0.2, 0.7, 1.5, 1.2, 0.1, 0.4, 0.9, 3.0])
+    monkeypatch.setattr(limitlab, "_level_walks", lambda *args: (count, levels))
+    a, b = limitlab._clock_pair(0.6, 0.6, 1.0, RES, RngStream(seed=0), 3)
+    for clock in (a, b):
+        np.testing.assert_array_equal(clock.off, [0, 3, 4, 8])
+        np.testing.assert_array_equal(clock.k, [0, 1, 2, 0, 0, 1, 2, 3])
+        np.testing.assert_array_equal(clock.other, [1, 2, 0, 3, 5, 6, 7, 4])
+    low, high = limitlab._path_extremes(a, a.step * a.k, b, b.step * b.k)[1:]
+    assert not low.any() and not high.any()
 
 
 def test_balanced_queue_scaling_aggregate_oracle_is_the_two_sided_law(tmp_path):

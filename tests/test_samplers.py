@@ -172,15 +172,17 @@ def inverted_sine_ratio(p, pairs):
 
 
 def walk_gaps_pass(gaps, theta, seed):
-    """gaps(p, pairs) against the two other Mittag-Leffler forms: in law
-    against the product form (KS), and draw by draw against the bracket of
-    sample_mittag_leffler_trig fed the same uniforms, U read as 1 - U."""
+    """gaps(p, pairs) against two other Mittag-Leffler forms: in law against
+    the product form (KS), and draw by draw against the trigonometric
+    inversion's bracket sin(theta pi)/tan(theta pi V) - cos(theta pi), fed
+    the same uniforms, U read as 1 - U."""
     p, n = FppParams(theta, 1.7), 20_000
     g = RngStream(seed=seed).generator()
     u, v = g.random(n), g.random(n)
     x = gaps(p, np.stack([1.0 - u, v], axis=-1))
     in_law = stats.ks_2samp(x, sample_mittag_leffler(p, RngStream(seed=seed + 1), size=n)).pvalue > 1e-3
-    trig = sample_mittag_leffler_trig(p, RngStream(seed=seed), size=n)
+    tp = theta * np.pi
+    trig = -np.log(u) * (np.sin(tp) / np.tan(tp * v) - np.cos(tp)) ** (1.0 / theta) / p.lam
     return in_law and np.allclose(x, trig, rtol=1e-8, atol=0.0)
 
 
@@ -193,6 +195,15 @@ def test_walk_gaps_match_the_other_mittag_leffler_forms(theta, seed):
     pairs = RngStream(seed=seed + 2).generator().random((20_000, 2))
     s = sample_positive_stable(theta, RngStream(seed=seed + 3), size=20_000)
     assert stats.ks_2samp(_stable_steps(theta, pairs), s).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("theta", [0.65, 1.0])
+def test_ml_trig_sampler_runs_the_walks_transform(theta):
+    p = FppParams(theta, 1.7)
+    got = sample_mittag_leffler_trig(p, RngStream(seed=119), size=1000)
+    pairs = RngStream(seed=119).generator().random((1000, 2))
+    want = _mittag_leffler_steps(p, pairs)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_walk_gaps_at_theta_one_are_exponential():

@@ -38,6 +38,23 @@ def test_verification_suite_rejects_a_negative_seed_before_any_experiment(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("script, argv, message", [
+    ("run_verification_suite", ["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    ("run_verification_suite", ["--jobs", "-4"], "--jobs must be at least 1, got -4"),
+    ("run_verification_suite", ["--scale", "nan"], "--scale must be positive and finite, got nan"),
+    ("run_verification_suite", ["--scale", "-1"], "--scale must be positive and finite, got -1.0"),
+    ("calibrate", ["--scale", "0"], "--scale must be positive and finite, got 0.0"),
+    ("calibrate", ["--scale", "inf"], "--scale must be positive and finite, got inf"),
+])
+def test_scripts_reject_a_bad_scale_or_jobs_before_any_experiment(tmp_path, capsys, script,
+                                                                   argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verification_suite_lists_the_battery_in_table_order(capsys):
     suite = load_script("run_verification_suite")
     assert suite.main(["--list"]) == 0
