@@ -123,8 +123,12 @@ def _require(ns: argparse.Namespace, **defaults):
             setattr(ns, dest, value)
 
 
+def _out_path(ns: argparse.Namespace) -> str:
+    return ns.out or os.environ.get("FRACQ_OUT") or "."
+
+
 def _out_dir(ns: argparse.Namespace) -> str:
-    out = ns.out or os.environ.get("FRACQ_OUT") or "."
+    out = _out_path(ns)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -290,7 +294,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     the same name; an unset flag leaves the experiment's own default."""
     _require(ns, seed=0)
     rng = RngStream(seed=ns.seed)
-    out = _out_dir(ns)
+    # made by the experiment once its settings pass, so a usage error leaves none
+    out = _out_path(ns)
     name, defaults = _VERIFY_KINDS[ns.variant]
     # looked up per run, so a rebinding of limitlab's name sees CLI runs too
     experiment = getattr(limitlab, name)

@@ -1,12 +1,14 @@
 """Goodness-of-fit utilities: empirical CDFs, Kolmogorov-Smirnov wrappers,
-and a chi-square test with tail pooling for integer-valued samples."""
+and a chi-square test with tail pooling for integer-valued samples.
+
+scipy is imported inside the tests that use it, not with the module, so
+importing fracq loads none of it."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import ParameterError
 
@@ -77,6 +79,8 @@ def chi_square_counts(sample, pmf, min_expected: float = 5.0) -> tuple[float, fl
     `min_expected`, or two cells remain.  Returns (statistic, p-value,
     degrees of freedom).
     """
+    from scipy.special import chdtrc  # not at module level: it doubles fracq's start-up
+
     x = np.asarray(sample)
     if x.size == 0:
         raise ParameterError("empty sample")

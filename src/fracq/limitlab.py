@@ -214,6 +214,7 @@ def map_replicas(fn, rng: RngStream, n: int, chunk: int, jobs: int = 1) -> np.nd
     A chunk draws only from its own substream, so the result does not depend
     on jobs.
     """
+    _require_positive(jobs=jobs)
     if n < 1:
         raise ParameterError("need at least one replica")
     sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .processes import _CRLF, EventTimeline, _write_csv
 from .samplers import RngStream
+from .special import _require_positive
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,7 @@ class LocationSampler:
 
     @classmethod
     def exponential(cls, rate: float) -> "LocationSampler":
-        if not (0 < rate < np.inf):
-            raise ParameterError("rate must be positive and finite")
+        _require_positive(rate=rate)
         return cls("exponential", 0.0, lambda x: float(-np.expm1(-rate * max(x, 0.0))),
                    lambda g, n: g.exponential(1.0 / rate, size=n))
 

@@ -13,6 +13,10 @@ Evaluation strategy for ``E_theta(z)`` on the real line:
 
 An independent truncated large-argument expansion is kept private for use as
 a cross-check oracle in the test suite.
+
+``scipy.special`` is imported inside the functions that use it, not with the
+module: the samplers and simulations, which import this module for its
+parameter types and checks, need none of it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit, rgamma
 
 from .errors import DomainError, ParameterError, SeriesConvergenceError
 
@@ -75,6 +78,8 @@ class FppParams:
 
 def _series_vec(theta: float, z: np.ndarray) -> np.ndarray:
     """Power series sum_l z^l / Gamma(1 + theta l), Kahan-compensated."""
+    from scipy.special import gammaln  # not at module level: it doubles fracq's start-up
+
     out = np.zeros_like(z)
     comp = np.zeros_like(z)
     active = np.ones(z.shape, dtype=bool)
@@ -151,6 +156,8 @@ def _asymptotic_tail(theta: float, x: np.ndarray, kmax: int = 5) -> np.ndarray:
     """Truncated large-argument expansion of E_theta(-x), stopping at the
     smallest term.  The expansion envelopes the true value, so the first omitted
     term bounds the error.  Private; used as an independent oracle in tests."""
+    from scipy.special import rgamma  # not at module level: it doubles fracq's start-up
+
     out = np.zeros_like(x)
     prev = np.full(x.shape, np.inf)
     stopped = np.zeros(x.shape, dtype=bool)
@@ -228,6 +235,8 @@ def _fpp_pmf_mixture(theta: float, x: float, n: int) -> float:
     same double-exponential rule family as the Mittag-Leffler quadrature.
     fpp_pmf sends only theta <= 0.98 here.
     """
+    from scipy.special import expit, gammaln, log_expit  # not at module level: it doubles fracq's start-up
+
     h, tau, w = _exp_sinh_nodes(theta, 745.0 + 2.0 * n)
     log_dw = math.log(0.5 * np.pi * h) + np.log(np.cosh(tau)) + np.log(w)
 
@@ -276,6 +285,8 @@ def _fpp_pmf_series(theta: float, x: float, n: int) -> float:
     route is only trusted for small arguments; it is kept as the independent
     cross-check for the mixture quadrature.
     """
+    from scipy.special import gammaln  # not at module level: it doubles fracq's start-up
+
     logx = math.log(x)
     lg_n = gammaln(n + 1)
 
@@ -333,6 +344,8 @@ def fpp_pmf(p: FppParams, t: float, n: int) -> float:
         return 1.0 if n == 0 else 0.0
     theta = p.theta
     if theta == 1.0:
+        from scipy.special import gammaln  # not at module level: it doubles fracq's start-up
+
         return math.exp(n * math.log(x) - x - gammaln(n + 1.0))
     if theta <= 0.98:
         return _fpp_pmf_mixture(theta, x, n)

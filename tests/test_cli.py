@@ -336,8 +336,9 @@ def test_verify_flags_reach_the_experiment(tmp_path, kind):
 
 
 def test_missing_flag_is_usage_error(tmp_path, capsys):
-    assert run_cli("verify", "pmf", "--out", tmp_path) == 2
+    assert run_cli("verify", "pmf", "--out", tmp_path / "out") == 2
     assert "--theta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_probability_list_is_usage_error(tmp_path, capsys):
@@ -480,11 +481,12 @@ BEST_ASK = ["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, 
     ],
 )
 def test_nonpositive_time_scale_or_window_is_usage_error(tmp_path, capsys, args, message):
-    # rejected before anything is drawn: no verdict line
-    assert run_cli(*args, "--out", tmp_path) == 2
+    # rejected before anything is drawn or written: no verdict line, no --out
+    assert run_cli(*args, "--out", tmp_path / "out") == 2
     out, err = capsys.readouterr()
     assert "usage error" in err and message in err
     assert "PASS" not in out and "FAIL" not in out
+    assert not (tmp_path / "out").exists()
 
 
 # a two-sample KS p-value at n replicas each is never below 2 / C(2n, n):

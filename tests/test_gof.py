@@ -204,9 +204,10 @@ def test_chi_square_subnormal_expected_count_rejects_without_warning():
 
 
 def test_simulation_commands_do_not_load_scipy_stats(tmp_path):
-    # scipy.stats about doubles the start-up time and memory of `import fracq`,
-    # and only the KS tests need it.  A fresh interpreter, because this test
-    # session has imported scipy.stats already.
+    # scipy's special functions and stats about triple the start-up time of
+    # `import fracq` and double its memory, and no simulation needs them:
+    # only the pmf, the Mittag-Leffler functions and the tests of fit do.  A
+    # fresh interpreter, because this test session has imported scipy already.
     script = textwrap.dedent(f"""
         import sys
         import fracq, fracq.cli
@@ -220,10 +221,13 @@ def test_simulation_commands_do_not_load_scipy_stats(tmp_path):
              "--locations", "uniform:1,2", "--horizon", "50"],
             ["sample", "stable", "--theta", "0.6", "--replicas", "200"],
         ]
-        loaded = ["import fracq"] if "scipy.stats" in sys.modules else []
+        def scipy_loaded():
+            return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+        loaded = ["import fracq"] if scipy_loaded() else []
         for args in runs:
             assert fracq.cli.main([*args, "--seed", "1", "--out", {str(tmp_path)!r}]) == 0
-            if not loaded and "scipy.stats" in sys.modules:
+            if not loaded and scipy_loaded():
                 loaded.append(" ".join(args[:2]))
         print(loaded)
     """)
@@ -234,4 +238,4 @@ def test_simulation_commands_do_not_load_scipy_stats(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1]
-    assert last == "[]", f"scipy.stats loaded by: {last}"
+    assert last == "[]", f"scipy loaded by: {last}"

@@ -100,6 +100,18 @@ def test_map_replicas_parallel_matches_serial():
         map_replicas(fn, RngStream(seed=4), 0, chunk=1)
 
 
+@pytest.mark.parametrize("jobs", [math.nan, 0, -1])
+def test_map_replicas_rejects_a_worker_count_outside_positive_reals(jobs, monkeypatch):
+    # a pool of NaN workers starts no thread and never returns; 0 or -1
+    # would run serially without a word
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(limitlab, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ParameterError, match=f"jobs must be positive and finite, got {jobs}"):
+        map_replicas(lambda sub, m: np.zeros(m), RngStream(seed=4), 4, chunk=2, jobs=jobs)
+
+
 def test_map_replicas_draws_chunk_c_from_substream_c():
     def fn(sub, m):
         return np.column_stack([np.full(m, sub._path[-1]), sub.generator().random(m)])

@@ -327,8 +327,6 @@ def test_location_sampler_validation():
     with pytest.raises(ParameterError):
         LocationSampler.uniform(-1.0, 1.0)
     with pytest.raises(ParameterError):
-        LocationSampler.exponential(0.0)
-    with pytest.raises(ParameterError):
         LocationSampler.point_masses([1.0, 2.0], [0.5])
     with pytest.raises(ParameterError):
         LocationSampler.point_masses([1.0, 2.0], [0.5, 0.6])
@@ -340,8 +338,6 @@ def test_location_sampler_validation():
         lambda: LocationSampler.uniform(0.0, np.inf),
         lambda: LocationSampler.uniform(np.nan, 1.0),
         lambda: LocationSampler.uniform(0.0, np.nan),
-        lambda: LocationSampler.exponential(np.nan),
-        lambda: LocationSampler.exponential(np.inf),
         lambda: LocationSampler.point_masses([1.0, np.inf], [0.5, 0.5]),
         lambda: LocationSampler.point_masses([np.nan], [1.0]),
         lambda: LocationSampler.point_masses([1.0, 2.0], [np.nan, 1.0]),
@@ -352,6 +348,12 @@ def test_location_sampler_validation():
     for make in non_finite:
         with pytest.raises(ParameterError):
             make()
+
+
+@pytest.mark.parametrize("rate", [np.nan, 0.0, -1.0, np.inf])
+def test_exponential_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ParameterError, match=f"rate must be positive and finite, got {rate}$"):
+        LocationSampler.exponential(rate)
 
 
 def test_location_sampler_support():
