@@ -8,9 +8,9 @@ to --out:
 
 - the pass rate at the experiment's existing threshold, with its statistic at
   every seed;
-- every p-value the report records (its details' "p", "ks_p" and
-  "ks_cross_p" entries), and for each a one-sample KS test of its K values
-  against the uniform law, which a calibrated test follows under its null.
+- every p-value the report records (its details' "p" and "ks_p" entries),
+  and for each a one-sample KS test of its K values against the uniform
+  law, which a calibrated test follows under its null.
 
 A pass rate below 1 - (a few) / K, or a small KS p-value, points at a bias in
 the experiment rather than at chance.  This script is not part of the test
@@ -59,7 +59,7 @@ from scipy.special import gammaincinv
 from fracq import limitlab, processes, samplers
 from fracq.limitlab import battery
 
-P_KEYS = ("p", "ks_p", "ks_cross_p")
+P_KEYS = ("p", "ks_p")
 
 
 def _kanter_gamma2(kanter):

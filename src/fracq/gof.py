@@ -1,8 +1,11 @@
-"""Goodness-of-fit utilities: empirical CDFs, Kolmogorov-Smirnov wrappers,
+"""Goodness-of-fit utilities: empirical CDFs, Kolmogorov-Smirnov tests,
 and a chi-square test with tail pooling for integer-valued samples.
 
 scipy is imported inside the tests that use it, not with the module, so
-importing fracq loads none of it."""
+importing fracq loads none of it.  The two-sample KS test of two samples of
+one size n <= 10 000, the only kind the experiments run, needs no scipy at
+all: its exact p-value is a short sum, computed here as scipy computes it.
+`scipy.stats` loads only for the one-sample test and for other sizes."""
 
 from __future__ import annotations
 
@@ -22,21 +25,55 @@ def ecdf(sample) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.cumsum(counts) / x.size
 
 
-def ks_two_sample(x, y) -> tuple[float, float]:
-    """Two-sample KS statistic and p-value.
+# the largest equal size at which scipy's method="auto" is exact
+_EXACT_KS_MAX = 10_000
 
-    scipy's exact p-value gives up, with a RuntimeWarning, only where it
-    rounds above 1 (small samples with ties and a small statistic); its
-    asymptotic fallback is then itself close to 1, so the warning is
-    silenced and the p-value kept."""
+
+def ks_two_sample(x, y) -> tuple[float, float]:
+    """Two-sample KS statistic and p-value, bit for bit those of
+    `scipy.stats.ks_2samp(x, y, method="auto")`.
+
+    Two samples of one size n <= 10 000 with no NaN are tested here: D is
+    h / n, h the largest gap between the two samples' counts at or below a
+    value, and the p-value is the exact one of Hodges' sum.  Every other
+    input goes to scipy.  scipy's exact p-value gives up, with a
+    RuntimeWarning, only where it rounds above 1 (small samples with ties and
+    a small statistic); its asymptotic fallback is then itself close to 1, so
+    the warning is silenced and the p-value kept."""
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    n = x.size
+    if x.ndim == 1 and x.shape == y.shape and 0 < n <= _EXACT_KS_MAX:
+        both = np.concatenate([x, y])
+        if not np.isnan(both).any():
+            # scipy rounds its float D * n to this count gap h and reports h / n
+            h = int(np.abs(np.searchsorted(x, both, side="right")
+                           - np.searchsorted(y, both, side="right")).max())
+            p = 1.0 if h == 0 else _prob_outside_square(n, h)
+            if 0.0 <= p <= 1.0:
+                return h / n, p
     from scipy import stats  # not at module level: it doubles fracq's start-up
 
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful",
                                 RuntimeWarning)
-        res = stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                             method="auto")
+        res = stats.ks_2samp(x, y, method="auto")
     return float(res.statistic), float(res.pvalue)
+
+
+def _prob_outside_square(n: int, h: int) -> float:
+    """P(D >= h / n) for two samples of size n, 0 < h <= n: Hodges' sum
+    2 sum_{k >= 1} (-1)^(k+1) C(2n, n - k h) / C(2n, n) in scipy's Horner form
+    2 A_0 (1 - A_1 (1 - A_2 (...))), A_k = C(2n, n - (k+1) h) / C(2n, n - k h)
+    a product of h factors, innermost bracket first, so that no two terms
+    cancel."""
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        a = 1.0
+        for j in range(h):
+            a = (n - k * h - j) * a / (n + k * h + j + 1)
+        p = a * (1.0 - p)
+    return 2 * p
 
 
 def ks_one_sample(x, cdf) -> tuple[float, float]:

@@ -60,6 +60,44 @@ def test_ks_two_sample_of_few_tied_counts_keeps_scipy_p_without_warning():
     assert ref.pvalue > 0.9999
 
 
+def _scipy_ks_two_sample(x, y):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful",
+                                RuntimeWarning)
+        ref = stats.ks_2samp(np.asarray(x, float), np.asarray(y, float), method="auto")
+    return float(ref.statistic), float(ref.pvalue)
+
+
+def _ks_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 20, 250, 2000, 10_000):
+        yield f"continuous-{n}", rng.normal(size=n), rng.normal(0.05, 1.0, size=n)
+        yield f"tied-{n}", rng.integers(0, 5, n), rng.integers(0, 5, n) + (rng.random(n) < 0.1)
+    same = rng.normal(size=300)
+    yield "identical", same, same
+    yield "permuted-ties", np.repeat([0, 1, 2], 40), np.tile([2, 1, 0], 40)  # h = 0
+    # scipy's exact value rounds above 1, so it falls back to the asymptotic one
+    yield "exact-above-1", [1, 2, 3, 2, 3, 2, 2], [1, 3, 0, 2, 2, 3, 2]
+    yield "unequal", rng.normal(size=300), rng.normal(size=200)
+    yield "n-10001", rng.normal(size=10_001), rng.normal(0.05, 1.0, size=10_001)
+    yield "nan", np.append(rng.normal(size=49), math.nan), rng.normal(size=50)
+
+
+@pytest.mark.parametrize("name, x, y", [pytest.param(*case, id=case[0]) for case in _ks_cases()])
+def test_ks_two_sample_is_scipys_bit_for_bit(name, x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ks_two_sample(x, y)
+    want = _scipy_ks_two_sample(x, y)
+    if name == "nan":
+        assert all(map(math.isnan, got + want))
+    else:
+        assert got == want
+        assert all(type(v) is float for v in got)
+    if name in ("identical", "permuted-ties"):
+        assert got == (0.0, 1.0)
+
+
 def test_chi_square_hand_case():
     # two equiprobable cells, observed 55/45: statistic (55-50)^2/50 * 2 = 1.0
     sample = np.concatenate([np.zeros(55, dtype=int), np.ones(45, dtype=int)])
@@ -203,12 +241,23 @@ def test_chi_square_subnormal_expected_count_rejects_without_warning():
     assert chi_square_counts([1], [1.0, 5e-324], min_expected=1.0) == (math.inf, 0.0, 1)
 
 
+def _last_line_of_fresh_run(script: str) -> str:
+    """The last line a fresh interpreter prints running `script` on src/:
+    this test session has imported scipy already."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_simulation_commands_do_not_load_scipy_stats(tmp_path):
     # scipy's special functions and stats about triple the start-up time of
     # `import fracq` and double its memory, and no simulation needs them:
-    # only the pmf, the Mittag-Leffler functions and the tests of fit do.  A
-    # fresh interpreter, because this test session has imported scipy already.
-    script = textwrap.dedent(f"""
+    # only the pmf, the Mittag-Leffler functions and the tests of fit do
+    last = _last_line_of_fresh_run(f"""
         import sys
         import fracq, fracq.cli
         runs = [
@@ -231,11 +280,37 @@ def test_simulation_commands_do_not_load_scipy_stats(tmp_path):
                 loaded.append(" ".join(args[:2]))
         print(loaded)
     """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.splitlines()[-1]
     assert last == "[]", f"scipy loaded by: {last}"
+
+
+def test_verification_does_not_load_scipy_stats(tmp_path):
+    # every two-sample KS that `fracq verify` and the battery run is of two
+    # samples of one size n <= 10 000, whose exact p-value gof computes
+    # itself: importing scipy.stats would add about 0.65 s and 46 MB.
+    # scipy.special (the pmf, the chi-square p-value) may load.
+    last = _last_line_of_fresh_run(f"""
+        import sys
+        import fracq.cli
+        from fracq import limitlab
+        runs = [
+            ["scaling", "--alpha", "0.9", "--beta", "0.3", "--lambda", "1", "--mu", "1",
+             "--u", "100"],
+            ["centered-clt", "--alpha", "0.6", "--beta", "0.6", "--lambda", "1", "--mu", "1",
+             "--u", "100"],
+            ["lln", "--theta", "0.7", "--lambda", "1", "--p", "0.5,0.5"],
+            ["fclt", "--theta", "0.7", "--lambda", "1", "--p", "0.5,0.5"],
+        ]
+        loaded = []
+        for args in runs:
+            argv = ["verify", *args, "--replicas", "40", "--seed", "1",
+                    "--out", {str(tmp_path)!r}]
+            assert fracq.cli.main(argv) == 0
+            if not loaded and "scipy.stats" in sys.modules:
+                loaded.append(args[0])
+        for name, run in limitlab.battery(0, scale=0.02):
+            assert run(None).verdict
+            if not loaded and "scipy.stats" in sys.modules:
+                loaded.append(name)
+        print(loaded)
+    """)
+    assert last == "[]", f"scipy.stats loaded by: {last}"

@@ -80,7 +80,7 @@ def test_calibrate_writes_pass_rates_and_uniform_ks_per_experiment(tmp_path, cap
         # seed 1 is the battery's run at base seed 1
         assert summary["statistics"][1] == runners[name](None).statistic
     pmf = json.loads((out / "pmf_theta_0.7.json").read_text())["p_values"]
-    assert sorted(pmf) == ["chi2_renewal.p", "chi2_timechange.p", "ks_cross_p"]
+    assert sorted(pmf) == ["chi2_renewal.p", "chi2_timechange.p"]
     assert all(len(v["values"]) == 2 and 0 <= v["ks_p"] <= 1 for v in pmf.values())
     balanced = json.loads((out / "queue_scaling_balanced.json").read_text())["p_values"]
     assert sorted(balanced) == ["ks.p", "ks_per_class.p"]
