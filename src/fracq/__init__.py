@@ -45,7 +45,6 @@ from .samplers import (
     RngStream,
     sample_inverse_subordinator_at,
     sample_mittag_leffler,
-    sample_mittag_leffler_trig,
     sample_positive_stable,
 )
 from .special import (
@@ -90,7 +89,6 @@ __all__ = [
     "renewal_counts",
     "sample_inverse_subordinator_at",
     "sample_mittag_leffler",
-    "sample_mittag_leffler_trig",
     "sample_positive_stable",
     "simulate_continuum_queue",
     "simulate_fpp_renewal",

@@ -282,8 +282,7 @@ _VERIFY_KINDS = {
     "scaling": ("verify_queue_scaling", dict(p="1.0", i=1, t=1.0, u=1000.0, replicas=2000)),
     "centered-clt": ("verify_centered_queue_clt",
                      dict(p="1.0", i=1, t=1.0, u=1000.0, replicas=2000)),
-    "recurrence": ("verify_recurrence",
-                   dict(p="1.0", horizons="100,10000,1000000", replicas=200)),
+    "recurrence": ("verify_recurrence", dict(horizons="100,10000,1000000", replicas=200)),
     "oscillation": ("verify_oscillation", dict(c=1.0, horizons="100,1000,10000", replicas=200)),
     "best-ask": ("verify_best_ask", dict(horizons="10,100,1000,10000", replicas=200)),
 }

@@ -143,7 +143,7 @@ _RUN_SETTINGS = frozenset({"replicas", "rng", "p_min", "z_max", "concentration_t
                            "degenerate_tol", "resolution", "out_dir", "jobs", "verbose"})
 # arguments that every experiment taking them needs in (0, inf)
 _POSITIVE = frozenset({"t", "u", "c", "z_max", "resolution", "concentration_tol",
-                       "degenerate_tol", "jobs"})
+                       "degenerate_tol", "jobs", "replicas"})
 
 
 def _parameters(arguments: dict) -> dict:
@@ -518,7 +518,7 @@ def _require_ks_can_reject(replicas: int, p_min: float) -> None:
     n, bound = 1, 1.0  # 2 / C(2n, n), updated by its ratio from n to n + 1
     while bound >= p_min:
         n, bound = n + 1, bound * (n + 1) / (4 * n + 2)
-    if 0 <= replicas < n:  # a negative count is left to the samplers' check
+    if replicas < n:
         raise ParameterError(f"{replicas} replicas cannot give a KS p-value below "
                              f"p_min = {p_min}; need at least {n}")
 
@@ -569,8 +569,6 @@ def verify_covariance(
     """Empirical second moments of thinned counts against the analytic
     covariance p_i p_j lam^(2 alpha) Var Y_alpha(t) (and the matching
     per-class variances)."""
-    if replicas < 1:
-        raise ParameterError("need at least one replica")
     total = renewal_counts(FppParams(alpha, lam), t, replicas, rng.substream(0))
     split = rng.substream(1).generator().multinomial(total, probs.p).astype(float)
     mean_y, var_y = inverse_subordinator_moments(alpha, t)
@@ -611,8 +609,6 @@ def verify_lln(
 ) -> _Verdict:
     """Scaled class counts N_i(ut)/u^theta against the law lam^theta p_i Y(t);
     at theta = 1 the limit is deterministic and the check is an RMS window."""
-    if replicas < 1:  # the theta = 1 branch has no KS floor to catch it
-        raise ParameterError("need at least one replica")
     if theta != 1.0:
         _require_ks_can_reject(replicas, p_min)
     total = renewal_counts(FppParams(theta, lam), u * t, replicas, rng.substream(0))
@@ -857,7 +853,6 @@ def verify_recurrence(
     alpha: float,
     lam: float,
     mu: float,
-    probs: ClassProbabilities,
     horizons,
     replicas: int,
     rng: RngStream,
@@ -868,9 +863,7 @@ def verify_recurrence(
     """Median emptying count and median running maximum of the total queue
     must both grow strictly along increasing horizons.
 
-    Critical regime only: arrivals and services share the index alpha.  The
-    thinning probabilities are recorded but the statistics live on the total
-    queue, whose law they do not affect.
+    Critical regime only: arrivals and services share the index alpha.
     """
     walks = (FppParams(alpha, lam), FppParams(alpha, mu))
     # every arrival feeds the total queue: (emptyings, running max)
@@ -924,7 +917,7 @@ def verify_best_ask(
         raise ParameterError("best-ask convergence needs arrivals to dominate: alpha > beta")
     if not (len(eps_values) and all(0.0 < eps < math.inf for eps in eps_values)):
         raise ParameterError(f"need one or more eps in (0, inf), got {list(eps_values)}")
-    a = locations.support_infimum()
+    a = locations.infimum
     eps_main = max(eps_values)
 
     # serving the lowest location is static priority by location: the
@@ -971,7 +964,6 @@ def verify_best_ask(
 _P2 = ClassProbabilities(np.array([0.3, 0.7]))
 _P2_EVEN = ClassProbabilities(np.array([0.5, 0.5]))
 _P3 = ClassProbabilities(np.array([0.2, 0.3, 0.5]))
-_P1 = ClassProbabilities(np.array([1.0]))
 
 BATTERY = {
     # pmf agreement of both process constructions, one subdiffusive and one
@@ -1009,7 +1001,7 @@ BATTERY = {
     # null recurrence: medians of integer counts move by less than one unit
     # per decade, so the horizon ladder uses two-decade spacing
     "recurrence": (10, verify_recurrence, dict(
-        alpha=0.6, lam=2.0, mu=1.0, probs=_P1, horizons=(1e2, 1e4, 1e6), replicas=200)),
+        alpha=0.6, lam=2.0, mu=1.0, horizons=(1e2, 1e4, 1e6), replicas=200)),
     "oscillation_c_1": (11, verify_oscillation,
                         dict(theta=0.5, c=1.0, horizons=(1e2, 1e3, 1e4), replicas=200)),
     "oscillation_c_4": (12, verify_oscillation,

@@ -236,8 +236,7 @@ def simulate_fpp_renewal(
     event_cap: int = DEFAULT_EVENT_CAP,
 ) -> EventTimeline:
     """Fractional Poisson events on (0, horizon] as Mittag-Leffler partial sums."""
-    if horizon <= 0:
-        raise ParameterError("horizon must be positive")
+    _require_positive(horizon=horizon)
     return EventTimeline(horizon=horizon, times=_renewal_rows(p, horizon, rng, 1, event_cap)[1])
 
 
@@ -280,8 +279,7 @@ def simulate_fpp_timechange(
     spaced by ``step`` (default DEFAULT_RESOLUTION * horizon^theta), so event times
     carry a bias of at most one level passage.
     """
-    if horizon <= 0:
-        raise ParameterError("horizon must be positive")
+    _require_positive(horizon=horizon)
     if step is None:
         step = DEFAULT_RESOLUTION * horizon**p.theta
     # L on the levels k step, from L(0) = 0 to its first value above the

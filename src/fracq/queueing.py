@@ -228,9 +228,6 @@ class LocationSampler:
                    lambda x: np.count_nonzero(vals <= x) / vals.size,
                    lambda g, n: vals[g.integers(0, vals.size, size=n)])
 
-    def support_infimum(self) -> float:
-        return self.infimum
-
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
         return self.draw(rng.generator(), n)
 

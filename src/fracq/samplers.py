@@ -6,9 +6,9 @@ paths give non-overlapping streams, so replicas can be fanned out across
 workers without coordination and still reproduce bit-identically.
 
 Mittag-Leffler variates have two routes: the trigonometric form of pairs of
-uniforms (_mittag_leffler_steps), which every renewal walk and
-sample_mittag_leffler_trig run, and the product form E^(1/theta) S / lam
-(sample_mittag_leffler), against which the tests check it.
+uniforms (_mittag_leffler_steps), which every renewal walk runs, and the
+product form E^(1/theta) S / lam (sample_mittag_leffler), against which the
+tests check it.
 """
 
 from __future__ import annotations
@@ -117,15 +117,6 @@ def sample_mittag_leffler(p: FppParams, rng: RngStream, size: int) -> np.ndarray
         # S first, so that E^(1/theta) is not held while the transform runs
         e = sample_positive_stable(p.theta, rng, n) * e ** (1.0 / p.theta)
     return e / p.lam
-
-
-def sample_mittag_leffler_trig(p: FppParams, rng: RngStream, size: int) -> np.ndarray:
-    """Mittag-Leffler waiting times via the trigonometric form that every
-    renewal walk runs (_mittag_leffler_steps), on pairs (U, V) of uniforms.
-    Independent of the product-form construction; the two must agree in
-    law.  theta = 1 gives Exp(lam).
-    """
-    return _mittag_leffler_steps(p, rng.generator().random((_n_variates(size), 2)))
 
 
 def sample_inverse_subordinator_at(

@@ -205,15 +205,11 @@ def mittag_leffler(idx: MlIndex, z):
     Accepts a scalar or array argument.  Raises DomainError outside the
     validated evaluation domain (see module docstring).
     """
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).astype(float).ravel()
-    if not np.all(np.isfinite(z_flat)):
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
         raise DomainError("argument must be finite")
-    vals = _ml_eval(idx.theta, z_flat)
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(z_arr.shape)
+    vals = _ml_eval(idx.theta, z)
+    return float(vals) if z.ndim == 0 else vals
 
 
 def _fpp_pmf_mixture(theta: float, x: float, n: int) -> float:
@@ -388,17 +384,12 @@ def fpp_pmf_table(p: FppParams, t: float, cum_tol: float = 1e-10, n_cap: int = 1
 
 def ml_cdf(p: FppParams, x):
     """Mittag-Leffler waiting-time distribution function 1 - E_theta(-(lam x)^theta)."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xf = np.atleast_1d(x_arr).astype(float).ravel()
-    if not np.all(xf >= 0):  # also true for nan
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):  # also true for nan
         raise ParameterError("x must be nonnegative numbers")
-    w = (p.lam * xf) ** p.theta
-    vals = 1.0 - _ml_eval(p.theta, -w)
-    vals = np.clip(vals, 0.0, 1.0)
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(x_arr.shape)
+    w = (p.lam * x) ** p.theta
+    vals = np.clip(1.0 - _ml_eval(p.theta, -w), 0.0, 1.0)
+    return float(vals) if x.ndim == 0 else vals
 
 
 def inverse_subordinator_moments(theta: float, t: float) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from fracq import (
 from fracq.cli import main as cli_main
 from fracq.gof import chi_square_counts, ks_one_sample, ks_two_sample
 from fracq.processes import renewal_counts, timechange_counts
-from fracq.samplers import sample_mittag_leffler, sample_mittag_leffler_trig
+from fracq.samplers import _mittag_leffler_steps, sample_mittag_leffler
 from fracq.special import FppParams, MlIndex, ml_cdf
 
 P_MIN = 1e-3
@@ -95,7 +95,8 @@ def test_criterion_03_sampler_gof():
         _, p = ks_one_sample(draws, lambda x, params=params: ml_cdf(params, x))
         p_vals.append(p)
     a = sample_mittag_leffler(FppParams(0.65, 1.0), RngStream(seed=110), size=n)
-    b = sample_mittag_leffler_trig(FppParams(0.65, 1.0), RngStream(seed=111), size=n)
+    pairs = RngStream(seed=111).generator().random((n, 2))
+    b = _mittag_leffler_steps(FppParams(0.65, 1.0), pairs)
     _, p_cross = ks_two_sample(a, b)
     p_vals.append(p_cross)
     ok = min(p_vals) > P_MIN

@@ -301,10 +301,10 @@ FLAGS_AND_CALLS = {
             0.6, 0.6, 1.0, 1.2, P46, 2, 1.5, 20.0, 30, rng, p_min=0.002, resolution=0.05,
             jobs=2)),
     "recurrence": (
-        ["--alpha", 0.6, "--lambda", 1, "--mu", 1.2, "--p", "0.4,0.6", "--horizons",
-         "10,100,1000", "--replicas", 20, "--jobs", 2],
-        lambda rng: limitlab.verify_recurrence(0.6, 1.0, 1.2, P46, [10.0, 100.0, 1000.0], 20,
-                                               rng, jobs=2)),
+        ["--alpha", 0.6, "--lambda", 1, "--mu", 1.2, "--horizons", "10,100,1000",
+         "--replicas", 20, "--jobs", 2],
+        lambda rng: limitlab.verify_recurrence(0.6, 1.0, 1.2, [10.0, 100.0, 1000.0], 20, rng,
+                                               jobs=2)),
     "oscillation": (
         ["--theta", 0.6, "--c", 1.5, "--horizons", "10,100", "--replicas", 20,
          "--resolution", 0.05, "--jobs", 2],
@@ -409,19 +409,22 @@ def test_non_finite_list_entry_is_usage_error(tmp_path, capsys, args, flag):
     assert f"--{flag} must be finite numbers" in capsys.readouterr().err
 
 
+REPLICAS = "replicas must be positive and finite"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["verify", "pmf", "--theta", 0.7, "--lambda", 1, "--replicas", -5], "nonnegative"),
-        (["verify", "oscillation", "--theta", 0.5, "--replicas", 0], "one replica"),
+        (["verify", "pmf", "--theta", 0.7, "--lambda", 1, "--replicas", -5], REPLICAS),
+        (["verify", "oscillation", "--theta", 0.5, "--replicas", 0], REPLICAS),
         (["verify", "best-ask", "--alpha", 0.9, "--beta", 0.5, "--lambda", 1, "--mu", 1,
-          "--locations", "uniform:1,2", "--replicas", 0], "one replica"),
+          "--locations", "uniform:1,2", "--replicas", 0], REPLICAS),
         (["verify", "oscillation", "--theta", 0.5, "--horizons", "0,10,100"], "increasing horizons"),
         (["verify", "oscillation", "--theta", 0.5, "--horizons", "100,100"], "increasing horizons"),
         (["verify", "covariance", "--alpha", 0.7, "--lambda", 1, "--p", "0.5,0.5",
-          "--replicas", 0], "one replica"),
+          "--replicas", 0], REPLICAS),
         (["verify", "lln", "--theta", 1, "--lambda", 1, "--p", "0.5,0.5", "--replicas", 0],
-         "one replica"),
+         REPLICAS),
     ],
 )
 def test_bad_replicas_or_horizons_is_usage_error(tmp_path, capsys, args, message):

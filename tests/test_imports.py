@@ -1,5 +1,6 @@
-"""Every module reads each name it imports, and every private helper of the
-library is named outside its own definition.
+"""Every module reads each name it imports, every private helper of the
+library is named outside its own definition, and every experiment reads
+each of its inputs.
 
 Static scans with the standard-library ast.  A name bound by an import
 counts as read when the module loads it somewhere or lists it in
@@ -8,7 +9,9 @@ exempt.  A private helper (a top-level function or class, or a method, whose
 name starts with one underscore) counts as named when src/fracq or scripts/
 loads it, reads it as an attribute, imports it or spells it as a whole
 string, outside its own body.  The scan sees a dead helper, not a dead
-branch inside a live one.
+branch inside a live one.  An experiment's parameter counts as read when
+its body loads it or _experiment reads it from the bound call; recording it
+among the report's parameters is not a reading.
 """
 
 import ast
@@ -16,6 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from fracq import limitlab
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -123,3 +128,40 @@ def test_scan_flags_a_dead_helper():
         "def run():\n    _called()\n    _Kind()._used()\n    setattr(m, '_by_string', 1)\n"
     )
     assert unnamed_helpers({"mod": source}, {"mod": source}) == ["mod._dead", "mod._Kind._unused"]
+
+
+def unread_experiment_inputs(source: str) -> dict[str, list[str]]:
+    """Each @_experiment function of `source` -> its parameters that neither
+    its body loads nor _experiment reads from the bound call, given["name"]."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    by_decorator = {sub.slice.value for sub in ast.walk(functions["_experiment"])
+                    if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Constant)}
+    unread = {}
+    for name, node in functions.items():
+        if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_experiment"
+               for d in node.decorator_list):
+            loaded = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread[name] = [arg.arg for arg in node.args.args + node.args.kwonlyargs
+                            if arg.arg not in loaded | by_decorator]
+    return unread
+
+
+def test_every_experiment_reads_its_inputs():
+    unread = unread_experiment_inputs((ROOT / "src/fracq/limitlab.py").read_text())
+    assert sorted(unread) == sorted({verify.__name__ for _, verify, _ in limitlab.BATTERY.values()})
+    assert [f"{name}.{arg}" for name, args in unread.items() for arg in args] == []
+
+
+def test_scan_flags_an_unread_experiment_input():
+    # y is only recorded; out_dir is read by the decorator, not the body
+    source = (
+        "def _experiment(name):\n"
+        "    def run(given):\n        return given['out_dir']\n"
+        "    return run\n"
+        "@_experiment('demo')\n"
+        "def check(x, y, out_dir=None, *, z):\n    return [x for _ in z]\n"
+        "def plain(w):\n    pass\n"
+    )
+    assert unread_experiment_inputs(source) == {"check": ["y"]}

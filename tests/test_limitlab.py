@@ -364,12 +364,12 @@ def test_median_trends_take_the_least_step_in_each_columns_direction():
 def test_verify_validation_errors():
     with pytest.raises(ParameterError):
         limitlab.verify_recurrence(
-            0.6, 1.0, 1.0, PROBS2, horizons=(10.0, 5.0, 20.0),
+            0.6, 1.0, 1.0, horizons=(10.0, 5.0, 20.0),
             replicas=5, rng=RngStream(seed=0), verbose=False,
         )
     with pytest.raises(ParameterError):
         limitlab.verify_recurrence(
-            0.6, 1.0, 1.0, PROBS2, horizons=(10.0, 20.0),
+            0.6, 1.0, 1.0, horizons=(10.0, 20.0),
             replicas=5, rng=RngStream(seed=0), verbose=False,
         )
     with pytest.raises(ParameterError):
@@ -401,7 +401,7 @@ def test_verify_validation_errors():
         )
     with pytest.raises(ParameterError):
         limitlab.verify_recurrence(
-            0.6, 1.0, 1.0, PROBS2, horizons=(10.0, 20.0, 40.0),
+            0.6, 1.0, 1.0, horizons=(10.0, 20.0, 40.0),
             replicas=0, rng=RngStream(seed=0), verbose=False,
         )
 
@@ -426,7 +426,8 @@ def test_nan_time_scale_or_window_is_rejected():
 BATTERY_POINTS = {}
 for _, verify, point in limitlab.BATTERY.values():
     BATTERY_POINTS.setdefault(verify, point)
-POSITIVE = {"t", "u", "c", "z_max", "resolution", "concentration_tol", "degenerate_tol", "jobs"}
+POSITIVE = {"t", "u", "c", "z_max", "resolution", "concentration_tol", "degenerate_tol", "jobs",
+            "replicas"}
 POSITIVE_CASES = [(verify, arg) for verify in BATTERY_POINTS
                   for arg in inspect.signature(verify).parameters if arg in POSITIVE]
 
@@ -468,7 +469,7 @@ JOBS_CASES = {
         0.6, 0.6, 1.0, 1.0, PROBS2, i=2, t=1.0, u=100.0, replicas=40,
         rng=RngStream(seed=2), **kw),
     "recurrence": lambda **kw: limitlab.verify_recurrence(
-        0.6, 2.0, 1.0, ClassProbabilities(np.array([1.0])), horizons=(10.0, 100.0, 1000.0),
+        0.6, 2.0, 1.0, horizons=(10.0, 100.0, 1000.0),
         replicas=20, rng=RngStream(seed=3), **kw),
     "oscillation": lambda **kw: limitlab.verify_oscillation(
         0.5, 1.0, horizons=(1.0, 10.0), replicas=20, rng=RngStream(seed=4), **kw),
@@ -942,7 +943,7 @@ PARAMETER_KEYS = {
     "fclt": ["lam", "p", "t", "theta", "u"],
     "queue-scaling": ["alpha", "beta", "i", "lam", "mu", "p", "t", "u"],
     "centered-queue-clt": ["alpha", "beta", "i", "lam", "mu", "p", "t", "u"],
-    "recurrence": ["alpha", "horizons", "lam", "mu", "p"],
+    "recurrence": ["alpha", "horizons", "lam", "mu"],
     "oscillation": ["c", "horizons", "theta"],
     "best-ask": ["alpha", "beta", "eps_values", "lam", "location_kind", "mu", "t_values"],
 }

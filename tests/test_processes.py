@@ -325,6 +325,15 @@ def test_invalid_clock_step_is_rejected(step):
         simulate_fpp_timechange(FppParams(0.7, 1.0), 1.0, RngStream(seed=1), step=step)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+@pytest.mark.parametrize("simulate", [simulate_fpp_renewal, simulate_fpp_timechange])
+def test_non_finite_horizon_is_named_in_its_error(simulate, horizon):
+    # a NaN or infinite horizon once passed `horizon <= 0` and failed inside
+    # the inverse clock's moments, under the name t
+    with pytest.raises(ParameterError, match="^horizon must be positive and finite"):
+        simulate(FppParams(0.7, 1.0), horizon, RngStream(seed=1))
+
+
 def test_constructions_agree_in_law():
     # the central dual-route check: renewal counts vs time-change counts
     p = FppParams(0.6, 1.3)

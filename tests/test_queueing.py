@@ -357,10 +357,10 @@ def test_exponential_rate_must_be_positive_and_finite(rate):
 
 
 def test_location_sampler_support():
-    assert LocationSampler.uniform(1.5, 2.0).support_infimum() == 1.5
-    assert LocationSampler.exponential(2.0).support_infimum() == 0.0
-    assert LocationSampler.point_masses([3.0, 1.0], [0.5, 0.5]).support_infimum() == 1.0
-    assert LocationSampler.empirical([2.0, 7.0]).support_infimum() == 2.0
+    assert LocationSampler.uniform(1.5, 2.0).infimum == 1.5
+    assert LocationSampler.exponential(2.0).infimum == 0.0
+    assert LocationSampler.point_masses([3.0, 1.0], [0.5, 0.5]).infimum == 1.0
+    assert LocationSampler.empirical([2.0, 7.0]).infimum == 2.0
 
 
 _POINTS, _WEIGHTS = np.array([2.0, 1.0, 1.05, 1.1]), np.array([0.4, 0.1, 0.2, 0.3])

@@ -19,7 +19,6 @@ from fracq import (
     MlIndex,
     sample_inverse_subordinator_at,
     sample_mittag_leffler,
-    sample_mittag_leffler_trig,
     sample_positive_stable,
 )
 from fracq import samplers
@@ -32,6 +31,11 @@ Z_MAX = 4.0
 
 def z_score(sample: np.ndarray, target_mean: float) -> float:
     return (sample.mean() - target_mean) / (sample.std(ddof=1) / math.sqrt(len(sample)))
+
+
+def trigonometric_form(p: FppParams, rng: RngStream, size: int) -> np.ndarray:
+    """The renewal walks' Mittag-Leffler gaps on `size` pairs of uniforms."""
+    return _mittag_leffler_steps(p, rng.generator().random((size, 2)))
 
 
 # stream plumbing
@@ -141,19 +145,19 @@ def test_ml_sampler_matches_cdf(theta):
 def test_ml_two_constructions_agree(theta):
     p = FppParams(theta, 2.0)
     a = sample_mittag_leffler(p, RngStream(seed=31), size=20_000)
-    b = sample_mittag_leffler_trig(p, RngStream(seed=32), size=20_000)
+    b = trigonometric_form(p, RngStream(seed=32), size=20_000)
     res = stats.ks_2samp(a, b)
     assert res.pvalue > 1e-3
 
 
 def test_ml_trig_matches_cdf():
     p = FppParams(0.65, 1.0)
-    x = sample_mittag_leffler_trig(p, RngStream(seed=41), size=20_000)
+    x = trigonometric_form(p, RngStream(seed=41), size=20_000)
     res = stats.kstest(x, lambda v: ml_cdf(p, v))
     assert res.pvalue > 1e-3
 
 
-@pytest.mark.parametrize("form", [sample_mittag_leffler, sample_mittag_leffler_trig])
+@pytest.mark.parametrize("form", [sample_mittag_leffler, trigonometric_form])
 def test_ml_exponential_reduction(form):
     p = FppParams(1.0, 2.5)
     x = form(p, RngStream(seed=51), size=20_000)
@@ -195,15 +199,6 @@ def test_walk_gaps_match_the_other_mittag_leffler_forms(theta, seed):
     pairs = RngStream(seed=seed + 2).generator().random((20_000, 2))
     s = sample_positive_stable(theta, RngStream(seed=seed + 3), size=20_000)
     assert stats.ks_2samp(_stable_steps(theta, pairs), s).pvalue > 1e-3
-
-
-@pytest.mark.parametrize("theta", [0.65, 1.0])
-def test_ml_trig_sampler_runs_the_walks_transform(theta):
-    p = FppParams(theta, 1.7)
-    got = sample_mittag_leffler_trig(p, RngStream(seed=119), size=1000)
-    pairs = RngStream(seed=119).generator().random((1000, 2))
-    want = _mittag_leffler_steps(p, pairs)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_walk_gaps_at_theta_one_are_exponential():

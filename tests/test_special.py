@@ -133,6 +133,20 @@ def test_array_shape_and_scalar_type():
     assert isinstance(mittag_leffler(MlIndex(0.6), -1.0), float)
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.8, 1.0])
+def test_an_array_evaluates_as_its_raveled_values(theta):
+    # arguments past the series zone at theta < 1, so both evaluators run
+    g = np.random.default_rng(7)
+    z, x = -g.exponential(20.0, (3, 4)), g.exponential(2.0, (3, 4))
+    p = FppParams(theta, 1.3)
+    for f, arg in ((lambda v: mittag_leffler(MlIndex(theta), v), z), (lambda v: ml_cdf(p, v), x)):
+        got = f(arg)
+        assert got.shape == arg.shape
+        np.testing.assert_array_equal(got.ravel().view(np.int64), f(arg.ravel()).view(np.int64))
+        scalar = f(float(arg[1, 2]))
+        assert type(scalar) is float and scalar == got[1, 2]
+
+
 # domain and parameter errors
 
 
